@@ -143,6 +143,12 @@ def validate_config(raw: dict, path: str = "<config>") -> dict:
     _reject_unknown(params, _PARAM_KEYS[model], "params")
     for key in _PARAM_REQUIRED[model]:
         _require_number(params, key, "params", positive=key in ("u", "kappa", "E", "omega0", "omega"))
+    if model == "dicke":
+        if "gamma" in params:
+            _require_number(params, "gamma", "params", positive=True)
+        N = params.get("N", 1)
+        if not isinstance(N, int) or isinstance(N, bool) or N < 1:
+            raise ConfigError(f"params.N must be a positive integer, got {N!r}")
 
     sweep_block = raw.get("sweep", {})
     if not isinstance(sweep_block, dict):
@@ -236,40 +242,24 @@ def _budget_row(model, N, drive, budget, gap, beta, residual, n_max_used, wall):
 
 
 def _run_kerr_like(
-    model: str, p_base, N_list, eps_grid, numerics, keep_going, threads, output
+    model: str, p_base, N_list, eps_grid, numerics, keep_going, threads
 ):
     from .kerr_model import sweep
 
-    # completed points stream to a scratch file so long runs are crash-safe;
-    # the scratch is removed once the final table is written
-    partial_path = output + ".partial"
-
-    with open(partial_path, "w", encoding="utf-8") as partial:
-
-        def stream(rec):
-            partial.write(
-                json.dumps(
-                    {"N": rec.N, "eps": rec.eps, "Pi_u": rec.budget.Pi_u,
-                     "Pi_d": rec.budget.Pi_d, "Phi_q": rec.budget.Phi_q}
-                ) + "\n"
-            )
-            partial.flush()
-
-        result = sweep(
-            p_base,
-            N_list,
-            eps_grid,
-            points_per_axis=numerics["points_per_axis"],
-            certify=numerics["certify_cutoff"],
-            compute_gap=numerics["compute_gap"],
-            threads=threads,
-            timing=numerics["timing"],
-            n_max=numerics["n_max"],
-            mass_tol=numerics["mass_tol"],
-            balance_tol=numerics["balance_tol"],
-            q_floor_ratio=numerics["q_floor_ratio"],
-            on_record=stream,
-        )
+    result = sweep(
+        p_base,
+        N_list,
+        eps_grid,
+        points_per_axis=numerics["points_per_axis"],
+        certify=numerics["certify_cutoff"],
+        compute_gap=numerics["compute_gap"],
+        threads=threads,
+        timing=numerics["timing"],
+        n_max=numerics["n_max"],
+        mass_tol=numerics["mass_tol"],
+        balance_tol=numerics["balance_tol"],
+        q_floor_ratio=numerics["q_floor_ratio"],
+    )
     if result.failures and not keep_going:
         n, eps, msg = result.failures[0]
         raise WehrlFluxError(f"point N={n} eps={eps:.6g} failed: {msg}")
@@ -280,7 +270,7 @@ def _run_kerr_like(
         )
         for rec in result.records
     ]
-    return rows, result.failures, partial_path
+    return rows, result.failures
 
 
 def _run_kerr(cfg, keep_going, threads):
@@ -290,7 +280,7 @@ def _run_kerr(cfg, keep_going, threads):
     base = KerrParams(p["delta"], p["u"], p["kappa"], 0.0, 1)
     return _run_kerr_like(
         "kerr", base, cfg["sweep"]["N_list"], cfg["sweep"]["eps_grid"],
-        cfg["numerics"], keep_going, threads, cfg["output"],
+        cfg["numerics"], keep_going, threads,
     )
 
 
@@ -300,8 +290,7 @@ def _run_cavity(cfg, keep_going, threads):
     p = cfg["params"]
     base = KerrParams(0.0, 1e-12, p["kappa"], 0.0, 1)
     return _run_kerr_like(
-        "cavity", base, [1], [p["E"]], cfg["numerics"], keep_going, threads,
-        cfg["output"],
+        "cavity", base, [1], [p["E"]], cfg["numerics"], keep_going, threads
     )
 
 
@@ -441,12 +430,11 @@ def cmd_run(args) -> int:
         return EXIT_CONFIG
     threads = args.threads or int(os.environ.get("WEHRLFLUX_THREADS", "1"))
     extra_header = []
-    partial_path = None
     try:
         if cfg["model"] == "kerr":
-            rows, failures, partial_path = _run_kerr(cfg, args.keep_going, threads)
+            rows, failures = _run_kerr(cfg, args.keep_going, threads)
         elif cfg["model"] == "cavity":
-            rows, failures, partial_path = _run_cavity(cfg, args.keep_going, threads)
+            rows, failures = _run_cavity(cfg, args.keep_going, threads)
         else:
             rows, failures, lambda_c = _run_dicke(cfg, args.keep_going, threads)
             if lambda_c is not None:
@@ -459,8 +447,6 @@ def cmd_run(args) -> int:
         return EXIT_IO
     try:
         write_results(cfg["output"], rows, cfg["raw"], extra_header)
-        if partial_path and os.path.exists(partial_path):
-            os.unlink(partial_path)
     except OSError as exc:
         print(f"I/O error writing {cfg['output']}: {exc}", file=sys.stderr)
         return EXIT_IO

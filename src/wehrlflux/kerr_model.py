@@ -230,16 +230,20 @@ def _sweep_point(args) -> SweepRecord:
     if opts["certify"]:
         rho, L, n_used, drift = steady_state_certified(p, n_max=opts["n_max"])
     else:
-        n_used = opts["n_max"] or recommended_cutoff(p)
+        n_used = recommended_cutoff(p) if opts["n_max"] is None else opts["n_max"]
         L = build_kerr_liouvillian(p, n_used, enforce_cutoff=opts["n_max"] is None)
         rho = steady_state(L)
         drift = float("nan")
     grid = auto_grid(rho, points_per_axis=opts["points_per_axis"])
+
+    def opt(key, default):
+        return default if opts[key] is None else opts[key]
+
     budget = entropy_budget(
         rho, p, grid,
-        mass_tol=opts["mass_tol"] or MASS_TOL,
-        balance_tol=opts["balance_tol"] or BALANCE_TOL,
-        q_floor_ratio=opts["q_floor_ratio"] or Q_FLOOR_RATIO,
+        mass_tol=opt("mass_tol", MASS_TOL),
+        balance_tol=opt("balance_tol", BALANCE_TOL),
+        q_floor_ratio=opt("q_floor_ratio", Q_FLOOR_RATIO),
     )
     gap = liouvillian_gap(L) if opts["compute_gap"] else float("nan")
     return SweepRecord(
@@ -262,7 +266,6 @@ def sweep(
     p_base: KerrParams,
     N_list,
     eps_grid,
-    on_record=None,
     threads: int = 1,
     **options,
 ) -> SweepResult:
@@ -301,8 +304,6 @@ def sweep(
     def _handle(job, outcome, error=None):
         if error is None:
             result.records.append(outcome)
-            if on_record is not None:
-                on_record(outcome)
         else:
             log.warning("sweep point N=%s eps=%.6g failed: %s", job[1], job[2], error)
             result.failures.append((job[1], job[2], str(error)))

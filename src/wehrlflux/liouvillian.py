@@ -10,12 +10,14 @@ with the rotating-frame Hamiltonian
 
     H = Delta a^dag a + (u / 2N) a^dag a^dag a a + i eps sqrt(N) (a^dag - a).
 
-The steady state is the null eigenvector of L, extracted by shift-invert
-Arnoldi around sigma = 1e-8 (sparse LU of L - sigma I), hermitized and
-normalized afterwards.  A fixed-step RK4 propagator provides an
-independent oracle: the null space of L is exactly a fixed point of the
-RK4 map, so long-time propagation converges to the same state without a
-step-size bias.
+The steady state solves L x = 0 with one row of L replaced by the trace
+functional, tr x = 1, through one sparse LU of that bordered matrix; it is
+hermitized and normalized afterwards.  The spectral gap comes from one
+Arnoldi pass on the inverse of the same bordered matrix restricted to
+trace-free operators, where the null mode is absent.  A fixed-step RK4
+propagator provides an independent oracle: the null space of L is exactly
+a fixed point of the RK4 map, so long-time propagation converges to the
+same state without a step-size bias.
 """
 
 from __future__ import annotations
@@ -25,9 +27,9 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.linalg as sla
 import scipy.sparse as sp
-from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, eigs
+from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigs, splu
+from scipy.sparse.linalg import norm as spnorm
 
 from .errors import (
     CutoffError,
@@ -39,7 +41,6 @@ from .errors import (
 from .fock_algebra import (
     DensityMatrix,
     annihilation,
-    number_operator,
     unvectorize,
     vectorize,
 )
@@ -47,9 +48,6 @@ from .fock_algebra import (
 log = logging.getLogger(__name__)
 
 NULL_RESIDUAL_TOL = 1e-10
-DEGENERACY_TOL = 1e-12
-# Dense fallback ceiling for eigensolves (vectorized dimension).
-DENSE_EIG_LIMIT = 1100
 
 
 @dataclass(frozen=True)
@@ -142,7 +140,7 @@ def build_kerr_liouvillian(
 
 
 # ---------------------------------------------------------------------------
-# Steady state via shift-invert
+# Steady state and gap through the trace-bordered LU
 # ---------------------------------------------------------------------------
 
 def _start_vector(dim: int) -> np.ndarray:
@@ -150,50 +148,38 @@ def _start_vector(dim: int) -> np.ndarray:
     return np.ones(dim) / math.sqrt(dim)
 
 
-def _null_eigenpairs(L: Superoperator, k: int):
-    """Eigenvalues of smallest magnitude with eigenvectors, several strategies."""
-    mat = L.matrix.tocsc()
-    dim = L.dim
-    k = min(k, dim - 2)
-    attempts = (
-        dict(sigma=1e-8, which="LM"),
-        dict(sigma=1e-6, which="LM"),
-        dict(which="SM", maxiter=10000, tol=1e-12),
+def _bordered_lu(L: Superoperator):
+    """Sparse LU of B, which is L with row 0 replaced by vec(I)^T.
+
+    Row 0 of L is minus the sum of the other diagonal rows (L preserves
+    the trace), so B x = 0 exactly when L x = 0 and tr x = 0: B is
+    singular exactly when the null space of L is degenerate.
+    """
+    n = L.n_max
+    diag = np.arange(n) * (n + 1)
+    trace_row = sp.csr_matrix(
+        (np.ones(n), (np.zeros(n, dtype=int), diag)), shape=(1, L.dim)
     )
-    last_exc = None
-    for kw in attempts:
-        try:
-            vals, vecs = eigs(mat, k=k, v0=_start_vector(dim), **kw)
-            return vals, vecs
-        except (ArpackError, ArpackNoConvergence, RuntimeError) as exc:
-            last_exc = exc
-            log.debug("null-space attempt %s failed: %s", kw, exc)
-    if dim <= 4096:  # dense rescue for small problems only
-        vals, vecs = sla.eig(mat.toarray())
-        order = np.argsort(np.abs(vals))[:k]
-        return vals[order], vecs[:, order]
-    raise SolverConvergenceError(f"steady-state eigensolve failed: {last_exc}")
+    B = sp.vstack([trace_row, L.matrix[1:]], format="csc")
+    try:
+        return splu(B)
+    except RuntimeError as exc:
+        raise DegenerateSteadyStateError(
+            f"trace-bordered generator is singular: {exc}"
+        ) from exc
 
 
 def steady_state(L: Superoperator) -> DensityMatrix:
-    """Null eigenvector of L, hermitized and normalized to unit trace.
+    """Unit-trace solution of L(rho) = 0, hermitized.
 
-    Raises if the residual ||L(rho)||_F exceeds 1e-10 or if a second
-    eigenvalue sits at zero (degenerate null space).
+    Solves B x = e_0 with B from ``_bordered_lu``.  Raises if the residual
+    ||L(rho)||_F exceeds 1e-10, or if B is singular (degenerate null space).
     """
-    vals, vecs = _null_eigenpairs(L, k=2)
-    order = np.argsort(np.abs(vals))
-    vals, vecs = vals[order], vecs[:, order]
-    if len(vals) > 1 and abs(vals[1]) < DEGENERACY_TOL:
-        raise DegenerateSteadyStateError(
-            f"two eigenvalues inside the null tolerance: {vals[0]:.3e}, {vals[1]:.3e}"
-        )
-    rho = unvectorize(vecs[:, 0], L.n_max)
+    rhs = np.zeros(L.dim, dtype=complex)
+    rhs[0] = 1.0
+    rho = unvectorize(_bordered_lu(L).solve(rhs), L.n_max)
     rho = 0.5 * (rho + rho.conj().T)
-    tr = np.trace(rho).real
-    if abs(tr) < 1e-14:
-        raise SolverConvergenceError("null eigenvector has vanishing trace")
-    rho = rho / tr
+    rho = rho / np.trace(rho).real
     state = DensityMatrix(L.n_max, rho)
     res = L.residual(state)
     if res > NULL_RESIDUAL_TOL:
@@ -315,54 +301,38 @@ def evolve_to_stationarity(
 def liouvillian_gap(L: Superoperator, k: int = 12) -> float:
     """-Re(lambda_1), the nonzero eigenvalue of largest real part.
 
-    Combines shift-invert around zero (catches the slow mode near a
-    transition) with a largest-real-part Arnoldi pass; small problems go
-    through a dense solve.
+    Every eigenvector v of L with lambda != 0 is trace-free, so
+    B v = lambda (v with v_0 := 0), and v is an eigenvector of
+    f -> B^{-1}(f with f_0 := 0) with eigenvalue 1/lambda.  That operator
+    maps into the trace-free subspace, so the null mode never enters its
+    spectrum; one Arnoldi pass returns the k eigenvalues of L closest to
+    zero.  A gap below the roundoff floor eps_mach ||L||_1 is not
+    resolved and raises.
     """
-    dim = L.dim
-    if dim <= DENSE_EIG_LIMIT:
-        vals = sla.eigvals(L.matrix.toarray())
-        _check_unique_null(vals)
-        return _gap_from_eigenvalues(vals)
+    dim, n = L.dim, L.n_max
+    lu = _bordered_lu(L)
 
-    mat = L.matrix.tocsc()
-    k = min(k, dim - 2)
-    collected = []
+    def matvec(f):
+        f = np.array(f, dtype=complex).ravel()
+        f[0] = 0.0
+        return lu.solve(f)
+
+    v0 = _start_vector(dim).astype(complex)
+    trace_idx = np.arange(n) * (n + 1)
+    v0[trace_idx] -= v0[trace_idx].sum() / n
+    op = LinearOperator((dim, dim), matvec=matvec, dtype=complex)
     try:
-        vals, _ = eigs(mat, k=k, sigma=1e-8, which="LM", v0=_start_vector(dim))
-        _check_unique_null(vals)
-        collected.append(vals)
-    except (ArpackError, ArpackNoConvergence, RuntimeError) as exc:
-        log.debug("gap shift-invert pass failed: %s", exc)
-    # The largest-real-part pass guards against a slow mode of large
-    # modulus that shift-invert around zero would miss; it converges
-    # poorly at large dimension, so it is skipped there unless needed.
-    if not collected or dim <= 4000:
-        try:
-            vals, _ = eigs(
-                mat, k=min(6, dim - 2), which="LR", v0=_start_vector(dim),
-                maxiter=5000, tol=1e-10,
-            )
-            collected.append(vals)
-        except (ArpackError, ArpackNoConvergence, RuntimeError) as exc:
-            log.debug("gap largest-real pass failed: %s", exc)
-    if not collected:
-        raise SolverConvergenceError("gap eigensolves all failed")
-    return _gap_from_eigenvalues(np.concatenate(collected))
-
-
-def _check_unique_null(vals: np.ndarray):
-    """Within one solver pass, at most one eigenvalue may sit at zero."""
-    if int(np.sum(np.abs(vals) < DEGENERACY_TOL)) > 1:
-        small = np.sort(np.abs(vals))[:2]
-        raise DegenerateSteadyStateError(
-            f"two eigenvalues inside the null tolerance: |lambda| = {small}"
+        nu = eigs(
+            op, k=min(k, dim - 2), which="LM", v0=v0, return_eigenvectors=False
         )
-
-
-def _gap_from_eigenvalues(vals: np.ndarray, null_tol: float = 1e-11) -> float:
-    vals = np.asarray(vals)
-    nonzero = vals[np.abs(vals) > null_tol]
-    if len(nonzero) == 0:
-        raise SolverConvergenceError("no nonzero eigenvalues found for the gap")
-    return max(0.0, -float(np.max(nonzero.real)))
+    except ArpackNoConvergence as exc:
+        raise SolverConvergenceError(
+            f"gap eigensolve did not converge: {exc}"
+        ) from exc
+    gap = -float(np.max((1.0 / nu).real))
+    floor = np.finfo(float).eps * spnorm(L.matrix, 1)
+    if gap < floor:
+        raise SolverConvergenceError(
+            f"gap {gap:.3e} below the roundoff floor {floor:.3e}"
+        )
+    return gap

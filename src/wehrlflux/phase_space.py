@@ -187,11 +187,13 @@ def _coherent_matrix(nodes: np.ndarray, dim: int) -> np.ndarray:
     n = np.arange(dim)[:, None]
     absmu = np.abs(nodes)[None, :]
     fct = _half_log_factorials(dim)[:, None]
-    with np.errstate(divide="ignore"):
-        log_absmu = np.where(absmu > 0, np.log(absmu, where=absmu > 0), -np.inf)
-    log_mag = -0.5 * absmu ** 2 + n * log_absmu - fct
-    # n = 0 with mu = 0 hits 0 * (-inf); the amplitude there is exactly 1
-    log_mag = np.where((n == 0) & (absmu == 0), -0.5 * absmu ** 2, log_mag)
+    log_absmu = np.log(absmu, out=np.full_like(absmu, -np.inf), where=absmu > 0)
+    # n log|mu| with 0 log 0 = 0: at mu = 0 the n = 0 amplitude is exactly 1
+    log_mag = np.multiply(
+        n, log_absmu, out=np.zeros((dim, absmu.shape[1])), where=n > 0
+    )
+    log_mag -= 0.5 * absmu ** 2
+    log_mag -= fct
     C = np.exp(log_mag) * np.exp(1j * n * np.angle(nodes)[None, :])
     return C
 

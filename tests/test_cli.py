@@ -99,6 +99,15 @@ class TestConfigValidation:
         loaded = load_config(write_config(tmp_path / "c.json", cfg))
         assert loaded["sweep"]["lambda_grid"] == pytest.approx([0.1, 0.15, 0.2])
 
+    @pytest.mark.parametrize(
+        "key, value", [("gamma", 0), ("gamma", "small"), ("N", 0), ("N", 2.5)]
+    )
+    def test_dicke_optional_params_validated(self, tmp_path, capsys, key, value):
+        cfg = dicke_config(tmp_path, 0.3, 0.31, 2)
+        cfg["params"][key] = value
+        assert main(["run", write_config(tmp_path / "c.json", cfg)]) == EXIT_CONFIG
+        assert f"params.{key}" in capsys.readouterr().err
+
 
 class TestRun:
     def test_cavity_pipeline(self, tmp_path, capsys):

@@ -126,6 +126,15 @@ class TestSweep:
             result = sweep(p, [2], [30.0], certify=False, compute_gap=False)
         assert len(result.records) + len(result.failures) == 1
 
+    def test_explicit_zero_tolerance_is_honoured(self):
+        # mass_tol = 0 reaches the quadrature check instead of falling back
+        # to the default; no finite grid captures the mass exactly
+        p = kerr_params(0.9, 2)
+        result = sweep(p, [2], [0.9], certify=False, compute_gap=False, mass_tol=0.0)
+        assert not result.records
+        ((N, eps, msg),) = result.failures
+        assert "quadrature mass" in msg and "beyond 0.0" in msg
+
 
 class TestCollapse:
     @staticmethod

@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg as sla
+import scipy.sparse as sp
 
 from conftest import kerr_params, random_density_matrix
-from wehrlflux.errors import CutoffError, StepSizeError
+from wehrlflux.errors import CutoffError, SolverConvergenceError, StepSizeError
 from wehrlflux.fock_algebra import (
     DensityMatrix,
     annihilation,
@@ -17,9 +18,10 @@ from wehrlflux.fock_algebra import (
     unvectorize,
     vectorize,
 )
-from wehrlflux.kerr_model import recommended_cutoff
+from wehrlflux.kerr_model import bistability_window, recommended_cutoff
 from wehrlflux.liouvillian import (
     KerrParams,
+    Superoperator,
     build_kerr_liouvillian,
     evolve,
     evolve_to_stationarity,
@@ -103,6 +105,14 @@ class TestSteadyState:
         L = build_kerr_liouvillian(p, recommended_cutoff(p))
         rho = steady_state(L)
         assert L.residual(rho) < 1e-10
+
+    def test_near_critical_large_size(self):
+        # the slow mode sits near 4e-13 here; the solve must not mistake it
+        # for a second null mode
+        p = kerr_params(0.935, 40)
+        L = build_kerr_liouvillian(p, recommended_cutoff(p))
+        assert L.residual(steady_state(L)) < 1e-10
+        assert 0 < liouvillian_gap(L) < 1e-11
 
     def test_transition_curve_continuous_and_steep(self, ness_cache):
         # <a'a>/N rises steeply but continuously across the collapse region
@@ -191,3 +201,31 @@ class TestGap:
             L = build_kerr_liouvillian(p, recommended_cutoff(p))
             gaps.append(liouvillian_gap(L))
         assert gaps[0] > gaps[1] > gaps[2] > 0
+
+    @pytest.mark.parametrize("N", [1, 2, 3, 4])
+    def test_matches_dense_spectrum_across_window(self, N):
+        # dense oracle: drop the eigenvalue of smallest modulus (the null
+        # mode), the gap is minus the largest remaining real part
+        win = bistability_window(kerr_params(0.0, 1))
+        for eps in np.linspace(win.eps_lo, win.eps_hi, 7):
+            p = kerr_params(float(eps), N)
+            L = build_kerr_liouvillian(p, recommended_cutoff(p))
+            assert L.dim <= 1100
+            vals = sla.eigvals(L.matrix.toarray())
+            vals = np.delete(vals, np.argmin(np.abs(vals)))
+            dense = -vals.real.max()
+            assert liouvillian_gap(L) == pytest.approx(dense, rel=1e-9)
+
+    def test_gap_below_roundoff_floor_raises(self):
+        # two levels whose populations swap at rate 1e-20: the gap 2e-20
+        # lies far below eps_mach ||L||_1, so it cannot be resolved
+        rate = 1e-20
+        mat = sp.csr_matrix(np.array(
+            [[-rate, 0, 0, rate],
+             [0, -1.0, 0, 0],
+             [0, 0, -1.0, 0],
+             [rate, 0, 0, -rate]],
+            dtype=complex,
+        ))
+        with pytest.raises(SolverConvergenceError, match="roundoff floor"):
+            liouvillian_gap(Superoperator(2, mat))
