@@ -117,16 +117,15 @@ class MeanFieldState:
     w: float
 
     def residuals(self, p: DickeParams) -> tuple[float, float, float]:
-        """Absolute values of the three fixed-point equations."""
+        """Absolute residuals of the alpha and beta fixed-point equations
+        and of the spin-length constraint w^2 + beta^2 = 1/4."""
         r_alpha = -(p.kappa + 1j * p.omega) * self.alpha - 1j * p.lam * (
             self.beta + self.beta
         )
         r_beta = -1j * p.omega0 * self.beta + 2j * p.lam * (
             self.alpha + self.alpha.conjugate()
         ) * self.w
-        r_w = 1j * p.lam * (self.alpha + self.alpha.conjugate()) * (
-            self.beta - self.beta
-        )
+        r_w = self.w ** 2 + self.beta ** 2 - 0.25
         return abs(r_alpha), abs(r_beta), abs(r_w)
 
 

@@ -234,6 +234,11 @@ def _sweep_point(args) -> SweepRecord:
         L = build_kerr_liouvillian(p, n_used, enforce_cutoff=opts["n_max"] is None)
         rho = steady_state(L)
         drift = float("nan")
+    # L holds the LU its steady state was solved with, and the gap reuses
+    # it; drop L before the Husimi stage so the two never share memory.
+    gap = liouvillian_gap(L) if opts["compute_gap"] else float("nan")
+    ness_residual = L.residual(rho)
+    del L
     grid = auto_grid(rho, points_per_axis=opts["points_per_axis"])
 
     def opt(key, default):
@@ -245,7 +250,6 @@ def _sweep_point(args) -> SweepRecord:
         balance_tol=opt("balance_tol", BALANCE_TOL),
         q_floor_ratio=opt("q_floor_ratio", Q_FLOOR_RATIO),
     )
-    gap = liouvillian_gap(L) if opts["compute_gap"] else float("nan")
     return SweepRecord(
         N=N,
         eps=eps,
@@ -256,7 +260,7 @@ def _sweep_point(args) -> SweepRecord:
         grid_center=grid.center,
         grid_half_width=grid.half_width,
         grid_points=grid.points_per_axis,
-        ness_residual=L.residual(rho),
+        ness_residual=ness_residual,
         cutoff_drift=drift,
         wall_time_s=(time.perf_counter() - start) if opts["timing"] else 0.0,
     )

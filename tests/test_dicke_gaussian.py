@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -88,6 +89,14 @@ class TestMeanField:
         assert mf.w ** 2 + abs(mf.beta) ** 2 == pytest.approx(0.25, abs=1e-12)
         assert max(mf.residuals(p)) < 1e-12
         assert mf.w <= 0
+
+    def test_residuals_check_spin_length(self):
+        # in the normal phase alpha = beta = 0, so only the spin-length
+        # constraint w^2 + beta^2 = 1/4 sees a perturbed w
+        p = fig3_params(0.5 * LAMBDA_C)
+        mf = mean_field_fixed_point(p)
+        bent = dataclasses.replace(mf, w=mf.w + 1e-6)
+        assert max(bent.residuals(p)) > 1e-12
 
     def test_order_parameter_slope_jump(self):
         # beta is continuous at lam_c but d(beta^2)/d lam jumps to 1/lam_c

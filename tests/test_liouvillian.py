@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 import scipy.sparse as sp
+from scipy.sparse.linalg import splu
 
 from conftest import kerr_params, random_density_matrix
+from wehrlflux import kerr_model, liouvillian
 from wehrlflux.errors import CutoffError, SolverConvergenceError, StepSizeError
 from wehrlflux.fock_algebra import (
     DensityMatrix,
@@ -229,3 +231,41 @@ class TestGap:
         ))
         with pytest.raises(SolverConvergenceError, match="roundoff floor"):
             liouvillian_gap(Superoperator(2, mat))
+
+
+class TestBorderedLU:
+    @pytest.fixture
+    def factored(self, monkeypatch):
+        """Matrices passed to splu, recorded through a wrapper."""
+        seen = []
+        real_splu = liouvillian.splu
+
+        def counting_splu(B, *args, **kwargs):
+            seen.append(B)
+            return real_splu(B, *args, **kwargs)
+
+        monkeypatch.setattr(liouvillian, "splu", counting_splu)
+        return seen
+
+    def test_steady_state_and_gap_share_one_factorization(self, factored):
+        p = kerr_params(0.9, 5)
+        L = build_kerr_liouvillian(p, recommended_cutoff(p))
+        steady_state(L)
+        liouvillian_gap(L)
+        assert len(factored) == 1
+
+    def test_sweep_point_factors_once(self, factored):
+        opts = dict(kerr_model._SWEEP_DEFAULTS, compute_gap=True)
+        record = kerr_model._sweep_point((kerr_params(0.0, 1), 5, 0.9, opts))
+        assert record.gap > 0
+        assert len(factored) == 1
+
+    def test_ordering_reduces_fill(self, factored):
+        # near eps_c at N=10 the default COLAMD ordering gives ~233k
+        # nonzeros in L + U, minimum degree on B^T + B ~153k
+        p = kerr_params(0.955, 10)
+        L = build_kerr_liouvillian(p, recommended_cutoff(p))
+        assert L.n_max == 60
+        lu = L.bordered_lu
+        default = splu(factored[0])
+        assert lu.L.nnz + lu.U.nnz < 0.8 * (default.L.nnz + default.U.nnz)
