@@ -23,12 +23,8 @@ from .dicke_gaussian import (
 from .fock_algebra import (
     CoherentStateVector,
     DensityMatrix,
-    FockOperator,
     annihilation,
     coherent_state,
-    creation,
-    expectation,
-    number_operator,
 )
 from .kerr_model import (
     BistabilityWindow,

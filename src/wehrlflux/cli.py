@@ -26,6 +26,7 @@ import time
 
 from . import __version__
 from .errors import ConfigError, WehrlFluxError
+from .phase_space import MASS_TOL, MIN_POINTS_PER_AXIS, Q_FLOOR_RATIO
 
 SCHEMA_VERSION = 1
 
@@ -42,9 +43,8 @@ CSV_COLUMNS = [
 _NUMERICS_DEFAULTS = {
     "n_max": None,
     "points_per_axis": 128,
-    "mass_tol": 1e-6,
-    "balance_tol": 1e-2,
-    "q_floor_ratio": 1e-14,
+    "mass_tol": MASS_TOL,
+    "q_floor_ratio": Q_FLOOR_RATIO,
     "mc_samples": 10 ** 6,
     "seed": 0,
     "certify_cutoff": True,
@@ -106,6 +106,10 @@ def _require_number(block: dict, key: str, where: str, positive=False):
     if positive and val <= 0:
         raise ConfigError(f"{where}.{key} must be positive, got {val}")
     return float(val)
+
+
+def _is_int(val, lowest: int) -> bool:
+    return isinstance(val, int) and not isinstance(val, bool) and val >= lowest
 
 
 def _grid_spec(block: dict, where: str):
@@ -186,10 +190,21 @@ def validate_config(raw: dict, path: str = "<config>") -> dict:
     for key in ("certify_cutoff", "compute_gap", "mc_validate", "timing"):
         if not isinstance(numerics[key], bool):
             raise ConfigError(f"numerics.{key} must be a boolean")
-    if numerics["n_max"] is not None and (
-        not isinstance(numerics["n_max"], int) or numerics["n_max"] < 2
-    ):
+    if numerics["n_max"] is not None and not _is_int(numerics["n_max"], 2):
         raise ConfigError("numerics.n_max must be an integer >= 2")
+    for key, lowest in (
+        ("points_per_axis", MIN_POINTS_PER_AXIS), ("mc_samples", 1), ("seed", 0)
+    ):
+        if not _is_int(numerics[key], lowest):
+            raise ConfigError(
+                f"numerics.{key} must be an integer >= {lowest}, got {numerics[key]!r}"
+            )
+    for key in ("mass_tol", "q_floor_ratio"):
+        val = numerics[key]
+        if isinstance(val, bool) or not isinstance(val, (int, float)) or not val >= 0:
+            raise ConfigError(
+                f"numerics.{key} must be a non-negative number, got {val!r}"
+            )
 
     output = raw.get("output")
     if not isinstance(output, str) or not output:
@@ -257,7 +272,6 @@ def _run_kerr_like(
         timing=numerics["timing"],
         n_max=numerics["n_max"],
         mass_tol=numerics["mass_tol"],
-        balance_tol=numerics["balance_tol"],
         q_floor_ratio=numerics["q_floor_ratio"],
     )
     if result.failures and not keep_going:
@@ -318,7 +332,7 @@ def _run_dicke(cfg, keep_going, threads):
             if numerics["mc_validate"]:
                 mc = mc_gaussian_budget(
                     sigma, hp, params,
-                    samples=int(numerics["mc_samples"]), seed=int(numerics["seed"]),
+                    samples=numerics["mc_samples"], seed=numerics["seed"],
                 )
                 for name, closed, sampled in (
                     ("S", budget.S, mc.S),
@@ -428,7 +442,15 @@ def cmd_run(args) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    threads = args.threads or int(os.environ.get("WEHRLFLUX_THREADS", "1"))
+    if args.threads is not None:
+        source, text = "--threads", str(args.threads)
+    else:
+        source, text = "WEHRLFLUX_THREADS", os.environ.get("WEHRLFLUX_THREADS", "1")
+    if not text.strip().isdecimal() or int(text) < 1:
+        print(f"config error: {source} must be a positive integer, got {text!r}",
+              file=sys.stderr)
+        return EXIT_CONFIG
+    threads = int(text)
     extra_header = []
     try:
         if cfg["model"] == "kerr":

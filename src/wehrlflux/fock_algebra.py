@@ -1,11 +1,17 @@
-"""Truncated-Fock-space operator algebra.
+"""Truncated-Fock-space algebra.
 
-Ladder operators, coherent states and expectation values on a Hilbert
-space truncated at ``n_max`` Fock levels, plus the column-stacking
-vectorization helpers used by the superoperator solvers.
+The ladder operator, coherent states, density matrices and their moments
+on a Hilbert space truncated at ``n_max`` Fock levels, plus the
+column-stacking vectorization helpers used by the superoperator solvers.
 
 Conventions:
     a |n> = sqrt(n) |n-1>,   coherent components c_n = e^{-|mu|^2/2} mu^n / sqrt(n!).
+
+``annihilation`` is the one representation of a: a CSR matrix with the
+single superdiagonal sqrt(1), ..., sqrt(n_max - 1).  Nothing else builds
+an operator.  The moments the pipeline needs are read off rho's
+diagonals instead: <a^dag a> = sum_n n rho_nn and
+<a> = sum_n sqrt(n) rho_{n,n-1}.
 
 All factorials are evaluated through cumulative log-gamma so coherent
 amplitudes stay finite well past n = 170.
@@ -22,9 +28,6 @@ from scipy.special import gammaln
 
 from .errors import DimensionError, StateValidationError, TruncationError
 
-# Operators at or below this dimension are stored dense, above it sparse.
-DENSE_DIM_LIMIT = 64
-
 HERMITICITY_TOL = 1e-10
 TRACE_TOL = 1e-10
 POSITIVITY_TOL = 1e-8
@@ -33,72 +36,11 @@ POSITIVITY_TOL = 1e-8
 COHERENT_FILL_RATIO = 0.5
 
 
-def _materialize(m: sp.spmatrix, dim: int):
-    """Apply the dense/sparse storage rule."""
-    return m.toarray() if dim <= DENSE_DIM_LIMIT else m.tocsr()
-
-
-@dataclass(frozen=True)
-class FockOperator:
-    """A single-mode operator on the truncated Fock basis.
-
-    ``entries`` is a dense complex array for small dimensions and a CSR
-    matrix above ``DENSE_DIM_LIMIT``; both paths expose the same API.
-    """
-
-    dim: int
-    entries: object  # np.ndarray or scipy sparse matrix
-
-    def __post_init__(self):
-        if self.dim < 2:
-            raise DimensionError(f"Fock dimension must be >= 2, got {self.dim}")
-        if self.entries.shape != (self.dim, self.dim):
-            raise DimensionError(
-                f"entries shape {self.entries.shape} does not match dim {self.dim}"
-            )
-        data = np.asarray(
-            self.entries.data if sp.issparse(self.entries) else self.entries
-        )
-        if not (np.all(np.isfinite(data.real)) and np.all(np.isfinite(data.imag))):
-            raise StateValidationError("operator entries must be finite")
-
-    def dense(self) -> np.ndarray:
-        if sp.issparse(self.entries):
-            return self.entries.toarray()
-        return self.entries
-
-    def sparse(self) -> sp.csr_matrix:
-        if sp.issparse(self.entries):
-            return self.entries.tocsr()
-        return sp.csr_matrix(self.entries)
-
-    def dag(self) -> "FockOperator":
-        return FockOperator(self.dim, self.entries.conj().T)
-
-    def is_hermitian(self, tol: float = 1e-12) -> bool:
-        diff = self.entries - self.entries.conj().T
-        if sp.issparse(diff):
-            return diff.count_nonzero() == 0 or abs(diff).max() < tol
-        return np.max(np.abs(diff)) < tol
-
-
-def annihilation(n_max: int) -> FockOperator:
-    """Ladder operator a with entry (n-1, n) = sqrt(n)."""
+def annihilation(n_max: int) -> sp.csr_matrix:
+    """Ladder operator a as a CSR matrix, entry (n-1, n) = sqrt(n)."""
     if n_max < 2:
         raise DimensionError(f"n_max must be >= 2, got {n_max}")
-    m = sp.diags(np.sqrt(np.arange(1, n_max)), 1, format="csr", dtype=complex)
-    return FockOperator(n_max, _materialize(m, n_max))
-
-
-def creation(n_max: int) -> FockOperator:
-    return annihilation(n_max).dag()
-
-
-def number_operator(n_max: int) -> FockOperator:
-    if n_max < 2:
-        raise DimensionError(f"n_max must be >= 2, got {n_max}")
-    m = sp.diags(np.arange(n_max, dtype=float).astype(complex), 0, format="csr")
-    return FockOperator(n_max, _materialize(m, n_max))
+    return sp.diags(np.sqrt(np.arange(1, n_max)), 1, format="csr", dtype=complex)
 
 
 # ---------------------------------------------------------------------------
@@ -220,27 +162,15 @@ class DensityMatrix:
         return DensityMatrix(dim, np.eye(dim, dtype=complex) / dim)
 
 
-def expectation(rho: DensityMatrix, op: FockOperator) -> complex:
-    """tr(rho O).  For Hermitian O the imaginary part must stay below 1e-10."""
-    if rho.dim != op.dim:
-        raise DimensionError(f"dimension mismatch: state {rho.dim}, operator {op.dim}")
-    if sp.issparse(op.entries):
-        val = complex(np.trace(op.entries @ rho.entries))
-    else:
-        val = complex(np.einsum("ij,ji->", rho.entries, op.entries))
-    if op.is_hermitian() and abs(val.imag) > 1e-10:
-        raise StateValidationError(
-            f"expectation of Hermitian operator has imaginary part {val.imag:.3e}"
-        )
-    return val
-
-
 def mean_photon_number(rho: DensityMatrix) -> float:
-    return expectation(rho, number_operator(rho.dim)).real
+    """<a^dag a> = sum_n n rho_nn."""
+    return float(np.dot(np.arange(rho.dim), np.diagonal(rho.entries).real))
 
 
 def mean_amplitude(rho: DensityMatrix) -> complex:
-    return expectation(rho, annihilation(rho.dim))
+    """<a> = tr(a rho) = sum_n sqrt(n) rho_{n,n-1}."""
+    sqrt_n = np.sqrt(np.arange(1, rho.dim))
+    return complex(np.dot(sqrt_n, np.diagonal(rho.entries, -1)))
 
 
 def von_neumann_entropy(rho: DensityMatrix) -> float:

@@ -214,7 +214,6 @@ _SWEEP_DEFAULTS = {
     "timing": False,
     "n_max": None,
     "mass_tol": None,
-    "balance_tol": None,
     "q_floor_ratio": None,
 }
 
@@ -222,7 +221,7 @@ _SWEEP_DEFAULTS = {
 def _sweep_point(args) -> SweepRecord:
     import time
 
-    from .phase_space import BALANCE_TOL, MASS_TOL, Q_FLOOR_RATIO
+    from .phase_space import MASS_TOL, Q_FLOOR_RATIO
 
     p_base, N, eps, opts = args
     start = time.perf_counter()
@@ -247,7 +246,6 @@ def _sweep_point(args) -> SweepRecord:
     budget = entropy_budget(
         rho, p, grid,
         mass_tol=opt("mass_tol", MASS_TOL),
-        balance_tol=opt("balance_tol", BALANCE_TOL),
         q_floor_ratio=opt("q_floor_ratio", Q_FLOOR_RATIO),
     )
     return SweepRecord(
@@ -281,7 +279,7 @@ def sweep(
     wall time is only recorded when ``timing`` is set).  Recognized
     options (see ``_SWEEP_DEFAULTS``): points_per_axis, certify,
     compute_gap, timing, and the per-point overrides n_max, mass_tol,
-    balance_tol, q_floor_ratio.
+    q_floor_ratio.
     """
     unknown = set(options) - set(_SWEEP_DEFAULTS)
     if unknown:

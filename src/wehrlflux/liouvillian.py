@@ -146,7 +146,7 @@ def build_kerr_liouvillian(
                 f"n_max = {n_max} below recommended cutoff {rec} for {p}",
                 recommended=rec,
             )
-    a = annihilation(n_max).sparse()
+    a = annihilation(n_max)
     ad = a.conj().T.tocsr()
     n_op = (ad @ a).tocsr()
     kerr = (ad @ ad @ a @ a).tocsr()

@@ -16,16 +16,20 @@ def kerr_params(eps, N, **overrides):
 
 @pytest.fixture(scope="session")
 def ness_cache():
-    """Session cache of Kerr steady states keyed by (delta, u, kappa, eps, N)."""
+    """Session cache of Kerr steady states keyed by (delta, u, kappa, eps, N).
+
+    Only rho is kept; each call returns it with a freshly built generator,
+    so the LU a generator factors for its solves never outlives the test.
+    """
     cache = {}
 
     def get(p: KerrParams, n_max=None):
+        n = recommended_cutoff(p) if n_max is None else n_max
+        L = build_kerr_liouvillian(p, n, enforce_cutoff=n_max is None)
         key = (p.delta, p.u, p.kappa, p.eps, p.N, n_max)
         if key not in cache:
-            n = recommended_cutoff(p) if n_max is None else n_max
-            L = build_kerr_liouvillian(p, n, enforce_cutoff=n_max is None)
-            cache[key] = (steady_state(L), L)
-        return cache[key]
+            cache[key] = steady_state(L)
+        return cache[key], L
 
     return get
 

@@ -108,6 +108,41 @@ class TestConfigValidation:
         assert main(["run", write_config(tmp_path / "c.json", cfg)]) == EXIT_CONFIG
         assert f"params.{key}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "numerics, argv, env, named",
+        [
+            ({"mc_validate": True, "mc_samples": 0}, [], None, "mc_samples"),
+            ({"seed": -1}, [], None, "seed"),
+            ({"seed": 1.5}, [], None, "seed"),
+            ({"points_per_axis": 10}, [], None, "points_per_axis"),
+            ({"mass_tol": -1e-6}, [], None, "mass_tol"),
+            ({"mass_tol": "tight"}, [], None, "mass_tol"),
+            ({"q_floor_ratio": -1e-14}, [], None, "q_floor_ratio"),
+            ({"q_floor_ratio": None}, [], None, "q_floor_ratio"),
+            ({"balance_tol": 1e-2}, [], None, "balance_tol"),
+            ({}, ["--threads", "-3"], None, "--threads"),
+            ({}, [], "abc", "WEHRLFLUX_THREADS"),
+        ],
+        ids=[
+            "mc_samples-0", "seed-negative", "seed-fraction", "points_per_axis-10",
+            "mass_tol-negative", "mass_tol-text", "q_floor_ratio-negative",
+            "q_floor_ratio-null", "balance_tol-removed", "threads-negative",
+            "threads-env-text",
+        ],
+    )
+    def test_invalid_run_inputs_exit_config(
+        self, tmp_path, capsys, monkeypatch, numerics, argv, env, named
+    ):
+        if env is None:
+            monkeypatch.delenv("WEHRLFLUX_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("WEHRLFLUX_THREADS", env)
+        cfg = dicke_config(tmp_path, 0.3, 0.31, 2, **numerics)
+        code = main(["run", write_config(tmp_path / "c.json", cfg), *argv])
+        assert code == EXIT_CONFIG
+        assert named in capsys.readouterr().err
+        assert not (tmp_path / "dicke.csv").exists()
+
 
 class TestRun:
     def test_cavity_pipeline(self, tmp_path, capsys):

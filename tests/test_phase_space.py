@@ -17,6 +17,7 @@ from wehrlflux.fock_algebra import (
 from wehrlflux.liouvillian import KerrParams, evolve, max_stable_dt, build_kerr_liouvillian
 from wehrlflux.phase_space import (
     NormalOrderedHamiltonian,
+    _coherent_matrix,
     auto_grid,
     build_grid,
     entropy_budget,
@@ -41,7 +42,7 @@ def husimi_at(rho: DensityMatrix, mu: complex) -> float:
 
 def quadrature_covariance(rho: DensityMatrix) -> np.ndarray:
     """2x2 symmetrized covariance of (q, p) for a centered state."""
-    a = annihilation(rho.dim).dense()
+    a = annihilation(rho.dim).toarray()
     q = (a + a.conj().T) / math.sqrt(2.0)
     p = 1j * (a.conj().T - a) / math.sqrt(2.0)
     out = np.empty((2, 2))
@@ -52,7 +53,7 @@ def quadrature_covariance(rho: DensityMatrix) -> np.ndarray:
 
 
 def squeezed_vacuum(r: float, dim: int = 48) -> DensityMatrix:
-    a = annihilation(dim).dense()
+    a = annihilation(dim).toarray()
     S = sla.expm(0.5 * r * (a @ a - a.conj().T @ a.conj().T))
     psi = S @ np.eye(dim)[:, 0]
     psi /= np.linalg.norm(psi)
@@ -120,6 +121,29 @@ class TestHusimiField:
                 dy = (husimi_at(rho, mu + 1j * h) - husimi_at(rho, mu - 1j * h)) / (2 * h)
                 fd = 0.5 * (dx + 1j * dy)
                 assert abs(fd - f.dQ_dmubar[k]) < 1e-6
+
+    @pytest.mark.parametrize("dim", [10, 90])
+    def test_derivative_matches_explicit_ladder_product(self, dim):
+        # dQ/dmubar = -mu Q + conj(c)^T (a rho) c / pi with a built explicitly;
+        # at dim 90 half the weight sits in the top Fock level, where the
+        # row shift runs out of rows.  The components come from the field's
+        # own coherent matrix: at n ~ 90 the log-magnitude roundoff of any
+        # two component evaluations already differs by ~1e-13 of max|dQ|.
+        rng = np.random.default_rng(dim)
+        rho = random_density_matrix(dim, rng).entries
+        if dim == 90:
+            rho = 0.5 * rho
+            rho[-1, -1] += 0.5
+        rho = DensityMatrix(dim, rho)
+        f = husimi_field(rho, build_grid(0.0, 16.0, 192))
+        idx = rng.choice(f.grid.nodes.size, size=200, replace=False)
+        mu = f.grid.nodes[idx]
+        C = _coherent_matrix(mu, dim)
+        a_rho = annihilation(dim).toarray() @ rho.entries
+        explicit = np.einsum("nk,nk->k", C.conj(), a_rho @ C) / math.pi
+        expected = -mu * f.Q[idx] + explicit
+        scale = np.max(np.abs(f.dQ_dmubar))
+        assert np.max(np.abs(f.dQ_dmubar[idx] - expected)) < 1e-13 * scale
 
     def test_conjugate_derivative_invariant(self):
         rho = DensityMatrix.thermal(0.5, 30)
