@@ -26,7 +26,7 @@ import time
 
 from . import __version__
 from .errors import ConfigError, WehrlFluxError
-from .phase_space import MASS_TOL, MIN_POINTS_PER_AXIS, Q_FLOOR_RATIO
+from .phase_space import MASS_TOL, MIN_POINTS_PER_AXIS, POINTS_PER_AXIS, Q_FLOOR_RATIO
 
 SCHEMA_VERSION = 1
 
@@ -42,7 +42,7 @@ CSV_COLUMNS = [
 
 _NUMERICS_DEFAULTS = {
     "n_max": None,
-    "points_per_axis": 128,
+    "points_per_axis": POINTS_PER_AXIS,
     "mass_tol": MASS_TOL,
     "q_floor_ratio": Q_FLOOR_RATIO,
     "mc_samples": 10 ** 6,

@@ -16,12 +16,21 @@ upper turning point carries the lower drive: eps(n_minus) > eps(n_plus).
 with Fock cutoff and quadrature grid auto-selected per point, and
 ``collapse_transform`` rescales the resulting curves onto the finite-size
 coordinate x = N (eps/eps_c - 1).
+
+The cutoff rule and its certification are fixed by the module constants
+``CUTOFF_C1``, ``CUTOFF_C2``, ``CUTOFF_FLOOR``, ``CUTOFF_DRIFT_TOL`` and
+``CUTOFF_MAX_ESCALATIONS``.  ``sweep`` takes its numerics as keyword-only
+options; the grid and quadrature defaults are ``phase_space``'s
+``POINTS_PER_AXIS``, ``MASS_TOL`` and ``Q_FLOOR_RATIO``.
 """
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import logging
 import math
+import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -36,7 +45,9 @@ from .liouvillian import (
     liouvillian_gap,
     steady_state,
 )
-from .phase_space import EntropyBudget, auto_grid, entropy_budget
+from .phase_space import (
+    MASS_TOL, POINTS_PER_AXIS, Q_FLOOR_RATIO, EntropyBudget, auto_grid, entropy_budget,
+)
 
 log = logging.getLogger(__name__)
 
@@ -44,6 +55,7 @@ CUTOFF_C1 = 1.5
 CUTOFF_C2 = 5.0
 CUTOFF_FLOOR = 8
 CUTOFF_DRIFT_TOL = 1e-8
+CUTOFF_MAX_ESCALATIONS = 3
 
 
 # ---------------------------------------------------------------------------
@@ -132,13 +144,9 @@ def mean_field_curve(p: KerrParams, eps: float) -> list[float]:
     return sorted(out)
 
 
-def recommended_cutoff(
-    p: KerrParams,
-    c1: float = CUTOFF_C1,
-    c2: float = CUTOFF_C2,
-    floor: int = CUTOFF_FLOOR,
-) -> int:
-    """Fock cutoff n_max = ceil(c1 N n_ref + c2 sqrt(N n_ref)).
+def recommended_cutoff(p: KerrParams) -> int:
+    """Fock cutoff n_max = ceil(c1 N n_ref + c2 sqrt(N n_ref)), at least
+    ``CUTOFF_FLOOR``, with c1 = ``CUTOFF_C1`` and c2 = ``CUTOFF_C2``.
 
     The steady state concentrates near photon number N * n with n on the
     mean-field curve; the sqrt buffer absorbs quantum fluctuations.  Inside
@@ -150,32 +158,29 @@ def recommended_cutoff(
     if win is not None and p.eps >= 0.95 * win.eps_lo:
         n_ref = max(n_ref, win.n_plus)
     n_int = p.N * n_ref
-    return max(floor, int(math.ceil(c1 * n_int + c2 * math.sqrt(n_int))))
+    n_cut = CUTOFF_C1 * n_int + CUTOFF_C2 * math.sqrt(n_int)
+    return max(CUTOFF_FLOOR, math.ceil(n_cut))
 
 
 # ---------------------------------------------------------------------------
 # Certified steady states and sweeps
 # ---------------------------------------------------------------------------
 
-def steady_state_certified(
-    p: KerrParams,
-    n_max: int | None = None,
-    drift_tol: float = CUTOFF_DRIFT_TOL,
-    max_escalations: int = 3,
-):
+def steady_state_certified(p: KerrParams, n_max: int | None = None):
     """Solve at n_max and n_max + 10 until <a^dag a> stops moving.
 
-    Returns (rho, L, n_max_used, drift).  Escalates the cutoff by 10 while
-    the observable drift exceeds ``drift_tol``.
+    Returns (rho, L, n_max_used, drift).  Escalates the cutoff by 10, at
+    most ``CUTOFF_MAX_ESCALATIONS`` times, while the observable drift
+    exceeds ``CUTOFF_DRIFT_TOL``.
     """
     n = recommended_cutoff(p) if n_max is None else n_max
     L = build_kerr_liouvillian(p, n, enforce_cutoff=n_max is None)
     rho = steady_state(L)
-    for _ in range(max_escalations + 1):
+    for _ in range(CUTOFF_MAX_ESCALATIONS + 1):
         L_big = build_kerr_liouvillian(p, n + 10, enforce_cutoff=False)
         rho_big = steady_state(L_big)
         drift = abs(mean_photon_number(rho) - mean_photon_number(rho_big))
-        if drift < drift_tol:
+        if drift < CUTOFF_DRIFT_TOL:
             return rho, L, n, drift
         n, L, rho = n + 10, L_big, rho_big
     raise SolverConvergenceError(
@@ -207,46 +212,28 @@ class SweepResult:
     failures: list = field(default_factory=list)  # (N, eps, message)
 
 
-_SWEEP_DEFAULTS = {
-    "points_per_axis": 128,
-    "certify": False,
-    "compute_gap": True,
-    "timing": False,
-    "n_max": None,
-    "mass_tol": None,
-    "q_floor_ratio": None,
-}
-
-
-def _sweep_point(args) -> SweepRecord:
-    import time
-
-    from .phase_space import MASS_TOL, Q_FLOOR_RATIO
-
-    p_base, N, eps, opts = args
+def _sweep_point(
+    p_base, N, eps, *, points_per_axis, certify, compute_gap, timing, n_max,
+    mass_tol, q_floor_ratio,
+) -> SweepRecord:
+    """One point of ``sweep``, which documents the options."""
     start = time.perf_counter()
     p = p_base.with_drive(eps, N)
-    if opts["certify"]:
-        rho, L, n_used, drift = steady_state_certified(p, n_max=opts["n_max"])
+    if certify:
+        rho, L, n_used, drift = steady_state_certified(p, n_max=n_max)
     else:
-        n_used = recommended_cutoff(p) if opts["n_max"] is None else opts["n_max"]
-        L = build_kerr_liouvillian(p, n_used, enforce_cutoff=opts["n_max"] is None)
+        n_used = recommended_cutoff(p) if n_max is None else n_max
+        L = build_kerr_liouvillian(p, n_used, enforce_cutoff=n_max is None)
         rho = steady_state(L)
         drift = float("nan")
     # L holds the LU its steady state was solved with, and the gap reuses
     # it; drop L before the Husimi stage so the two never share memory.
-    gap = liouvillian_gap(L) if opts["compute_gap"] else float("nan")
+    gap = liouvillian_gap(L) if compute_gap else float("nan")
     ness_residual = L.residual(rho)
     del L
-    grid = auto_grid(rho, points_per_axis=opts["points_per_axis"])
-
-    def opt(key, default):
-        return default if opts[key] is None else opts[key]
-
+    grid = auto_grid(rho, points_per_axis=points_per_axis)
     budget = entropy_budget(
-        rho, p, grid,
-        mass_tol=opt("mass_tol", MASS_TOL),
-        q_floor_ratio=opt("q_floor_ratio", Q_FLOOR_RATIO),
+        rho, p, grid, mass_tol=mass_tol, q_floor_ratio=q_floor_ratio
     )
     return SweepRecord(
         N=N,
@@ -260,7 +247,7 @@ def _sweep_point(args) -> SweepRecord:
         grid_points=grid.points_per_axis,
         ness_residual=ness_residual,
         cutoff_drift=drift,
-        wall_time_s=(time.perf_counter() - start) if opts["timing"] else 0.0,
+        wall_time_s=(time.perf_counter() - start) if timing else 0.0,
     )
 
 
@@ -268,24 +255,26 @@ def sweep(
     p_base: KerrParams,
     N_list,
     eps_grid,
+    *,
     threads: int = 1,
-    **options,
+    points_per_axis: int = POINTS_PER_AXIS,
+    certify: bool = False,
+    compute_gap: bool = True,
+    timing: bool = False,
+    n_max: int | None = None,
+    mass_tol: float = MASS_TOL,
+    q_floor_ratio: float = Q_FLOOR_RATIO,
 ) -> SweepResult:
     """Steady-state budgets over a (N, eps) product grid.
 
     Points are independent jobs; failures are recorded and the sweep
     continues.  Records come back sorted by (N, eps) regardless of the
     executor, so output is deterministic for any thread count (per-point
-    wall time is only recorded when ``timing`` is set).  Recognized
-    options (see ``_SWEEP_DEFAULTS``): points_per_axis, certify,
-    compute_gap, timing, and the per-point overrides n_max, mass_tol,
-    q_floor_ratio.
+    wall time is only recorded when ``timing`` is set).  ``certify``
+    escalates the cutoff until <a^dag a> settles; ``n_max`` fixes the
+    cutoff instead of ``recommended_cutoff``; ``mass_tol`` and
+    ``q_floor_ratio`` go to ``entropy_budget``.
     """
-    unknown = set(options) - set(_SWEEP_DEFAULTS)
-    if unknown:
-        raise TypeError(f"unknown sweep option(s) {sorted(unknown)}")
-    opts = dict(_SWEEP_DEFAULTS)
-    opts.update(options)
     win = bistability_window(p_base)
     if win is not None:
         lo, hi = 0.5 * win.eps_lo, 1.5 * win.eps_hi
@@ -296,34 +285,25 @@ def sweep(
                 "cutoffs may be generous there",
                 stacklevel=2,
             )
-    jobs = [
-        (p_base, int(N), float(eps), opts)
-        for N in N_list
-        for eps in eps_grid
-    ]
+    point = functools.partial(
+        _sweep_point, points_per_axis=points_per_axis, certify=certify,
+        compute_gap=compute_gap, timing=timing, n_max=n_max, mass_tol=mass_tol,
+        q_floor_ratio=q_floor_ratio,
+    )
+    jobs = [(p_base, int(N), float(eps)) for N in N_list for eps in eps_grid]
     result = SweepResult()
-
-    def _handle(job, outcome, error=None):
-        if error is None:
-            result.records.append(outcome)
+    with contextlib.ExitStack() as stack:
+        if threads > 1:
+            pool = stack.enter_context(ProcessPoolExecutor(max_workers=threads))
+            outcomes = [(job, pool.submit(point, *job).result) for job in jobs]
         else:
-            log.warning("sweep point N=%s eps=%.6g failed: %s", job[1], job[2], error)
-            result.failures.append((job[1], job[2], str(error)))
-
-    if threads > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            futures = [(job, pool.submit(_sweep_point, job)) for job in jobs]
-            for job, fut in futures:
-                try:
-                    _handle(job, fut.result())
-                except Exception as exc:  # per-point failure, sweep continues
-                    _handle(job, None, exc)
-    else:
-        for job in jobs:
+            outcomes = ((job, functools.partial(point, *job)) for job in jobs)
+        for (_, N, eps), outcome in outcomes:
             try:
-                _handle(job, _sweep_point(job))
+                result.records.append(outcome())
             except Exception as exc:  # per-point failure, sweep continues
-                _handle(job, None, exc)
+                log.warning("sweep point N=%s eps=%.6g failed: %s", N, eps, exc)
+                result.failures.append((N, eps, str(exc)))
     result.records.sort(key=lambda r: (r.N, r.eps))
     result.failures.sort(key=lambda f: (f[0], f[1]))
     return result
@@ -333,12 +313,10 @@ def sweep(
 # Critical-drive estimate and data collapse
 # ---------------------------------------------------------------------------
 
-def estimate_eps_c(records, method: str = "gap") -> float:
-    """Transition drive from the largest-N curve of a sweep.
-
-    method="gap":   drive minimizing the spectral gap (parabolic refinement
-                    of the grid minimum);
-    method="slope": drive maximizing d<n>/d eps (finite differences).
+def estimate_eps_c(records) -> float:
+    """Transition drive from the largest-N curve of a sweep: the drive
+    minimizing the spectral gap, by parabolic refinement of the grid
+    minimum.
     """
     records = list(records)
     if not records:
@@ -346,16 +324,10 @@ def estimate_eps_c(records, method: str = "gap") -> float:
     n_big = max(r.N for r in records)
     rows = sorted((r for r in records if r.N == n_big), key=lambda r: r.eps)
     eps = np.array([r.eps for r in rows])
-    if method == "gap":
-        y = np.array([r.gap for r in rows])
-        if np.any(~np.isfinite(y)):
-            raise ValueError("gap values missing; rerun sweep with compute_gap=True")
-        return _refine_extremum(eps, y, minimum=True)
-    if method == "slope":
-        n = np.array([r.n_mean for r in rows])
-        de = np.gradient(n, eps)
-        return _refine_extremum(eps, -np.abs(de), minimum=True)
-    raise ValueError(f"unknown method {method!r}")
+    y = np.array([r.gap for r in rows])
+    if np.any(~np.isfinite(y)):
+        raise ValueError("gap values missing; rerun sweep with compute_gap=True")
+    return _refine_extremum(eps, y, minimum=True)
 
 
 def extrapolate_eps_c(records) -> float:

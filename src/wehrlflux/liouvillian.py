@@ -23,6 +23,11 @@ mostly survives the numerical factorization.  A fixed-step RK4
 propagator provides an independent oracle: the null space of L is exactly
 a fixed point of the RK4 map, so long-time propagation converges to the
 same state without a step-size bias.
+
+Settings that every caller leaves alone are module constants:
+``LU_ORDERING``, ``LU_PIVOT_THRESHOLD`` and ``GAP_EIGENVALUES`` for the
+solvers, ``POWER_ITERATIONS``, ``TRACE_DRIFT_TOL`` and
+``STATIONARITY_T_MAX`` for the RK4 oracle.
 """
 
 from __future__ import annotations
@@ -63,6 +68,10 @@ NULL_RESIDUAL_TOL = 1e-10
 # comes out negative.
 LU_ORDERING = "MMD_AT_PLUS_A"
 LU_PIVOT_THRESHOLD = 0.1
+GAP_EIGENVALUES = 12
+POWER_ITERATIONS = 30
+TRACE_DRIFT_TOL = 1e-9
+STATIONARITY_T_MAX = 1e5
 
 
 @dataclass(frozen=True)
@@ -223,11 +232,11 @@ def steady_state(L: Superoperator) -> DensityMatrix:
 # Fixed-step RK4 oracle
 # ---------------------------------------------------------------------------
 
-def spectral_extent(L: Superoperator, iterations: int = 30) -> float:
+def spectral_extent(L: Superoperator) -> float:
     """Power-iteration estimate of max |eigenvalue|, with a safety factor."""
     v = _start_vector(L.dim).astype(complex)
     est = 0.0
-    for _ in range(iterations):
+    for _ in range(POWER_ITERATIONS):
         w = L.matrix @ v
         nrm = np.linalg.norm(w)
         if nrm == 0:
@@ -247,12 +256,11 @@ def evolve(
     L: Superoperator,
     t_final: float,
     dt: float,
-    trace_drift_tol: float = 1e-9,
 ) -> DensityMatrix:
     """Propagate rho0 for t_final with fixed-step RK4.
 
     dt must satisfy dt <= 0.1 / max|eig(L)| (estimated); trace drift beyond
-    ``trace_drift_tol`` aborts with a step-size error.
+    ``TRACE_DRIFT_TOL`` aborts with a step-size error.
     """
     if rho0.dim != L.n_max:
         raise StateValidationError("state and generator dimensions differ")
@@ -262,14 +270,14 @@ def evolve(
     n_steps = max(1, int(math.ceil(t_final / dt)))
     dt = t_final / n_steps  # land exactly on t_final, never above the bound
     v = vectorize(rho0.entries)
-    v = _rk4_steps(L.matrix, v, dt, n_steps, trace_drift_tol, L.n_max)
+    v = _rk4_steps(L.matrix, v, dt, n_steps, L.n_max)
     rho = unvectorize(v, L.n_max)
     rho = 0.5 * (rho + rho.conj().T)
     rho = rho / np.trace(rho).real
     return DensityMatrix(L.n_max, rho)
 
 
-def _rk4_steps(mat, v, dt, n_steps, drift_tol, n_max, check_every=2000):
+def _rk4_steps(mat, v, dt, n_steps, n_max, check_every=2000):
     trace_idx = np.arange(n_max) * (n_max + 1)
     for step in range(n_steps):
         k1 = mat @ v
@@ -279,9 +287,9 @@ def _rk4_steps(mat, v, dt, n_steps, drift_tol, n_max, check_every=2000):
         v = v + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         if (step + 1) % check_every == 0 or step == n_steps - 1:
             drift = abs(v[trace_idx].sum() - 1.0)
-            if drift > drift_tol:
+            if drift > TRACE_DRIFT_TOL:
                 raise StepSizeError(
-                    f"trace drift {drift:.3e} beyond {drift_tol} after "
+                    f"trace drift {drift:.3e} beyond {TRACE_DRIFT_TOL} after "
                     f"{step + 1} steps; reduce dt"
                 )
     return v
@@ -290,26 +298,24 @@ def _rk4_steps(mat, v, dt, n_steps, drift_tol, n_max, check_every=2000):
 def evolve_to_stationarity(
     rho0: DensityMatrix,
     L: Superoperator,
-    dt: float | None = None,
     block_time: float = 10.0,
     tol: float = 1e-10,
-    t_max: float = 1e5,
 ) -> tuple[DensityMatrix, float]:
     """Propagate until consecutive checkpoints agree in trace distance.
 
-    Fixed-step RK4 throughout; only the total propagation time adapts, so
-    the end state is reproducible.  Returns (state, total time propagated).
+    Fixed-step RK4 at ``max_stable_dt(L)`` throughout; only the total
+    propagation time adapts, so the end state is reproducible.  Gives up
+    after ``STATIONARITY_T_MAX``.  Returns (state, total time propagated).
     """
     from .fock_algebra import trace_distance
 
-    if dt is None:
-        dt = max_stable_dt(L)
+    dt = max_stable_dt(L)
     steps_per_block = max(1, int(math.ceil(block_time / dt)))
     v = vectorize(rho0.entries)
     t = 0.0
     prev = None
-    while t < t_max:
-        v = _rk4_steps(L.matrix, v, dt, steps_per_block, 1e-9, L.n_max)
+    while t < STATIONARITY_T_MAX:
+        v = _rk4_steps(L.matrix, v, dt, steps_per_block, L.n_max)
         t += steps_per_block * dt
         rho = unvectorize(v, L.n_max)
         rho = 0.5 * (rho + rho.conj().T)
@@ -319,7 +325,7 @@ def evolve_to_stationarity(
             return state, t
         prev = state
     raise SolverConvergenceError(
-        f"propagation did not stabilize within t_max = {t_max}"
+        f"propagation did not stabilize within t_max = {STATIONARITY_T_MAX}"
     )
 
 
@@ -327,16 +333,16 @@ def evolve_to_stationarity(
 # Spectral gap
 # ---------------------------------------------------------------------------
 
-def liouvillian_gap(L: Superoperator, k: int = 12) -> float:
+def liouvillian_gap(L: Superoperator) -> float:
     """-Re(lambda_1), the nonzero eigenvalue of largest real part.
 
     Every eigenvector v of L with lambda != 0 is trace-free, so
     B v = lambda (v with v_0 := 0), and v is an eigenvector of
     f -> B^{-1}(f with f_0 := 0) with eigenvalue 1/lambda.  That operator
     maps into the trace-free subspace, so the null mode never enters its
-    spectrum; one Arnoldi pass returns the k eigenvalues of L closest to
-    zero.  A gap below the roundoff floor eps_mach ||L||_1 is not
-    resolved and raises.
+    spectrum; one Arnoldi pass returns the ``GAP_EIGENVALUES`` eigenvalues
+    of L closest to zero.  A gap below the roundoff floor eps_mach ||L||_1
+    is not resolved and raises.
     """
     dim, n = L.dim, L.n_max
     lu = L.bordered_lu
@@ -352,7 +358,8 @@ def liouvillian_gap(L: Superoperator, k: int = 12) -> float:
     op = LinearOperator((dim, dim), matvec=matvec, dtype=complex)
     try:
         nu = eigs(
-            op, k=min(k, dim - 2), which="LM", v0=v0, return_eigenvectors=False
+            op, k=min(GAP_EIGENVALUES, dim - 2), which="LM", v0=v0,
+            return_eigenvectors=False,
         )
     except ArpackNoConvergence as exc:
         raise SolverConvergenceError(

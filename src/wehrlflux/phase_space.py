@@ -12,7 +12,8 @@ nodes: with C the matrix whose columns are the coherent components
 c(mu) and R = rho C, Q = conj(c)^T R / pi column by column, and since
 (a rho)_{n,m} = sqrt(n+1) rho_{n+1,m}, the matrix (a rho) C is R shifted
 up one row with row n scaled by sqrt(n+1).  So <mu| a rho |mu> is
-sum_n sqrt(n+1) conj(c_n) R_{n+1} and no operator is ever built.
+sum_n sqrt(n+1) conj(c_n) R_{n+1} and no operator is ever built.  C
+itself comes from the rescaled recurrence c_n = c_{n-1} mu / sqrt(n).
 
 On top of Q the module computes:
 
@@ -31,6 +32,11 @@ On top of Q the module computes:
 Quadrature is a tensor trapezoidal rule on a uniform grid; Husimi
 functions are smooth and exponentially localized, so the rule converges
 geometrically and reproduces identically across implementations.
+
+Fixed settings are module constants: the default grid size
+``POINTS_PER_AXIS``, the extent of ``auto_grid`` (``GRID_WIDTH_SIGMAS``,
+``SUPPORT_TAIL``), and ``MASS_TOL``, ``Q_FLOOR_RATIO``, ``BALANCE_TOL``
+and ``PI_U_IMAG_TOL``.
 """
 
 from __future__ import annotations
@@ -61,6 +67,10 @@ MASS_TOL = 1e-6
 BALANCE_TOL = 1e-2
 Q_FLOOR_RATIO = 1e-14
 MIN_POINTS_PER_AXIS = 64
+POINTS_PER_AXIS = 128
+GRID_WIDTH_SIGMAS = 6.0
+SUPPORT_TAIL = 1e-13
+PI_U_IMAG_TOL = 1e-6
 _NODE_CHUNK = 8192
 
 
@@ -108,27 +118,24 @@ def build_grid(center: complex, half_width: float, points_per_axis: int) -> Phas
 
 
 def auto_grid(
-    rho: DensityMatrix,
-    points_per_axis: int = 128,
-    width_sigmas: float = 6.0,
-    support_tail: float = 1e-13,
+    rho: DensityMatrix, points_per_axis: int = POINTS_PER_AXIS
 ) -> PhaseSpaceGrid:
     """Grid centered on <a> and wide enough for the state's fluctuations.
 
-    half_width starts from width_sigmas * max(1, sqrt(<da^dag da> + 1)),
+    half_width starts from GRID_WIDTH_SIGMAS * max(1, sqrt(<da^dag da> + 1)),
     which captures all but ~1e-8 of Gaussian-like mass and inflates where
     the order-parameter variance grows.  A weak far lobe (onset of
     bistability) can carry mass without moving the variance, so the grid
     additionally covers the disk |mu| <= sqrt(n_eff) + buffer, where n_eff
-    is the highest Fock level populated above ``support_tail``.
+    is the highest Fock level populated above ``SUPPORT_TAIL``.
     """
     mean_a = mean_amplitude(rho)
     var = mean_photon_number(rho) - abs(mean_a) ** 2
-    half_width = width_sigmas * max(1.0, math.sqrt(max(var, 0.0) + 1.0))
+    half_width = GRID_WIDTH_SIGMAS * max(1.0, math.sqrt(max(var, 0.0) + 1.0))
     populations = np.abs(np.diag(rho.entries).real)
-    populated = np.nonzero(populations > support_tail)[0]
+    populated = np.nonzero(populations > SUPPORT_TAIL)[0]
     if populated.size:
-        radius = math.sqrt(populated[-1] + 1.0) + 0.75 * width_sigmas
+        radius = math.sqrt(populated[-1] + 1.0) + 0.75 * GRID_WIDTH_SIGMAS
         half_width = max(half_width, radius + abs(mean_a))
     return build_grid(mean_a, half_width, points_per_axis)
 
@@ -144,8 +151,12 @@ class PhaseSpaceField:
     grid: PhaseSpaceGrid
     Q: np.ndarray = field(repr=False)
     dQ_dmubar: np.ndarray = field(repr=False)
-    dQ_dmu: np.ndarray = field(repr=False)
     mass: float
+
+    @property
+    def dQ_dmu(self) -> np.ndarray:
+        """dQ/dmu, the conjugate of dQ/dmubar since Q is real."""
+        return self.dQ_dmubar.conj()
 
     def current(self, kappa: float, displacement: complex = 0.0) -> np.ndarray:
         """Loss current kappa (nu Q + dQ/dnubar) with nu = mu - displacement."""
@@ -185,29 +196,26 @@ def husimi_field(
             f"quadrature mass {mass:.8f} deviates from 1 beyond {mass_tol}; "
             "enlarge or re-center the grid"
         )
-    return PhaseSpaceField(grid, Q, dQ_dmubar, dQ_dmubar.conj(), mass)
+    return PhaseSpaceField(grid, Q, dQ_dmubar, mass)
 
 
 def _coherent_matrix(nodes: np.ndarray, dim: int) -> np.ndarray:
-    """Columns of coherent-state components c_n(mu) for each node."""
-    n = np.arange(dim)[:, None]
-    absmu = np.abs(nodes)[None, :]
-    fct = _half_log_factorials(dim)[:, None]
-    log_absmu = np.log(absmu, out=np.full_like(absmu, -np.inf), where=absmu > 0)
-    # n log|mu| with 0 log 0 = 0: at mu = 0 the n = 0 amplitude is exactly 1
-    log_mag = np.multiply(
-        n, log_absmu, out=np.zeros((dim, absmu.shape[1])), where=n > 0
-    )
-    log_mag -= 0.5 * absmu ** 2
-    log_mag -= fct
-    C = np.exp(log_mag) * np.exp(1j * n * np.angle(nodes)[None, :])
+    """Columns of coherent-state components c_n(mu) for each node.
+
+    By the recurrence c_0 = exp(-|mu|^2/2), c_n = c_{n-1} mu / sqrt(n), run
+    on columns scaled by exp(s), s = |mu|^2/2 - 600 clipped to [0, 700]:
+    c_0 stays at or above exp(-600), so no entry above ~1e-290 underflows
+    where |mu| is large, and no scaled entry exceeds exp(700).
+    """
+    half_abs2 = 0.5 * np.abs(nodes) ** 2
+    s = np.clip(half_abs2 - 600.0, 0.0, 700.0)
+    C = np.empty((dim, nodes.size), dtype=complex)
+    C[0] = np.exp(s - half_abs2)
+    C[1:] = nodes / np.sqrt(np.arange(1, dim))[:, None]
+    for n in range(1, dim):
+        C[n] *= C[n - 1]
+    C *= np.exp(-s)
     return C
-
-
-def _half_log_factorials(dim: int) -> np.ndarray:
-    from scipy.special import gammaln
-
-    return 0.5 * gammaln(np.arange(dim) + 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -284,7 +292,6 @@ def pi_u_kerr(
     u: float,
     N: int,
     q_floor_ratio: float = Q_FLOOR_RATIO,
-    imag_tol: float = 1e-6,
 ) -> float:
     """Unitary entropy production of the Kerr term, exact integrand.
 
@@ -292,13 +299,13 @@ def pi_u_kerr(
     The drive and detuning contributions integrate to zero identically, so
     only the nonlinearity appears.  The integrand is a difference of
     conjugates, hence purely real up to roundoff; the imaginary residue is
-    monitored and must stay below ``imag_tol``.
+    monitored and must stay below ``PI_U_IMAG_TOL``.
     """
     mask, excluded = _floor_mask(f, q_floor_ratio)
     mu = f.grid.nodes[mask]
     z = (mu * f.dQ_dmu[mask]) ** 2 - (mu.conj() * f.dQ_dmubar[mask]) ** 2
     total = (1j * u / (2.0 * N)) * np.dot(f.grid.weights[mask], z / f.Q[mask])
-    if abs(total.imag) > imag_tol:
+    if abs(total.imag) > PI_U_IMAG_TOL:
         raise QuadratureError(
             f"unitary production has imaginary residue {total.imag:.3e}"
         )

@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+from wehrlflux import dicke_gaussian
 from wehrlflux.errors import (
     InvalidCovarianceError,
     SingularBranchError,
@@ -286,12 +287,19 @@ class TestMonteCarloOracle:
         assert mc.Pi_d == pytest.approx(b.Pi_d, rel=0.01)
         assert mc.Pi_u == pytest.approx(b.Pi_u, rel=0.01)
 
-    def test_seeded_reproducibility_and_chunk_invariance(self):
+    def test_seeded_reproducibility_and_chunk_invariance(self, monkeypatch):
+        # the same seed draws the same samples for any batch size; only the
+        # grouping of the sums changes, so results agree to roundoff
         p = fig3_params(1.2 * LAMBDA_C)
         _, sigma, hp, _ = dicke_point(p)
         a = mc_gaussian_budget(sigma, hp, p, samples=10 ** 5, seed=42)
         b = mc_gaussian_budget(sigma, hp, p, samples=10 ** 5, seed=42)
         assert a == b
+        monkeypatch.setattr(dicke_gaussian, "MC_CHUNK", 2 ** 10)
+        c = mc_gaussian_budget(sigma, hp, p, samples=10 ** 5, seed=42)
+        for name in ("S", "Pi_d", "Pi_u", "Pi_u_raw"):
+            assert getattr(c, name) == pytest.approx(getattr(a, name), rel=1e-13)
+        assert c.samples == a.samples
 
     def test_raw_generator_estimator_consistent(self):
         p = fig3_params(1.5 * LAMBDA_C)

@@ -1,9 +1,11 @@
 import math
+import os
 
 import numpy as np
 import pytest
 
 from conftest import kerr_params
+from wehrlflux import kerr_model
 from wehrlflux.liouvillian import KerrParams
 from wehrlflux.kerr_model import (
     CollapsePoint,
@@ -17,6 +19,16 @@ from wehrlflux.kerr_model import (
     sweep,
     to_collapse_points,
 )
+
+
+TEST_PID = os.getpid()
+
+
+def exit_in_worker(*args, **kwargs):
+    """Stands in for a solver that kills the worker process it runs in."""
+    if os.getpid() == TEST_PID:
+        raise AssertionError("expected to run in a pool worker")
+    os._exit(1)
 
 
 def brute_force_turning_points(p, n_lo=1e-4, n_hi=6.0, samples=400001):
@@ -135,6 +147,20 @@ class TestSweep:
         ((N, eps, msg),) = result.failures
         assert "quadrature mass" in msg and "beyond 0.0" in msg
 
+    def test_crashed_worker_recorded_as_failure(self, monkeypatch):
+        # pool workers are forked (the default on Linux) after the patch, so
+        # they run the stand-in and die
+        monkeypatch.setattr(kerr_model, "steady_state", exit_in_worker)
+        p = kerr_params(0.9, 2)
+        result = sweep(p, [2], [0.9, 0.95], compute_gap=False, threads=2)
+        assert not result.records
+        assert [(N, eps) for N, eps, _ in result.failures] == [(2, 0.9), (2, 0.95)]
+        assert all("terminated abruptly" in msg for *_, msg in result.failures)
+
+    def test_unknown_option_is_a_type_error(self):
+        with pytest.raises(TypeError, match="certfy"):
+            sweep(kerr_params(0.9, 2), [2], [0.9], certfy=False)
+
 
 class TestCollapse:
     @staticmethod
@@ -179,4 +205,4 @@ class TestCollapse:
 
         eps = np.linspace(0.9, 1.0, 11)
         rows = [Row(10, e, (e - 0.943) ** 2 + 1e-5, e) for e in eps]
-        assert estimate_eps_c(rows, method="gap") == pytest.approx(0.943, abs=1e-12)
+        assert estimate_eps_c(rows) == pytest.approx(0.943, abs=1e-12)

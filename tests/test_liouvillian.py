@@ -253,8 +253,8 @@ class TestBorderedLU:
         assert len(factored) == 1
 
     def test_sweep_point_factors_once(self, factored):
-        opts = dict(kerr_model._SWEEP_DEFAULTS, compute_gap=True)
-        record = kerr_model._sweep_point((kerr_params(0.0, 1), 5, 0.9, opts))
+        result = kerr_model.sweep(kerr_params(0.0, 1), [5], [0.9], compute_gap=True)
+        (record,) = result.records
         assert record.gap > 0
         assert len(factored) == 1
 

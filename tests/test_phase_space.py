@@ -90,6 +90,20 @@ class TestHusimiField:
             expected = np.exp(-np.abs(g.nodes) ** 2) / math.pi
             assert np.max(np.abs(f.Q - expected)) < 1e-12
 
+    @pytest.mark.parametrize("dim", [60, 149, 400])
+    def test_coherent_matrix_matches_components(self, dim):
+        # the rescaled recurrence against the log-magnitude oracle, entry
+        # by entry, out to |mu| = 45 where exp(-|mu|^2/2) alone underflows
+        rng = np.random.default_rng(dim)
+        radii = np.concatenate([[0.0], rng.uniform(0.0, 45.0, 199), [45.0]])
+        mu = radii * np.exp(2j * np.pi * rng.uniform(size=radii.size))
+        C = _coherent_matrix(mu, dim)
+        assert np.all(np.isfinite(C))
+        for k, m in enumerate(mu):
+            ref = coherent_components(m, dim)
+            big = np.abs(ref) > 1e-290
+            assert np.all(np.abs(C[big, k] - ref[big]) <= 1e-12 * np.abs(ref[big]))
+
     def test_coherent_values_and_derivative_identity(self):
         alpha = 1.2 - 0.8j
         rho = DensityMatrix.coherent(alpha, 40)
@@ -127,8 +141,8 @@ class TestHusimiField:
         # dQ/dmubar = -mu Q + conj(c)^T (a rho) c / pi with a built explicitly;
         # at dim 90 half the weight sits in the top Fock level, where the
         # row shift runs out of rows.  The components come from the field's
-        # own coherent matrix: at n ~ 90 the log-magnitude roundoff of any
-        # two component evaluations already differs by ~1e-13 of max|dQ|.
+        # own coherent matrix: at n ~ 90 the roundoff of two independent
+        # component evaluations already differs by ~5e-13 of max|dQ|.
         rng = np.random.default_rng(dim)
         rho = random_density_matrix(dim, rng).entries
         if dim == 90:
