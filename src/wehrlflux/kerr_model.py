@@ -13,7 +13,8 @@ and the drive values eps(n_pm) delimit the bistable window.  Note the
 upper turning point carries the lower drive: eps(n_minus) > eps(n_plus).
 
 ``sweep`` computes one steady-state entropy budget per (N, eps) point,
-with Fock cutoff and quadrature grid auto-selected per point, and
+with Fock cutoff and quadrature grid auto-selected per point and BLAS on
+one thread (in the serial path and in every pool worker alike), and
 ``collapse_transform`` rescales the resulting curves onto the finite-size
 coordinate x = N (eps/eps_c - 1).
 
@@ -37,6 +38,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._blas import one_blas_thread
 from .errors import SolverConvergenceError
 from .fock_algebra import mean_photon_number
 from .liouvillian import (
@@ -212,6 +214,7 @@ class SweepResult:
     failures: list = field(default_factory=list)  # (N, eps, message)
 
 
+@one_blas_thread
 def _sweep_point(
     p_base, N, eps, *, points_per_axis, certify, compute_gap, timing, n_max,
     mass_tol, q_floor_ratio,
@@ -327,7 +330,7 @@ def estimate_eps_c(records) -> float:
     y = np.array([r.gap for r in rows])
     if np.any(~np.isfinite(y)):
         raise ValueError("gap values missing; rerun sweep with compute_gap=True")
-    return _refine_extremum(eps, y, minimum=True)
+    return _refine_extremum(eps, y)
 
 
 def extrapolate_eps_c(records) -> float:
@@ -350,13 +353,16 @@ def extrapolate_eps_c(records) -> float:
         rows = sorted(by_n[int(n)], key=lambda r: r.eps)
         eps = np.array([r.eps for r in rows])
         gaps = np.array([r.gap for r in rows])
-        minima.append(_refine_extremum(eps, gaps, minimum=True))
+        minima.append(_refine_extremum(eps, gaps))
     coeffs = np.polyfit(1.0 / sizes, minima, 1)
     return float(coeffs[1])
 
 
-def _refine_extremum(x: np.ndarray, y: np.ndarray, minimum: bool) -> float:
-    idx = int(np.argmin(y) if minimum else np.argmax(y))
+def _refine_extremum(x: np.ndarray, y: np.ndarray) -> float:
+    """Minimum of y(x): the vertex of the parabola through the grid
+    minimum and its two neighbours, clipped to them; the grid minimum
+    itself at either end of the grid."""
+    idx = int(np.argmin(y))
     if idx == 0 or idx == len(x) - 1:
         return float(x[idx])
     x0, x1, x2 = x[idx - 1 : idx + 2]

@@ -19,7 +19,9 @@ once per generator (``Superoperator.bordered_lu``) and shared by both
 answers.  Its column ordering is minimum degree on B^T + B, which suits
 the nearly symmetric pattern of a Lindblad generator, and it pivots with
 a threshold rather than always on the largest entry, so the ordering
-mostly survives the numerical factorization.  A fixed-step RK4
+mostly survives the numerical factorization.  Both answers run on one
+BLAS thread and restore the caller's count afterwards, so every caller
+gets the same bits for any BLAS thread count.  A fixed-step RK4
 propagator provides an independent oracle: the null space of L is exactly
 a fixed point of the RK4 map, so long-time propagation converges to the
 same state without a step-size bias.
@@ -42,6 +44,7 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigs, splu
 from scipy.sparse.linalg import norm as spnorm
 
+from ._blas import one_blas_thread
 from .errors import (
     CutoffError,
     DegenerateSteadyStateError,
@@ -207,6 +210,7 @@ def _bordered_lu(L: Superoperator):
         ) from exc
 
 
+@one_blas_thread
 def steady_state(L: Superoperator) -> DensityMatrix:
     """Unit-trace solution of L(rho) = 0, hermitized.
 
@@ -277,7 +281,7 @@ def evolve(
     return DensityMatrix(L.n_max, rho)
 
 
-def _rk4_steps(mat, v, dt, n_steps, n_max, check_every=2000):
+def _rk4_steps(mat, v, dt, n_steps, n_max):
     trace_idx = np.arange(n_max) * (n_max + 1)
     for step in range(n_steps):
         k1 = mat @ v
@@ -285,7 +289,8 @@ def _rk4_steps(mat, v, dt, n_steps, n_max, check_every=2000):
         k3 = mat @ (v + (0.5 * dt) * k2)
         k4 = mat @ (v + dt * k3)
         v = v + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if (step + 1) % check_every == 0 or step == n_steps - 1:
+        # the trace is checked every 2000 steps and after the last one
+        if (step + 1) % 2000 == 0 or step == n_steps - 1:
             drift = abs(v[trace_idx].sum() - 1.0)
             if drift > TRACE_DRIFT_TOL:
                 raise StepSizeError(
@@ -333,6 +338,7 @@ def evolve_to_stationarity(
 # Spectral gap
 # ---------------------------------------------------------------------------
 
+@one_blas_thread
 def liouvillian_gap(L: Superoperator) -> float:
     """-Re(lambda_1), the nonzero eigenvalue of largest real part.
 

@@ -25,12 +25,10 @@ from wehrlflux.dicke_gaussian import (
 )
 from wehrlflux.fock_algebra import (
     DensityMatrix,
-    mean_amplitude,
     trace_distance,
     von_neumann_entropy,
 )
 from wehrlflux.kerr_model import (
-    _refine_extremum,
     bistability_window,
     collapse_transform,
     extrapolate_eps_c,
@@ -47,7 +45,6 @@ from wehrlflux.liouvillian import (
 )
 from wehrlflux.phase_space import (
     auto_grid,
-    build_grid,
     entropy_budget,
     husimi_field,
     wehrl_entropy,

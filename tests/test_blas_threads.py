@@ -1,0 +1,106 @@
+"""Kerr solves and sweep points run on one BLAS thread, whatever the caller set.
+
+Every OpenBLAS copy the process loaded (numpy's and scipy's) is read and
+set through its own thread-count functions.  The caller's count is raised
+to 2 before each call, so a solver that did not pin itself would be seen
+running on 2 threads, and must read 2 again once the call returns.
+"""
+
+import json
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from conftest import kerr_params
+from wehrlflux import _blas, kerr_model, liouvillian
+from wehrlflux.kerr_model import recommended_cutoff, sweep
+from wehrlflux.liouvillian import build_kerr_liouvillian, liouvillian_gap, steady_state
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def blas_threads():
+    return tuple(get() for get, _ in _blas._libraries())
+
+
+@pytest.fixture
+def caller_at_two_threads():
+    """Every loaded OpenBLAS set to 2 threads, as a caller might leave it;
+    the counts found are put back afterwards."""
+    with open("/proc/self/maps", encoding="utf-8") as fh:
+        loaded = {line.split()[-1] for line in fh if "openblas" in line.lower()}
+    libs = _blas._libraries()
+    assert loaded and len(libs) == len(loaded)
+    saved = blas_threads()
+    for _, set_ in libs:
+        set_(2)
+    yield
+    for (_, set_), count in zip(libs, saved):
+        set_(count)
+
+
+def report_threads(*args, **kwargs):
+    """Stands in for the steady-state solver: fails the sweep point with
+    the BLAS thread counts it ran under."""
+    raise RuntimeError(f"blas threads {blas_threads()}")
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_sweep_point_runs_on_one_thread(caller_at_two_threads, monkeypatch, threads):
+    monkeypatch.setattr(kerr_model, "steady_state", report_threads)
+    result = sweep(
+        kerr_params(0.0, 1), [2], [0.5, 0.6], threads=threads, compute_gap=False
+    )
+    ones = str((1,) * len(blas_threads()))
+    assert [f[2] for f in result.failures] == [f"blas threads {ones}"] * 2
+    assert blas_threads() == (2,) * len(blas_threads())
+
+
+def test_solvers_run_on_one_thread(caller_at_two_threads, monkeypatch):
+    seen = []
+
+    def recording(real):
+        def call(*args, **kwargs):
+            seen.append((real.__name__, blas_threads()))
+            return real(*args, **kwargs)
+        return call
+
+    monkeypatch.setattr(liouvillian, "_bordered_lu", recording(liouvillian._bordered_lu))
+    monkeypatch.setattr(liouvillian, "eigs", recording(liouvillian.eigs))
+    p = kerr_params(0.9, 5)
+    L = build_kerr_liouvillian(p, recommended_cutoff(p))
+    steady_state(L)
+    liouvillian_gap(L)
+    ones = (1,) * len(blas_threads())
+    assert seen == [("_bordered_lu", ones), ("eigs", ones)]
+    assert blas_threads() == (2,) * len(blas_threads())
+
+
+def test_csv_independent_of_blas_threads(tmp_path):
+    # near eps_c the LU result moves in its last digits with the BLAS
+    # thread count unless every solve pins it
+    config = tmp_path / "kerr.json"
+    config.write_text(json.dumps({
+        "schema_version": 1,
+        "model": "kerr",
+        "params": {"delta": -2.0, "u": 1.0, "kappa": 0.5},
+        "sweep": {"N_list": [5], "eps": {"min": 0.9, "max": 0.95, "count": 2}},
+        "numerics": {"certify_cutoff": False, "compute_gap": True,
+                     "points_per_axis": 64},
+        "output": str(tmp_path / "kerr.csv"),
+    }))
+    outputs = []
+    for count in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=count)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+        subprocess.run(
+            [sys.executable, "-m", "wehrlflux.cli", "run", str(config)],
+            env=env, check=True, capture_output=True, timeout=300,
+        )
+        outputs.append(tmp_path / f"kerr_{count}.csv")
+        shutil.move(tmp_path / "kerr.csv", outputs[-1])
+    assert outputs[0].read_bytes() == outputs[1].read_bytes()

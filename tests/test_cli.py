@@ -1,4 +1,3 @@
-import filecmp
 import json
 import math
 

@@ -13,7 +13,6 @@ from wehrlflux.errors import (
     UnstableSystemError,
 )
 from wehrlflux.dicke_gaussian import (
-    DIVERGENCE_WINDOW,
     OMEGA_4,
     CovarianceMatrix,
     DickeParams,
@@ -30,7 +29,6 @@ from wehrlflux.dicke_gaussian import (
     mc_gaussian_budget,
     mean_field_fixed_point,
     solve_lyapunov,
-    unitary_drift_diffusion,
 )
 
 FIG3 = dict(omega0=0.005, omega=0.01, kappa=1.0, gamma=1e-3)

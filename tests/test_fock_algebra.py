@@ -10,7 +10,6 @@ from wehrlflux.errors import (
     TruncationError,
 )
 from wehrlflux.fock_algebra import (
-    CoherentStateVector,
     DensityMatrix,
     annihilation,
     coherent_components,

@@ -17,7 +17,6 @@ from wehrlflux.kerr_model import (
     recommended_cutoff,
     steady_state_certified,
     sweep,
-    to_collapse_points,
 )
 
 

@@ -11,7 +11,6 @@ from wehrlflux.fock_algebra import (
     annihilation,
     coherent_components,
     mean_amplitude,
-    mean_photon_number,
     von_neumann_entropy,
 )
 from wehrlflux.liouvillian import KerrParams, evolve, max_stable_dt, build_kerr_liouvillian
