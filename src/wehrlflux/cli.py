@@ -47,7 +47,7 @@ _NUMERICS_DEFAULTS = {
     "q_floor_ratio": Q_FLOOR_RATIO,
     "mc_samples": 10 ** 6,
     "seed": 0,
-    "certify_cutoff": True,
+    "certify_cutoff": True,  # ignored: each Kerr point checks its Fock tail
     "compute_gap": True,
     "mc_validate": False,
     "timing": False,
@@ -266,7 +266,6 @@ def _run_kerr_like(
         N_list,
         eps_grid,
         points_per_axis=numerics["points_per_axis"],
-        certify=numerics["certify_cutoff"],
         compute_gap=numerics["compute_gap"],
         threads=threads,
         timing=numerics["timing"],
@@ -349,10 +348,11 @@ def _run_dicke(cfg, keep_going, threads):
                     budget.balance_rel, None, wall,
                 )
             )
-        except WehrlFluxError as exc:
-            failures.append((N, lam, str(exc)))
+        except Exception as exc:  # per-point failure, as in a Kerr sweep
+            msg = f"{type(exc).__name__}: {exc}"
+            failures.append((N, lam, msg))
             if not keep_going:
-                raise
+                raise WehrlFluxError(f"point lambda={lam:.6g} failed: {msg}") from exc
     return rows, failures, lambda_c
 
 

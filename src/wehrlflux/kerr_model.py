@@ -18,8 +18,9 @@ one thread (in the serial path and in every pool worker alike), and
 ``collapse_transform`` rescales the resulting curves onto the finite-size
 coordinate x = N (eps/eps_c - 1).
 
-The cutoff rule and its certification are fixed by the module constants
-``CUTOFF_C1``, ``CUTOFF_C2``, ``CUTOFF_FLOOR``, ``CUTOFF_DRIFT_TOL`` and
+The cutoff rule and its Fock-tail check (``steady_state_certified``, on
+every sweep point) are fixed by the module constants ``CUTOFF_C1``,
+``CUTOFF_C2``, ``CUTOFF_FLOOR``, ``CUTOFF_TAIL_TOL`` and
 ``CUTOFF_MAX_ESCALATIONS``.  ``sweep`` takes its numerics as keyword-only
 options; the grid and quadrature defaults are ``phase_space``'s
 ``POINTS_PER_AXIS``, ``MASS_TOL`` and ``Q_FLOOR_RATIO``.
@@ -56,7 +57,7 @@ log = logging.getLogger(__name__)
 CUTOFF_C1 = 1.5
 CUTOFF_C2 = 5.0
 CUTOFF_FLOOR = 8
-CUTOFF_DRIFT_TOL = 1e-8
+CUTOFF_TAIL_TOL = 1e-10
 CUTOFF_MAX_ESCALATIONS = 3
 
 
@@ -169,24 +170,25 @@ def recommended_cutoff(p: KerrParams) -> int:
 # ---------------------------------------------------------------------------
 
 def steady_state_certified(p: KerrParams, n_max: int | None = None):
-    """Solve at n_max and n_max + 10 until <a^dag a> stops moving.
+    """Steady state whose top three Fock levels hold a population below
+    ``CUTOFF_TAIL_TOL``, solved first at ``n_max`` (default
+    ``recommended_cutoff(p)``) and then at +10 levels, at most
+    ``CUTOFF_MAX_ESCALATIONS`` times, before ``SolverConvergenceError``.
+    Returns (rho, L, n_max_used).
 
-    Returns (rho, L, n_max_used, drift).  Escalates the cutoff by 10, at
-    most ``CUTOFF_MAX_ESCALATIONS`` times, while the observable drift
-    exceeds ``CUTOFF_DRIFT_TOL``.
+    Unlike an observable's change between two cutoffs, the tail does not
+    depend on how well the LU is conditioned near eps_c.
     """
-    n = recommended_cutoff(p) if n_max is None else n_max
-    L = build_kerr_liouvillian(p, n, enforce_cutoff=n_max is None)
-    rho = steady_state(L)
-    for _ in range(CUTOFF_MAX_ESCALATIONS + 1):
-        L_big = build_kerr_liouvillian(p, n + 10, enforce_cutoff=False)
-        rho_big = steady_state(L_big)
-        drift = abs(mean_photon_number(rho) - mean_photon_number(rho_big))
-        if drift < CUTOFF_DRIFT_TOL:
-            return rho, L, n, drift
-        n, L, rho = n + 10, L_big, rho_big
+    first = recommended_cutoff(p) if n_max is None else n_max
+    for n in range(first, first + 10 * CUTOFF_MAX_ESCALATIONS + 1, 10):
+        L = build_kerr_liouvillian(p, n, enforce_cutoff=n_max is None)
+        rho = steady_state(L)
+        tail = float(np.abs(np.diagonal(rho.entries)[-3:]).sum())
+        if tail < CUTOFF_TAIL_TOL:
+            return rho, L, n
     raise SolverConvergenceError(
-        f"cutoff escalation exhausted at n_max = {n}, drift {drift:.3e}"
+        f"Fock tail {tail:.3e} of the top three levels at n_max = {n} exceeds "
+        f"{CUTOFF_TAIL_TOL:g} after {CUTOFF_MAX_ESCALATIONS} cutoff escalations"
     )
 
 
@@ -204,7 +206,6 @@ class SweepRecord:
     grid_half_width: float
     grid_points: int
     ness_residual: float
-    cutoff_drift: float
     wall_time_s: float = 0.0
 
 
@@ -216,19 +217,13 @@ class SweepResult:
 
 @one_blas_thread
 def _sweep_point(
-    p_base, N, eps, *, points_per_axis, certify, compute_gap, timing, n_max,
-    mass_tol, q_floor_ratio,
+    p_base, N, eps, *, points_per_axis, compute_gap, timing, n_max, mass_tol,
+    q_floor_ratio,
 ) -> SweepRecord:
     """One point of ``sweep``, which documents the options."""
     start = time.perf_counter()
     p = p_base.with_drive(eps, N)
-    if certify:
-        rho, L, n_used, drift = steady_state_certified(p, n_max=n_max)
-    else:
-        n_used = recommended_cutoff(p) if n_max is None else n_max
-        L = build_kerr_liouvillian(p, n_used, enforce_cutoff=n_max is None)
-        rho = steady_state(L)
-        drift = float("nan")
+    rho, L, n_used = steady_state_certified(p, n_max=n_max)
     # L holds the LU its steady state was solved with, and the gap reuses
     # it; drop L before the Husimi stage so the two never share memory.
     gap = liouvillian_gap(L) if compute_gap else float("nan")
@@ -249,7 +244,6 @@ def _sweep_point(
         grid_half_width=grid.half_width,
         grid_points=grid.points_per_axis,
         ness_residual=ness_residual,
-        cutoff_drift=drift,
         wall_time_s=(time.perf_counter() - start) if timing else 0.0,
     )
 
@@ -261,7 +255,6 @@ def sweep(
     *,
     threads: int = 1,
     points_per_axis: int = POINTS_PER_AXIS,
-    certify: bool = False,
     compute_gap: bool = True,
     timing: bool = False,
     n_max: int | None = None,
@@ -273,10 +266,10 @@ def sweep(
     Points are independent jobs; failures are recorded and the sweep
     continues.  Records come back sorted by (N, eps) regardless of the
     executor, so output is deterministic for any thread count (per-point
-    wall time is only recorded when ``timing`` is set).  ``certify``
-    escalates the cutoff until <a^dag a> settles; ``n_max`` fixes the
-    cutoff instead of ``recommended_cutoff``; ``mass_tol`` and
-    ``q_floor_ratio`` go to ``entropy_budget``.
+    wall time is only recorded when ``timing`` is set).  ``n_max``
+    replaces ``recommended_cutoff`` as the first cutoff of each point's
+    ``steady_state_certified``; ``mass_tol`` and ``q_floor_ratio`` go to
+    ``entropy_budget``.
     """
     win = bistability_window(p_base)
     if win is not None:
@@ -289,9 +282,8 @@ def sweep(
                 stacklevel=2,
             )
     point = functools.partial(
-        _sweep_point, points_per_axis=points_per_axis, certify=certify,
-        compute_gap=compute_gap, timing=timing, n_max=n_max, mass_tol=mass_tol,
-        q_floor_ratio=q_floor_ratio,
+        _sweep_point, points_per_axis=points_per_axis, compute_gap=compute_gap,
+        timing=timing, n_max=n_max, mass_tol=mass_tol, q_floor_ratio=q_floor_ratio,
     )
     jobs = [(p_base, int(N), float(eps)) for N in N_list for eps in eps_grid]
     result = SweepResult()

@@ -70,7 +70,7 @@ def report(num, name, ok, detail=""):
 def test_criterion_01_empty_cavity(pump, kappa):
     start = time.perf_counter()
     p = KerrParams(0.0, 1e-12, kappa, pump, 1)
-    rho, L, n_used, _ = steady_state_certified(p)
+    rho, L, n_used = steady_state_certified(p)
     budget = entropy_budget(rho, p, auto_grid(rho))
     elapsed = time.perf_counter() - start
     target = 2.0 * pump ** 2 / kappa
@@ -184,8 +184,8 @@ def desk_sweep():
     }
     gap_records = []
     for N, grid in scans.items():
-        r = sweep(base, [N], [float(e) for e in grid], certify=False,
-                  compute_gap=True, threads=2)
+        r = sweep(base, [N], [float(e) for e in grid], compute_gap=True,
+                  threads=2)
         assert not r.failures
         gap_records.extend(r.records)
     eps_c = extrapolate_eps_c(gap_records)
@@ -197,7 +197,7 @@ def desk_sweep():
     records = {}
     for N in (10, 20, 30):
         eps_grid = sorted({round(float(eps_c * (1 + x / N)), 10) for x in xs})
-        r = sweep(base, [N], eps_grid, certify=False, compute_gap=False, threads=2)
+        r = sweep(base, [N], eps_grid, compute_gap=False, threads=2)
         assert not r.failures
         records[N] = sorted(r.records, key=lambda rec: rec.eps)
     return eps_c, records

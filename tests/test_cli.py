@@ -1,5 +1,7 @@
 import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,9 +14,12 @@ from wehrlflux.cli import (
     load_config,
     main,
     read_results,
+    validate_config,
     write_results,
 )
 from wehrlflux.errors import ConfigError
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def write_config(path, cfg):
@@ -119,14 +124,15 @@ class TestConfigValidation:
             ({"q_floor_ratio": -1e-14}, [], None, "q_floor_ratio"),
             ({"q_floor_ratio": None}, [], None, "q_floor_ratio"),
             ({"balance_tol": 1e-2}, [], None, "balance_tol"),
+            ({"certify_cutoff": "yes"}, [], None, "certify_cutoff"),
             ({}, ["--threads", "-3"], None, "--threads"),
             ({}, [], "abc", "WEHRLFLUX_THREADS"),
         ],
         ids=[
             "mc_samples-0", "seed-negative", "seed-fraction", "points_per_axis-10",
             "mass_tol-negative", "mass_tol-text", "q_floor_ratio-negative",
-            "q_floor_ratio-null", "balance_tol-removed", "threads-negative",
-            "threads-env-text",
+            "q_floor_ratio-null", "balance_tol-removed", "certify_cutoff-text",
+            "threads-negative", "threads-env-text",
         ],
     )
     def test_invalid_run_inputs_exit_config(
@@ -141,6 +147,21 @@ class TestConfigValidation:
         assert code == EXIT_CONFIG
         assert named in capsys.readouterr().err
         assert not (tmp_path / "dicke.csv").exists()
+
+    @pytest.mark.parametrize("certify", [True, False])
+    def test_certify_cutoff_still_accepted(self, tmp_path, certify):
+        # schema-1 configs keep the key; every Kerr point checks its own
+        # Fock tail whatever it says
+        cfg = kerr_config(tmp_path)
+        cfg["numerics"]["certify_cutoff"] = certify
+        loaded = load_config(write_config(tmp_path / "c.json", cfg))
+        assert loaded["numerics"]["certify_cutoff"] is certify
+
+    def test_readme_configs_validate(self):
+        blocks = re.findall(r"```json\n(.*?)```", README.read_text(), re.S)
+        assert blocks
+        for block in blocks:
+            validate_config(json.loads(block), "README.md")
 
 
 class TestRun:
@@ -188,6 +209,23 @@ class TestRun:
         code = main(["run", write_config(tmp_path / "c.json", cfg), "--keep-going"])
         assert code == 0
         assert "failed" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("keep_going", [False, True])
+    def test_dicke_point_exception_recorded(self, tmp_path, capsys, keep_going):
+        # kappa ** 2 overflows in critical_coupling at every coupling
+        cfg = dicke_config(tmp_path, 0.30, 0.32, 2)
+        cfg["params"]["kappa"] = 1e200
+        argv = ["run", write_config(tmp_path / "c.json", cfg)]
+        code = main(argv + ["--keep-going"] * keep_going)
+        err = capsys.readouterr().err
+        if keep_going:
+            assert code == 0
+            assert read_results(cfg["output"])[0] == []
+            assert err.count("OverflowError") == 2
+        else:
+            assert code == EXIT_NUMERICAL
+            assert "OverflowError" in err
+            assert not (tmp_path / "dicke.csv").exists()
 
     def test_io_error_exit_code(self, tmp_path, capsys):
         cfg = cavity_config(tmp_path)

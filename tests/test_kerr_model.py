@@ -6,7 +6,9 @@ import pytest
 
 from conftest import kerr_params
 from wehrlflux import kerr_model
-from wehrlflux.liouvillian import KerrParams
+from wehrlflux.errors import SolverConvergenceError
+from wehrlflux.fock_algebra import mean_photon_number
+from wehrlflux.liouvillian import KerrParams, build_kerr_liouvillian, steady_state
 from wehrlflux.kerr_model import (
     CollapsePoint,
     bistability_window,
@@ -15,7 +17,6 @@ from wehrlflux.kerr_model import (
     estimate_eps_c,
     mean_field_curve,
     recommended_cutoff,
-    steady_state_certified,
     sweep,
 )
 
@@ -109,11 +110,23 @@ class TestCutoffRule:
         large = recommended_cutoff(kerr_params(0.9, 20))
         assert large > small
 
-    def test_certification_converges(self):
-        p = KerrParams(0.0, 1e-12, 0.5, 1.0, 1)
-        rho, L, n_used, drift = steady_state_certified(p)
-        assert drift < 1e-8
-        assert n_used >= recommended_cutoff(p)
+    @pytest.mark.parametrize("N, eps", [(20, 0.5255), (10, 0.6)])
+    def test_sweep_point_matches_wider_cutoff(self, N, eps):
+        # below the bistable window the recommended cutoff (8) leaves
+        # 0.4-1.5 % of the population in the top three Fock levels, so
+        # the point must escalate to match a solve with 30 more levels
+        p = kerr_params(eps, N)
+        (rec,) = sweep(p, [N], [eps], compute_gap=False).records
+        assert rec.n_max_used > recommended_cutoff(p)
+        L_ref = build_kerr_liouvillian(p, rec.n_max_used + 30, enforce_cutoff=False)
+        n_ref = mean_photon_number(steady_state(L_ref))
+        assert rec.n_mean * N == pytest.approx(n_ref, rel=1e-9)
+
+    def test_exhausted_escalation_names_the_tail(self, monkeypatch):
+        monkeypatch.setattr(kerr_model, "CUTOFF_MAX_ESCALATIONS", 0)
+        p = kerr_params(0.6, 10)
+        with pytest.raises(SolverConvergenceError, match="Fock tail .* n_max = 8"):
+            kerr_model.steady_state_certified(p)
 
 
 class TestSweep:
@@ -121,7 +134,7 @@ class TestSweep:
         from wehrlflux.phase_space import auto_grid, entropy_budget
 
         p = kerr_params(0.9, 5)
-        result = sweep(p, [5], [0.9], certify=False, compute_gap=False)
+        result = sweep(p, [5], [0.9], compute_gap=False)
         assert len(result.records) == 1 and not result.failures
         rec = result.records[0]
         rho, _ = ness_cache(p)
@@ -134,14 +147,14 @@ class TestSweep:
         # or a recorded failure, never an exception
         p = kerr_params(0.0, 2)
         with pytest.warns(UserWarning):
-            result = sweep(p, [2], [30.0], certify=False, compute_gap=False)
+            result = sweep(p, [2], [30.0], compute_gap=False)
         assert len(result.records) + len(result.failures) == 1
 
     def test_explicit_zero_tolerance_is_honoured(self):
         # mass_tol = 0 reaches the quadrature check instead of falling back
         # to the default; no finite grid captures the mass exactly
         p = kerr_params(0.9, 2)
-        result = sweep(p, [2], [0.9], certify=False, compute_gap=False, mass_tol=0.0)
+        result = sweep(p, [2], [0.9], compute_gap=False, mass_tol=0.0)
         assert not result.records
         ((N, eps, msg),) = result.failures
         assert "quadrature mass" in msg and "beyond 0.0" in msg
