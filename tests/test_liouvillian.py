@@ -205,12 +205,19 @@ class TestGap:
     @pytest.mark.parametrize("N", [1, 2, 3, 4])
     def test_matches_dense_spectrum_across_window(self, N):
         # dense oracle: drop the eigenvalue of smallest modulus (the null
-        # mode), the gap is minus the largest remaining real part.  Below
+        # mode), the gap is minus the largest remaining real part.  Off
         # the window the slowest decay is not among the few eigenvalues
-        # closest to zero: asking ARPACK for 3 or 4 misses it at N = 1.
+        # closest to zero: asking ARPACK for 3 or 4 misses it at N = 1
+        # below the window, and 3 misses it at N = 2 and 3 above it.
+        # Above the window N = 4 exceeds the size cap.
         win = bistability_window(kerr_params(0.0, 1))
-        below = np.linspace(0.0, 0.5 * win.eps_lo, 5)
-        for eps in np.concatenate([below, np.linspace(win.eps_lo, win.eps_hi, 7)]):
+        drives = [
+            np.linspace(0.0, 0.5 * win.eps_lo, 5),
+            np.linspace(win.eps_lo, win.eps_hi, 7),
+        ]
+        if N <= 3:
+            drives.append(np.linspace(win.eps_hi, 1.5 * win.eps_hi, 7)[4:])
+        for eps in np.concatenate(drives):
             p = kerr_params(float(eps), N)
             L = build_kerr_liouvillian(p, recommended_cutoff(p))
             assert L.dim <= 1100
@@ -218,6 +225,51 @@ class TestGap:
             vals = np.delete(vals, np.argmin(np.abs(vals)))
             dense = -vals.real.max()
             assert liouvillian_gap(L) == pytest.approx(dense, rel=1e-9)
+
+    def test_enough_eigenvalues_above_window(self, monkeypatch):
+        # above the window at N=10 the slowest decay is not among the 5
+        # eigenvalues closest to zero (5 return 0.5185 here, against 0.5112)
+        eps = 1.125 * bistability_window(kerr_params(0.0, 1)).eps_hi
+        p = kerr_params(eps, 10)
+        L = build_kerr_liouvillian(p, recommended_cutoff(p))
+        assert L.n_max == 66
+        gap = liouvillian_gap(L)
+        monkeypatch.setattr(liouvillian, "GAP_EIGENVALUES", 30)
+        assert gap == pytest.approx(liouvillian_gap(L), rel=1e-9)
+
+    def test_gap_solve_count(self, monkeypatch):
+        # each Arnoldi step is one LU solve: 66 near eps_c at N=10 with 8
+        # eigenvalues, against 116 with 12.  The fixed start vector on
+        # one BLAS thread makes the count the same on every run.
+        solves = []
+        real_splu = liouvillian.splu
+
+        class CountingLU:
+            def __init__(self, lu):
+                self.lu = lu
+
+            def solve(self, rhs):
+                solves.append(1)
+                return self.lu.solve(rhs)
+
+        monkeypatch.setattr(
+            liouvillian, "splu", lambda *a, **kw: CountingLU(real_splu(*a, **kw))
+        )
+        p = kerr_params(0.955, 10)
+        L = build_kerr_liouvillian(p, recommended_cutoff(p))
+        assert L.n_max == 60
+        assert liouvillian_gap(L) > 0
+        assert len(solves) < 90
+
+    def test_arpack_failure_has_reason(self, monkeypatch):
+        # 30 eigenvalues of a 64-dimensional operator leave ARPACK no
+        # room to restart: "ARPACK error 3: No shifts could be applied"
+        monkeypatch.setattr(liouvillian, "GAP_EIGENVALUES", 30)
+        p = kerr_params(0.0, 6)
+        L = build_kerr_liouvillian(p, recommended_cutoff(p))
+        assert L.n_max == 8
+        with pytest.raises(SolverConvergenceError, match="ARPACK error 3"):
+            liouvillian_gap(L)
 
     def test_gap_below_roundoff_floor_raises(self):
         # two levels whose populations swap at rate 1e-20: the gap 2e-20
