@@ -14,6 +14,7 @@ from .dicke_gaussian import (
     divergence_scan,
     drift_diffusion,
     gaussian_budget,
+    hamiltonian_quadratic_form,
     hp_coefficients,
     kink_detector,
     mc_gaussian_budget,
@@ -21,10 +22,9 @@ from .dicke_gaussian import (
     solve_lyapunov,
 )
 from .fock_algebra import (
-    CoherentStateVector,
     DensityMatrix,
     annihilation,
-    coherent_state,
+    coherent_components,
 )
 from .kerr_model import (
     BistabilityWindow,
@@ -49,7 +49,6 @@ from .liouvillian import (
 )
 from .phase_space import (
     EntropyBudget,
-    NormalOrderedHamiltonian,
     PhaseSpaceField,
     PhaseSpaceGrid,
     auto_grid,
@@ -60,7 +59,5 @@ from .phase_space import (
     husimi_field,
     pi_d,
     pi_u_kerr,
-    pi_u_leading,
     wehrl_entropy,
-    xi_coefficients,
 )

@@ -40,17 +40,19 @@ CSV_COLUMNS = [
     "n_max_used", "wall_time_s",
 ]
 
+# The numerics keys each model reads, with their defaults.
 _NUMERICS_DEFAULTS = {
-    "n_max": None,
-    "points_per_axis": POINTS_PER_AXIS,
-    "mass_tol": MASS_TOL,
-    "q_floor_ratio": Q_FLOOR_RATIO,
-    "mc_samples": 10 ** 6,
-    "seed": 0,
-    "certify_cutoff": True,  # ignored: each Kerr point checks its Fock tail
-    "compute_gap": True,
-    "mc_validate": False,
-    "timing": False,
+    "kerr": {
+        "n_max": None,
+        "points_per_axis": POINTS_PER_AXIS,
+        "mass_tol": MASS_TOL,
+        "q_floor_ratio": Q_FLOOR_RATIO,
+        "certify_cutoff": True,  # ignored: each Kerr point checks its Fock tail
+        "compute_gap": True,
+        "timing": False,
+    },
+    "dicke": {"mc_validate": False, "mc_samples": 10 ** 6, "seed": 0, "timing": False},
+    "cavity": {"timing": False},
 }
 
 _SWEEP_KEYS = {
@@ -101,8 +103,8 @@ def _require_number(block: dict, key: str, where: str, positive=False):
     if key not in block:
         raise ConfigError(f"missing required key '{key}' in {where}")
     val = block[key]
-    if not isinstance(val, (int, float)) or isinstance(val, bool):
-        raise ConfigError(f"{where}.{key} must be a number, got {val!r}")
+    if isinstance(val, bool) or not isinstance(val, (int, float)) or not math.isfinite(val):
+        raise ConfigError(f"{where}.{key} must be a finite number, got {val!r}")
     if positive and val <= 0:
         raise ConfigError(f"{where}.{key} must be positive, got {val}")
     return float(val)
@@ -117,7 +119,7 @@ def _grid_spec(block: dict, where: str):
     lo = _require_number(block, "min", where)
     hi = _require_number(block, "max", where)
     count = block.get("count")
-    if not isinstance(count, int) or count < 1:
+    if not _is_int(count, 1):
         raise ConfigError(f"{where}.count must be a positive integer")
     if hi < lo:
         raise ConfigError(f"{where}: max < min")
@@ -164,7 +166,7 @@ def validate_config(raw: dict, path: str = "<config>") -> dict:
         if (
             not isinstance(n_list, list)
             or not n_list
-            or not all(isinstance(n, int) and n >= 1 for n in n_list)
+            or not all(_is_int(n, 1) for n in n_list)
         ):
             raise ConfigError("sweep.N_list must be a non-empty list of positive integers")
         eps_spec = sweep_block.get("eps")
@@ -184,27 +186,29 @@ def validate_config(raw: dict, path: str = "<config>") -> dict:
     numerics_block = raw.get("numerics", {})
     if not isinstance(numerics_block, dict):
         raise ConfigError("numerics block must be an object")
-    _reject_unknown(numerics_block, set(_NUMERICS_DEFAULTS), "numerics")
-    numerics = dict(_NUMERICS_DEFAULTS)
-    numerics.update(numerics_block)
-    for key in ("certify_cutoff", "compute_gap", "mc_validate", "timing"):
-        if not isinstance(numerics[key], bool):
-            raise ConfigError(f"numerics.{key} must be a boolean")
-    if numerics["n_max"] is not None and not _is_int(numerics["n_max"], 2):
-        raise ConfigError("numerics.n_max must be an integer >= 2")
-    for key, lowest in (
-        ("points_per_axis", MIN_POINTS_PER_AXIS), ("mc_samples", 1), ("seed", 0)
-    ):
-        if not _is_int(numerics[key], lowest):
-            raise ConfigError(
-                f"numerics.{key} must be an integer >= {lowest}, got {numerics[key]!r}"
-            )
-    for key in ("mass_tol", "q_floor_ratio"):
-        val = numerics[key]
-        if isinstance(val, bool) or not isinstance(val, (int, float)) or not val >= 0:
-            raise ConfigError(
-                f"numerics.{key} must be a non-negative number, got {val!r}"
-            )
+    _reject_unknown(numerics_block, set(_NUMERICS_DEFAULTS[model]), f"{model} numerics")
+    numerics = {**_NUMERICS_DEFAULTS[model], **numerics_block}
+    for key, val in numerics.items():
+        if key in ("certify_cutoff", "compute_gap", "mc_validate", "timing"):
+            if not isinstance(val, bool):
+                raise ConfigError(f"numerics.{key} must be a boolean")
+        elif key in ("mass_tol", "q_floor_ratio"):
+            number = isinstance(val, (int, float)) and not isinstance(val, bool)
+            if not number or not 0 <= val < math.inf:
+                raise ConfigError(
+                    f"numerics.{key} must be a finite non-negative number, got {val!r}"
+                )
+        elif key == "n_max":
+            if val is not None and not _is_int(val, 2):
+                raise ConfigError("numerics.n_max must be an integer >= 2")
+        else:
+            lowest = {
+                "points_per_axis": MIN_POINTS_PER_AXIS, "mc_samples": 1, "seed": 0
+            }[key]
+            if not _is_int(val, lowest):
+                raise ConfigError(
+                    f"numerics.{key} must be an integer >= {lowest}, got {val!r}"
+                )
 
     output = raw.get("output")
     if not isinstance(output, str) or not output:
@@ -256,15 +260,16 @@ def _budget_row(model, N, drive, budget, gap, beta, residual, n_max_used, wall):
     }
 
 
-def _run_kerr_like(
-    model: str, p_base, N_list, eps_grid, numerics, keep_going, threads
-):
+def _run_kerr(cfg, keep_going, threads):
     from .kerr_model import sweep
+    from .liouvillian import KerrParams
 
+    p = cfg["params"]
+    numerics = cfg["numerics"]
     result = sweep(
-        p_base,
-        N_list,
-        eps_grid,
+        KerrParams(p["delta"], p["u"], p["kappa"], 0.0, 1),
+        cfg["sweep"]["N_list"],
+        cfg["sweep"]["eps_grid"],
         points_per_axis=numerics["points_per_axis"],
         compute_gap=numerics["compute_gap"],
         threads=threads,
@@ -278,7 +283,7 @@ def _run_kerr_like(
         raise WehrlFluxError(f"point N={n} eps={eps:.6g} failed: {msg}")
     rows = [
         _budget_row(
-            model, rec.N, rec.eps, rec.budget, rec.gap, None,
+            "kerr", rec.N, rec.eps, rec.budget, rec.gap, None,
             rec.ness_residual, rec.n_max_used, rec.wall_time_s,
         )
         for rec in result.records
@@ -286,32 +291,57 @@ def _run_kerr_like(
     return rows, result.failures
 
 
-def _run_kerr(cfg, keep_going, threads):
-    from .liouvillian import KerrParams
+def _run_points(model, label, N, drives, keep_going, timing, solve):
+    """Rows of a Gaussian model, one ``solve(drive) -> (budget, beta)`` each.
 
-    p = cfg["params"]
-    base = KerrParams(p["delta"], p["u"], p["kappa"], 0.0, 1)
-    return _run_kerr_like(
-        "kerr", base, cfg["sweep"]["N_list"], cfg["sweep"]["eps_grid"],
-        cfg["numerics"], keep_going, threads,
+    A failure at one point, whatever its exception, is recorded with the
+    exception's class in its message; without ``keep_going`` it ends the run.
+    """
+    rows, failures = [], []
+    for drive in drives:
+        start = time.perf_counter()
+        try:
+            budget, beta = solve(drive)
+        except Exception as exc:
+            msg = f"{type(exc).__name__}: {exc}"
+            failures.append((N, drive, msg))
+            if not keep_going:
+                raise WehrlFluxError(f"point {label}={drive:.6g} failed: {msg}") from exc
+            continue
+        wall = (time.perf_counter() - start) if timing else 0.0
+        rows.append(
+            _budget_row(
+                model, N, drive, budget, None, beta, budget.balance_rel, None, wall
+            )
+        )
+    return rows, failures
+
+
+def _run_cavity(cfg, keep_going):
+    """The linear driven cavity: the one-mode Gaussian model G = 0, exact."""
+    import numpy as np
+
+    from .dicke_gaussian import drift_diffusion, gaussian_budget, solve_lyapunov
+
+    kappa = cfg["params"]["kappa"]
+    G, losses = np.zeros((2, 2)), (kappa,)
+
+    def solve(E):
+        sigma = solve_lyapunov(*drift_diffusion(G, losses))
+        return gaussian_budget(sigma, G, losses, E / kappa, 1), None
+
+    return _run_points(
+        "cavity", "E", 1, [cfg["params"]["E"]], keep_going,
+        cfg["numerics"]["timing"], solve,
     )
 
 
-def _run_cavity(cfg, keep_going, threads):
-    from .liouvillian import KerrParams
-
-    p = cfg["params"]
-    base = KerrParams(0.0, 1e-12, p["kappa"], 0.0, 1)
-    return _run_kerr_like(
-        "cavity", base, [1], [p["E"]], cfg["numerics"], keep_going, threads
-    )
-
-
-def _run_dicke(cfg, keep_going, threads):
+def _run_dicke(cfg, keep_going):
     from .dicke_gaussian import (
         DickeParams,
         critical_coupling,
         dicke_point,
+        hamiltonian_quadratic_form,
         mc_gaussian_budget,
     )
 
@@ -319,40 +349,34 @@ def _run_dicke(cfg, keep_going, threads):
     numerics = cfg["numerics"]
     gamma = p.get("gamma", 1e-3 * p["kappa"])
     N = int(p.get("N", 1))
-    rows, failures = [], []
     lambda_c = None
-    for lam in cfg["sweep"]["lambda_grid"]:
-        start = time.perf_counter()
-        try:
-            params = DickeParams(p["omega0"], p["omega"], p["kappa"], lam, gamma)
-            if lambda_c is None:
-                lambda_c = critical_coupling(params)
-            budget, sigma, hp, mf = dicke_point(params, N=N)
-            if numerics["mc_validate"]:
-                mc = mc_gaussian_budget(
-                    sigma, hp, params,
-                    samples=numerics["mc_samples"], seed=numerics["seed"],
-                )
-                for name, closed, sampled in (
-                    ("S", budget.S, mc.S),
-                    ("Pi_d", budget.Pi_d, mc.Pi_d),
-                ):
-                    if closed and abs(sampled - closed) / abs(closed) > 0.01:
-                        raise WehrlFluxError(
-                            f"MC check failed for {name} at lambda={lam:.6g}"
-                        )
-            wall = (time.perf_counter() - start) if numerics["timing"] else 0.0
-            rows.append(
-                _budget_row(
-                    "dicke", N, lam, budget, None, mf.beta,
-                    budget.balance_rel, None, wall,
-                )
+
+    def solve(lam):
+        nonlocal lambda_c
+        params = DickeParams(p["omega0"], p["omega"], p["kappa"], lam, gamma)
+        if lambda_c is None:
+            lambda_c = critical_coupling(params)
+        budget, sigma, hp, mf = dicke_point(params, N=N)
+        if numerics["mc_validate"]:
+            mc = mc_gaussian_budget(
+                sigma, hamiltonian_quadratic_form(hp, params),
+                (params.gamma, params.kappa),
+                samples=numerics["mc_samples"], seed=numerics["seed"],
             )
-        except Exception as exc:  # per-point failure, as in a Kerr sweep
-            msg = f"{type(exc).__name__}: {exc}"
-            failures.append((N, lam, msg))
-            if not keep_going:
-                raise WehrlFluxError(f"point lambda={lam:.6g} failed: {msg}") from exc
+            for name, closed, sampled in (
+                ("S", budget.S, mc.S),
+                ("Pi_d", budget.Pi_d, mc.Pi_d),
+            ):
+                if closed and abs(sampled - closed) / abs(closed) > 0.01:
+                    raise WehrlFluxError(
+                        f"MC check failed for {name} at lambda={lam:.6g}"
+                    )
+        return budget, mf.beta
+
+    rows, failures = _run_points(
+        "dicke", "lambda", N, cfg["sweep"]["lambda_grid"], keep_going,
+        numerics["timing"], solve,
+    )
     return rows, failures, lambda_c
 
 
@@ -456,9 +480,9 @@ def cmd_run(args) -> int:
         if cfg["model"] == "kerr":
             rows, failures = _run_kerr(cfg, args.keep_going, threads)
         elif cfg["model"] == "cavity":
-            rows, failures = _run_cavity(cfg, args.keep_going, threads)
+            rows, failures = _run_cavity(cfg, args.keep_going)
         else:
-            rows, failures, lambda_c = _run_dicke(cfg, args.keep_going, threads)
+            rows, failures, lambda_c = _run_dicke(cfg, args.keep_going)
             if lambda_c is not None:
                 extra_header.append(f"# lambda_c={_fmt(lambda_c)}")
     except WehrlFluxError as exc:

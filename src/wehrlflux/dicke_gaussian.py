@@ -1,4 +1,4 @@
-"""Gaussianized driven-dissipative Dicke model.
+"""Gaussianized driven-dissipative Dicke model and Gaussian entropy budgets.
 
 Pipeline: mean-field fixed point -> bosonization of the macrospin around
 it -> quadratic Hamiltonian -> drift/diffusion matrices -> Lyapunov
@@ -21,14 +21,19 @@ quadratic Hamiltonian
     H2 = wt0 db^dag db + omega da^dag da
          + lt (da + da^dag)(db + db^dag) - zeta (db + db^dag)^2,
 
-and, in quadratures R = (q_b, p_b, q_a, p_a) with a small stabilizing
-loss gamma on the spin mode, the covariance sigma solves
+which in quadratures R = (q_b, p_b, q_a, p_a) reads H2 = (1/2) R^T G R.
 
-    A sigma + sigma A^T + D = 0,
-    A = [[-gamma, wt0, 0, 0], [4 zeta - wt0, -gamma, -2 lt, 0],
-         [0, 0, -kappa, omega], [-2 lt, 0, -omega, -kappa]],
-    D = diag(gamma, gamma, kappa, kappa).
+Every Gaussian model here is one pair (G, losses): the symmetric
+quadratic form G of the fluctuation Hamiltonian in
+R = (q_1, p_1, ..., q_m, p_m) and one loss rate k_i per mode, the
+cavity mode last.  The Dicke model is the two-mode case with losses
+(gamma, kappa), gamma a small stabilizing loss on the spin mode; the
+linear driven cavity is the one-mode case G = 0, losses (kappa,).  The
+covariance sigma solves
 
+    A sigma + sigma A^T + D = 0,   A = Omega G - K,   D = K,
+
+with Omega the m-mode symplectic form and K = diag(k_1, k_1, ..., k_m, k_m).
 The Husimi function of the Gaussian steady state has covariance
 Sigma = sigma + I/2, and every entropy-rate integral reduces to a matrix
 expression in Sigma (derivations in the function docstrings).  A seeded
@@ -48,6 +53,7 @@ import numpy as np
 import scipy.linalg as sla
 
 from .errors import (
+    DimensionError,
     InvalidCovarianceError,
     SingularBranchError,
     SolverConvergenceError,
@@ -57,7 +63,8 @@ from .phase_space import EntropyBudget
 
 log = logging.getLogger(__name__)
 
-LYAPUNOV_RESIDUAL_TOL = 1e-10
+# Bound on ||A sigma + sigma A^T + D|| relative to 2 ||A|| ||sigma|| + ||D||.
+LYAPUNOV_RESIDUAL_TOL = 1e-12
 
 # Relative coupling distances |lam/lam_c - 1| used for the power-law fit.
 # The stabilizer gamma rounds the divergence over a core whose width is set
@@ -69,15 +76,6 @@ PHYSICALITY_TOL = 1e-9
 HURWITZ_TOL = 1e-12
 # Monte-Carlo samples drawn per vectorized batch.
 MC_CHUNK = 2 ** 17
-
-# Symplectic form for R = (q_b, p_b, q_a, p_a).
-OMEGA_4 = np.array(
-    [[0.0, 1.0, 0.0, 0.0],
-     [-1.0, 0.0, 0.0, 0.0],
-     [0.0, 0.0, 0.0, 1.0],
-     [0.0, 0.0, -1.0, 0.0]]
-)
-
 
 @dataclass(frozen=True)
 class DickeParams:
@@ -197,27 +195,11 @@ def hp_coefficients(mf: MeanFieldState, p: DickeParams) -> HPCoefficients:
 
 
 # ---------------------------------------------------------------------------
-# Drift, diffusion, Lyapunov
+# Quadratic models: drift, diffusion, Lyapunov
 # ---------------------------------------------------------------------------
 
-def drift_diffusion(hp: HPCoefficients, p: DickeParams) -> tuple[np.ndarray, np.ndarray]:
-    """Drift A and diffusion D of the quadrature covariance flow."""
-    wt0, lt, zeta = hp.omega0_tilde, hp.lambda_tilde, hp.zeta
-    A = np.array(
-        [[-p.gamma, wt0, 0.0, 0.0],
-         [4.0 * zeta - wt0, -p.gamma, -2.0 * lt, 0.0],
-         [0.0, 0.0, -p.kappa, p.omega],
-         [-2.0 * lt, 0.0, -p.omega, -p.kappa]]
-    )
-    D = np.diag([p.gamma, p.gamma, p.kappa, p.kappa])
-    return A, D
-
-
 def hamiltonian_quadratic_form(hp: HPCoefficients, p: DickeParams) -> np.ndarray:
-    """Symmetric matrix G with H2 = (1/2) R^T G R in R = (q_b, p_b, q_a, p_a).
-
-    The drift satisfies A = Omega G - diag(gamma, gamma, kappa, kappa).
-    """
+    """Symmetric matrix G with H2 = (1/2) R^T G R in R = (q_b, p_b, q_a, p_a)."""
     wt0, lt, zeta = hp.omega0_tilde, hp.lambda_tilde, hp.zeta
     return np.array(
         [[wt0 - 4.0 * zeta, 0.0, 2.0 * lt, 0.0],
@@ -225,6 +207,50 @@ def hamiltonian_quadratic_form(hp: HPCoefficients, p: DickeParams) -> np.ndarray
          [2.0 * lt, 0.0, p.omega, 0.0],
          [0.0, 0.0, 0.0, p.omega]]
     )
+
+
+def symplectic_form(m: int) -> np.ndarray:
+    """Omega for R = (q_1, p_1, ..., q_m, p_m): m blocks [[0, 1], [-1, 0]]."""
+    omega = np.zeros((2 * m, 2 * m))
+    q = np.arange(0, 2 * m, 2)
+    omega[q, q + 1] = 1.0
+    omega[q + 1, q] = -1.0
+    return omega
+
+
+def _mode_count(G: np.ndarray, losses) -> int:
+    """Number of modes m of the model (G, losses); checks G is 2m x 2m symmetric."""
+    m = len(losses)
+    if m < 1 or np.shape(G) != (2 * m, 2 * m):
+        raise DimensionError(
+            f"G must be {2 * m}x{2 * m} for {m} loss rate(s), got {np.shape(G)}"
+        )
+    if np.max(np.abs(G - np.transpose(G))) > 1e-12:
+        raise ValueError("quadratic form G must be symmetric")
+    return m
+
+
+def drift_diffusion(G: np.ndarray, losses) -> tuple[np.ndarray, np.ndarray]:
+    """Drift A = Omega G - K and diffusion D = K of the covariance flow.
+
+    K is diagonal and repeats each mode's loss rate for its q and p.
+    """
+    m = _mode_count(G, losses)
+    K = np.diag(np.repeat(np.asarray(losses, dtype=float), 2))
+    return symplectic_form(m) @ G - K, K
+
+
+def unitary_diffusion(G: np.ndarray) -> np.ndarray:
+    """Diffusion D_u of the purely unitary Husimi flow.
+
+    A quadratic Hamiltonian moves the Wigner function by the drift
+    A_u = Omega G alone; convolving with the vacuum Gaussian (covariance
+    I/2) to reach the Husimi picture adds the constant diffusion
+    D_u = -(A_u (I/2) + (I/2) A_u^T) = (G Omega - Omega G)/2.  The drift
+    itself drops out of every rate, since tr(Omega G) = 0 for symmetric G.
+    """
+    omega = symplectic_form(len(G) // 2)
+    return 0.5 * (G @ omega - omega @ G)
 
 
 @dataclass(frozen=True)
@@ -235,14 +261,14 @@ class CovarianceMatrix:
 
     def __post_init__(self):
         s = self.sigma
-        if s.shape != (4, 4):
-            raise InvalidCovarianceError(f"expected 4x4, got {s.shape}")
+        if s.ndim != 2 or s.shape[0] != s.shape[1] or s.shape[0] % 2 or not s.size:
+            raise InvalidCovarianceError(f"expected a 2m x 2m matrix, got {s.shape}")
         if np.max(np.abs(s - s.T)) > 1e-12:
             raise InvalidCovarianceError("covariance not symmetric")
 
     def validate_physical(self, tol: float = PHYSICALITY_TOL):
         """Uncertainty check: sigma + (i/2) Omega must be positive semidefinite."""
-        herm = self.sigma + 0.5j * OMEGA_4
+        herm = self.sigma + 0.5j * symplectic_form(len(self.sigma) // 2)
         lam_min = float(np.linalg.eigvalsh(herm).min())
         if lam_min < -tol:
             raise InvalidCovarianceError(
@@ -268,9 +294,11 @@ def solve_lyapunov(
         )
     sigma = sla.solve_continuous_lyapunov(A, -np.asarray(D, dtype=float))
     sigma = 0.5 * (sigma + sigma.T)
-    residual = float(np.linalg.norm(A @ sigma + sigma @ A.T + D))
+    residual = float(np.linalg.norm(A @ sigma + sigma @ A.T + D)) / (
+        2.0 * np.linalg.norm(A) * np.linalg.norm(sigma) + np.linalg.norm(D)
+    )
     if residual > LYAPUNOV_RESIDUAL_TOL:
-        raise SolverConvergenceError(f"Lyapunov residual {residual:.3e}")
+        raise SolverConvergenceError(f"relative Lyapunov residual {residual:.3e}")
     out = CovarianceMatrix(sigma)
     if require_physical:
         out.validate_physical()
@@ -281,8 +309,12 @@ def solve_lyapunov(
 # Closed-form Gaussian entropy budget
 # ---------------------------------------------------------------------------
 
-def _husimi_covariance(sigma: CovarianceMatrix) -> np.ndarray:
-    Sigma = sigma.sigma + 0.5 * np.eye(4)
+def _husimi_covariance(sigma: CovarianceMatrix, m: int) -> np.ndarray:
+    if sigma.sigma.shape != (2 * m, 2 * m):
+        raise DimensionError(
+            f"covariance {sigma.sigma.shape} does not match a {m}-mode model"
+        )
+    Sigma = sigma.sigma + 0.5 * np.eye(2 * m)
     try:
         np.linalg.cholesky(Sigma)
     except np.linalg.LinAlgError as exc:
@@ -290,77 +322,65 @@ def _husimi_covariance(sigma: CovarianceMatrix) -> np.ndarray:
     return Sigma
 
 
-def unitary_drift_diffusion(hp: HPCoefficients, p: DickeParams):
-    """Drift A_u and diffusion D_u of the purely unitary Husimi flow.
-
-    A quadratic Hamiltonian moves the Wigner function by the drift
-    A_u = Omega G alone; convolving with the vacuum Gaussian (covariance
-    I/2) to reach the Husimi picture adds the constant diffusion
-    D_u = -(A_u (I/2) + (I/2) A_u^T) = -(Omega G + G Omega^T)/2.
-    """
-    G = hamiltonian_quadratic_form(hp, p)
-    A_u = OMEGA_4 @ G
-    D_u = -0.5 * (A_u + A_u.T)
-    return A_u, D_u
-
-
 def gaussian_budget(
     sigma: CovarianceMatrix,
-    hp: HPCoefficients,
-    p: DickeParams,
-    mf: MeanFieldState,
+    G: np.ndarray,
+    losses,
+    alpha: complex,
     N: int,
 ) -> EntropyBudget:
-    """Entropy budget of the Gaussian steady state, all in closed form.
+    """Entropy budget of the Gaussian state of the model (G, losses).
 
     With Sigma = sigma + I/2 the Husimi function is the centered normal
-    density with covariance Sigma (per-mode measure d^2 nu = dq dp / 2):
+    density with covariance Sigma (per-mode measure d^2 nu = dq dp / 2);
+    k_i is the loss rate of mode i:
 
-      * Wehrl entropy: S = 2 (1 + ln pi) + (1/2) ln det Sigma.
-      * Fluctuation flux per mode i: Phi_q,i = kappa_i (Sigma_qq + Sigma_pp - 2).
+      * Wehrl entropy: S = m (1 + ln pi) + (1/2) ln det Sigma.
+      * Fluctuation flux per mode: Phi_q,i = k_i (Sigma_qq + Sigma_pp - 2).
       * Dissipative production per mode: the loss current gives
-        |J^nu|^2/Q = (kappa^2/2) |((I - Sigma^{-1}) r)_{(q,p)}|^2 Q, so
-        Pi_d,i = kappa_i [ (M Sigma M^T)_qq + (M Sigma M^T)_pp ],
+        |J^nu|^2/Q = (k_i^2/2) |((I - Sigma^{-1}) r)_{(q,p)}|^2 Q, so
+        Pi_d,i = k_i [ (M Sigma M^T)_qq + (M Sigma M^T)_pp ],
         M = I - Sigma^{-1}, and M Sigma M^T = Sigma - 2I + Sigma^{-1}.
-      * Unitary production: Pi_u = (1/2) tr(D_u Sigma^{-1}); the drift part
-        integrates to tr(A_u) = tr(Omega G) = 0.
+      * Unitary production: Pi_u = (1/2) tr(D_u Sigma^{-1}).
+      * Mean-field flux of the last (cavity) mode: Phi_ext = 2 k_m N |alpha|^2.
 
-    At the Lyapunov fixed point these obey
-    Pi_u + Pi_d,a + Pi_d,b = Phi_q,a + Phi_q,b identically.  The headline
-    Pi_d / Phi_q are the cavity (a-mode) values; the stabilizer (b-mode)
-    values are reported separately.
+    At the Lyapunov fixed point these obey Pi_u + sum_i Pi_d,i =
+    sum_i Phi_q,i identically.  The headline Phi_q / Pi_d are the last
+    mode's; the other modes' sums are Phi_q_b / Pi_d_b (None for m = 1).
     """
-    Sigma = _husimi_covariance(sigma)
+    m = _mode_count(G, losses)
+    Sigma = _husimi_covariance(sigma, m)
     sign, logdet = np.linalg.slogdet(Sigma)
     if sign <= 0:
         raise InvalidCovarianceError("det(sigma + I/2) must be positive")
-    S = 2.0 * (1.0 + math.log(math.pi)) + 0.5 * logdet
+    S = m * (1.0 + math.log(math.pi)) + 0.5 * logdet
 
     P = np.linalg.inv(Sigma)
-    T = Sigma - 2.0 * np.eye(4) + P
-    phi_q_b = p.gamma * (Sigma[0, 0] + Sigma[1, 1] - 2.0)
-    phi_q_a = p.kappa * (Sigma[2, 2] + Sigma[3, 3] - 2.0)
-    pi_d_b = p.gamma * (T[0, 0] + T[1, 1])
-    pi_d_a = p.kappa * (T[2, 2] + T[3, 3])
+    T = Sigma - 2.0 * np.eye(2 * m) + P
+    k = np.asarray(losses, dtype=float)
+    phi_q = k * (np.diag(Sigma).reshape(m, 2).sum(axis=1) - 2.0)
+    pi_d = k * np.diag(T).reshape(m, 2).sum(axis=1)
+    phi_q_b = float(phi_q[:-1].sum()) if m > 1 else None
+    pi_d_b = float(pi_d[:-1].sum()) if m > 1 else None
+    pi_u = 0.5 * float(np.trace(unitary_diffusion(G) @ P))
 
-    _, D_u = unitary_drift_diffusion(hp, p)
-    pi_u = 0.5 * float(np.trace(D_u @ P))
-
-    phi_ext = 2.0 * p.kappa * N * abs(mf.alpha) ** 2
-    total_phi_q = phi_q_a + phi_q_b
-    balance_rel = abs(pi_u + pi_d_a + pi_d_b - total_phi_q) / max(total_phi_q, 1e-12)
+    phi_ext = 2.0 * k[-1] * N * abs(alpha) ** 2
+    # cavity mode first, then the rest
+    total_phi_q = phi_q[-1] + (phi_q_b or 0.0)
+    d_s = pi_u + pi_d[-1] + (pi_d_b or 0.0) - total_phi_q
+    balance_rel = abs(d_s) / max(total_phi_q, 1e-12)
     if balance_rel > 1e-6:
         log.warning("Gaussian fluctuation balance off by %.3e", balance_rel)
     return EntropyBudget(
-        S=S,
-        dSdt=pi_u + pi_d_a + pi_d_b - total_phi_q,
-        Phi_ext=phi_ext,
-        Phi_q=phi_q_a,
+        S=float(S),
+        dSdt=float(d_s),
+        Phi_ext=float(phi_ext),
+        Phi_q=float(phi_q[-1]),
         Pi_u=pi_u,
-        Pi_d=pi_d_a,
-        alpha=mf.alpha,
+        Pi_d=float(pi_d[-1]),
+        alpha=complex(alpha),
         N=N,
-        balance_rel=balance_rel,
+        balance_rel=float(balance_rel),
         Phi_q_b=phi_q_b,
         Pi_d_b=pi_d_b,
     )
@@ -370,9 +390,9 @@ def dicke_point(p: DickeParams, N: int = 1):
     """Full pipeline at one coupling: returns (budget, sigma, hp, mf)."""
     mf = mean_field_fixed_point(p)
     hp = hp_coefficients(mf, p)
-    A, D = drift_diffusion(hp, p)
-    sigma = solve_lyapunov(A, D)
-    budget = gaussian_budget(sigma, hp, p, mf, N)
+    G, losses = hamiltonian_quadratic_form(hp, p), (p.gamma, p.kappa)
+    sigma = solve_lyapunov(*drift_diffusion(G, losses))
+    budget = gaussian_budget(sigma, G, losses, mf.alpha, N)
     return budget, sigma, hp, mf
 
 
@@ -389,14 +409,12 @@ class MonteCarloBudget:
     Pi_d_stderr: float
     Pi_u_stderr: float
     samples: int
-    Pi_u_raw: float = float("nan")
-    Pi_u_raw_stderr: float = float("nan")
 
 
 def mc_gaussian_budget(
     sigma: CovarianceMatrix,
-    hp: HPCoefficients,
-    p: DickeParams,
+    G: np.ndarray,
+    losses,
     samples: int = 10 ** 6,
     seed: int = 0,
 ) -> MonteCarloBudget:
@@ -406,58 +424,43 @@ def mc_gaussian_budget(
     weights) with a counter-based Philox generator, in batches of
     ``MC_CHUNK``.  A seed gives the same draws for any batch size, but the
     sums are grouped by batch, so another ``MC_CHUNK`` moves the results
-    in the last digits (~1e-16 relative).  Estimators, with r ~ N(0, Sigma),
-    density p4(r), Q = 4 p4 under the per-mode d^2 nu measure:
+    in the last digits (~1e-16 relative).  Estimators, with r ~ N(0, Sigma)
+    over m modes, density p(r), Q = 2^m p under the per-mode d^2 nu measure:
 
-      * S    = E[-ln(4 p4(r))]
-      * Pi_d = kappa E[ ((M r)_qa)^2 + ((M r)_pa)^2 ],  M = I - Sigma^{-1}
-        (the a-mode loss-current integrand |J|^2 / Q^2 evaluated per sample)
-      * Pi_u = tr(A_u) + (1/2) E[ (grad ln Q)^T D_u (grad ln Q) ], the
-        gradient form of -int U(Q) ln Q after integrating the drift and
-        diffusion terms by parts (exact for any normalized decaying Q);
-        grad ln Q = -Sigma^{-1} r per sample.
-
-    The raw generator form -E[(U(Q)/Q)(ln Q - E ln Q)] is also returned
-    (``Pi_u_raw``); it is unbiased but its quartic variance makes it a
-    loose cross-check only.
+      * S    = E[-ln Q(r)]
+      * Pi_d = k_m E[ ((M r)_q)^2 + ((M r)_p)^2 ] on the last mode,
+        M = I - Sigma^{-1} (the loss-current integrand |J|^2 / Q^2 per
+        sample)
+      * Pi_u = (1/2) E[ (grad ln Q)^T D_u (grad ln Q) ], the gradient
+        form of -int U(Q) ln Q after integrating the drift and diffusion
+        terms by parts (exact for any normalized decaying Q; the drift
+        term tr(Omega G) vanishes); grad ln Q = -Sigma^{-1} r per sample.
     """
-    Sigma = _husimi_covariance(sigma)
+    m = _mode_count(G, losses)
+    Sigma = _husimi_covariance(sigma, m)
     P = np.linalg.inv(Sigma)
-    M = np.eye(4) - P
-    A_u, D_u = unitary_drift_diffusion(hp, p)
-    # g(r) = U(Q)/Q for Gaussian Q: quadratic form in r minus its mean.
-    B = P @ A_u + 0.5 * (P @ D_u @ P)
-    g_const = -float(np.trace(A_u)) - 0.5 * float(np.trace(D_u @ P))
+    M = np.eye(2 * m) - P
     # (grad ln Q)^T D_u (grad ln Q) = r^T (P D_u P) r
-    C = P @ D_u @ P
-    tr_au = float(np.trace(A_u))
+    C = P @ unitary_diffusion(G) @ P
+    k_last = float(losses[-1])
     sign, logdet = np.linalg.slogdet(Sigma)
-    log_norm = math.log(4.0) - 2.0 * math.log(2.0 * math.pi) - 0.5 * logdet
-    c0 = log_norm - 2.0  # E[ln Q] = log_norm - E[q]/2 with E[q] = 4
+    log_norm = m * math.log(2.0) - m * math.log(2.0 * math.pi) - 0.5 * logdet
     chol = np.linalg.cholesky(Sigma)
 
     rng = np.random.Generator(np.random.Philox(key=seed))
-    acc = {k: (0.0, 0.0) for k in ("S", "Pi_d", "Pi_u", "Pi_u_raw")}
+    acc = {k: (0.0, 0.0) for k in ("S", "Pi_d", "Pi_u")}
     done = 0
     while done < samples:
-        m = min(MC_CHUNK, samples - done)
-        z = rng.standard_normal((m, 4))
-        r = z @ chol.T
-        q = np.einsum("ij,jk,ik->i", r, P, r)
-        log_q = log_norm - 0.5 * q
-        s_vals = -log_q
+        n = min(MC_CHUNK, samples - done)
+        r = rng.standard_normal((n, 2 * m)) @ chol.T
+        s_vals = 0.5 * np.einsum("ij,jk,ik->i", r, P, r) - log_norm
         mr = r @ M.T
-        pid_vals = p.kappa * (mr[:, 2] ** 2 + mr[:, 3] ** 2)
-        piu_vals = tr_au + 0.5 * np.einsum("ij,jk,ik->i", r, C, r)
-        g = np.einsum("ij,jk,ik->i", r, B, r) + g_const
-        raw_vals = -g * (log_q - c0)
-        for key, vals in (
-            ("S", s_vals), ("Pi_d", pid_vals),
-            ("Pi_u", piu_vals), ("Pi_u_raw", raw_vals),
-        ):
+        pid_vals = k_last * (mr[:, -2] ** 2 + mr[:, -1] ** 2)
+        piu_vals = 0.5 * np.einsum("ij,jk,ik->i", r, C, r)
+        for key, vals in (("S", s_vals), ("Pi_d", pid_vals), ("Pi_u", piu_vals)):
             tot, tot2 = acc[key]
             acc[key] = (tot + vals.sum(), tot2 + (vals ** 2).sum())
-        done += m
+        done += n
 
     def _mean_stderr(key):
         tot, tot2 = acc[key]
@@ -465,13 +468,10 @@ def mc_gaussian_budget(
         var = max(tot2 / samples - mean ** 2, 0.0)
         return mean, math.sqrt(var / samples)
 
-    s_mean, s_err = _mean_stderr("S")
-    d_mean, d_err = _mean_stderr("Pi_d")
-    u_mean, u_err = _mean_stderr("Pi_u")
-    raw_mean, raw_err = _mean_stderr("Pi_u_raw")
-    return MonteCarloBudget(
-        s_mean, d_mean, u_mean, s_err, d_err, u_err, samples, raw_mean, raw_err
+    (s_mean, s_err), (d_mean, d_err), (u_mean, u_err) = (
+        _mean_stderr(k) for k in ("S", "Pi_d", "Pi_u")
     )
+    return MonteCarloBudget(s_mean, d_mean, u_mean, s_err, d_err, u_err, samples)
 
 
 # ---------------------------------------------------------------------------

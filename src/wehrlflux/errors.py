@@ -9,17 +9,6 @@ class DimensionError(WehrlFluxError, ValueError):
     """Operator or state dimension is invalid or mismatched."""
 
 
-class TruncationError(WehrlFluxError, ValueError):
-    """Requested amplitude does not fit in the Fock cutoff.
-
-    Carries ``required_n_max``, an estimate of a cutoff that would.
-    """
-
-    def __init__(self, msg, required_n_max=None):
-        super().__init__(msg)
-        self.required_n_max = required_n_max
-
-
 class CutoffError(WehrlFluxError, ValueError):
     """Fock cutoff below the recommended value for the given parameters."""
 
@@ -62,10 +51,6 @@ class UnstableSystemError(WehrlFluxError, ValueError):
 
 class InvalidCovarianceError(WehrlFluxError, ValueError):
     """Covariance matrix violates symmetry, physicality or positivity."""
-
-
-class SingularExpansionError(WehrlFluxError, ValueError):
-    """Coefficient expansion requested at a singular point (zero mean field)."""
 
 
 class SingularBranchError(WehrlFluxError, ValueError):

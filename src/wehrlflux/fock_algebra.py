@@ -26,14 +26,11 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.special import gammaln
 
-from .errors import DimensionError, StateValidationError, TruncationError
+from .errors import DimensionError, StateValidationError
 
 HERMITICITY_TOL = 1e-10
 TRACE_TOL = 1e-10
 POSITIVITY_TOL = 1e-8
-
-# Default truncation-adequacy guard for coherent states: |mu|^2 <= ratio * n_max.
-COHERENT_FILL_RATIO = 0.5
 
 
 def annihilation(n_max: int) -> sp.csr_matrix:
@@ -47,22 +44,8 @@ def annihilation(n_max: int) -> sp.csr_matrix:
 # Coherent states
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CoherentStateVector:
-    """Truncated coherent state |mu> with components c_n = e^{-|mu|^2/2} mu^n/sqrt(n!)."""
-
-    amplitude: complex
-    dim: int
-    components: np.ndarray = field(repr=False)
-
-    @property
-    def leakage(self) -> float:
-        """Probability weight lost to the truncated Fock tail, 1 - ||c||^2."""
-        return 1.0 - float(np.vdot(self.components, self.components).real)
-
-
 def coherent_components(mu: complex, dim: int) -> np.ndarray:
-    """Truncated coherent-state amplitudes, no adequacy guard.
+    """Truncated coherent-state amplitudes c_n = e^{-|mu|^2/2} mu^n / sqrt(n!).
 
     Stable for arbitrary |mu|: magnitudes go through logs, so components
     simply underflow to zero far from the Poisson peak.
@@ -78,25 +61,6 @@ def coherent_components(mu: complex, dim: int) -> np.ndarray:
     log_mag = -0.5 * abs(mu) ** 2 + n * math.log(abs(mu)) - 0.5 * gammaln(n + 1.0)
     phase = np.angle(mu)
     return np.exp(log_mag) * np.exp(1j * n * phase)
-
-
-def coherent_state(
-    mu: complex, n_max: int, fill_ratio: float = COHERENT_FILL_RATIO
-) -> CoherentStateVector:
-    """Guarded coherent-state constructor.
-
-    Rejects amplitudes with |mu|^2 > fill_ratio * n_max, since the Poisson
-    photon distribution then presses against the cutoff.
-    """
-    mu = complex(mu)
-    if abs(mu) ** 2 > fill_ratio * n_max:
-        required = int(math.ceil(abs(mu) ** 2 / fill_ratio)) + 1
-        raise TruncationError(
-            f"|mu|^2 = {abs(mu)**2:.3g} exceeds {fill_ratio} * n_max = "
-            f"{fill_ratio * n_max:.3g}; need n_max >= {required}",
-            required_n_max=required,
-        )
-    return CoherentStateVector(mu, n_max, coherent_components(mu, n_max))
 
 
 # ---------------------------------------------------------------------------

@@ -395,13 +395,6 @@ class CollapseResult:
     rows: list
     metrics: dict
 
-    def headline(self) -> dict | None:
-        """Spread between the two largest sizes."""
-        if not self.metrics:
-            return None
-        pair = max(self.metrics, key=lambda t: t[1])
-        return self.metrics[pair]
-
 
 def collapse_transform(points, eps_c: float) -> CollapseResult:
     points = sorted(points, key=lambda r: (r.N, r.eps))

@@ -26,8 +26,9 @@ On top of Q the module computes:
     displaced by the order parameter, nu = mu - alpha sqrt(N)
   * unitary production of the Kerr nonlinearity (exact single-mode form)
       Pi_u = (i u / 2N) int (1/Q) [mu^2 (dQ/dmu)^2 - mubar^2 (dQ/dmubar)^2]
-  * the leading-order unitary production for a general normal-ordered
-    Hamiltonian through its drift/squeezing expansion coefficients.
+
+The leading-order (Gaussian) budget of a quadratic model, Pi_u included,
+is closed-form and lives in ``dicke_gaussian.gaussian_budget``.
 
 Quadrature is a tensor trapezoidal rule on a uniform grid; Husimi
 functions are smooth and exponentially localized, so the rule converges
@@ -51,7 +52,6 @@ from .errors import (
     DimensionError,
     MassDeficitError,
     QuadratureError,
-    SingularExpansionError,
     StateValidationError,
 )
 from .fock_algebra import (
@@ -316,108 +316,6 @@ def pi_u_kerr(
 
 
 # ---------------------------------------------------------------------------
-# Normal-ordered Hamiltonians and the leading-order unitary production
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class NormalOrderedHamiltonian:
-    """Intensive coefficients h_rs of a normal-ordered single-mode Hamiltonian.
-
-    The physical coefficient of (a^dag)^r a^s is h_rs N^{1-(r+s)/2}, so the
-    h_rs are independent of the scale parameter.  Hermiticity requires
-    h_rs = conj(h_sr).
-    """
-
-    coefficients: dict
-
-    def __post_init__(self):
-        for (r, s), h in self.coefficients.items():
-            if r < 0 or s < 0:
-                raise DimensionError(f"negative ladder powers ({r}, {s})")
-            partner = self.coefficients.get((s, r), 0.0)
-            if abs(complex(h) - complex(partner).conjugate()) > 1e-12:
-                raise StateValidationError(
-                    f"hermiticity violated: h[{r},{s}] != conj(h[{s},{r}])"
-                )
-
-    @staticmethod
-    def kerr(delta: float, u: float, eps: float = 0.0) -> "NormalOrderedHamiltonian":
-        coeff = {(1, 1): complex(delta), (2, 2): complex(u / 2.0)}
-        if eps:
-            coeff[(1, 0)] = 1j * eps
-            coeff[(0, 1)] = -1j * eps
-        return NormalOrderedHamiltonian(coeff)
-
-
-@dataclass(frozen=True)
-class UnitaryGeneratorCoefficients:
-    """Drift (xi1), squeezing-diffusion (xi2) and rotation (xi11) constants."""
-
-    xi1: complex
-    xi2: complex
-    xi11: complex
-
-
-def _pow(base: complex, exponent: int) -> complex:
-    if exponent == 0:
-        return 1.0
-    if exponent < 0 and base == 0:
-        raise SingularExpansionError(
-            f"negative power 0^{exponent} with nonzero multiplier"
-        )
-    return base ** exponent
-
-
-def _term(mult: float, alpha: complex, a_exp: int, abar: complex, b_exp: int) -> complex:
-    # multiplier checked first: s(s-1) etc. legitimately kill negative powers
-    if mult == 0:
-        return 0.0
-    return mult * _pow(alpha, a_exp) * _pow(abar, b_exp)
-
-
-def xi_coefficients(
-    H: NormalOrderedHamiltonian, alpha: complex
-) -> UnitaryGeneratorCoefficients:
-    """Expansion constants of the unitary phase-space generator at alpha.
-
-    xi1  = -i sum h_rs alpha^{s-1} conj(alpha)^r s
-    xi2  = -i sum h_rs alpha^{s-2} conj(alpha)^r s (s-1)
-    xi11 = -i sum h_rs alpha^{s-1} conj(alpha)^{r-1} r s
-
-    Terms whose combinatorial multiplier vanishes are dropped before the
-    power is formed, so no spurious negative powers arise.
-    """
-    alpha = complex(alpha)
-    abar = alpha.conjugate()
-    xi1 = xi2 = xi11 = 0.0 + 0.0j
-    for (r, s), h in H.coefficients.items():
-        h = complex(h)
-        xi1 += h * _term(s, alpha, s - 1, abar, r)
-        xi2 += h * _term(s * (s - 1), alpha, s - 2, abar, r)
-        xi11 += h * _term(r * s, alpha, s - 1, abar, r - 1)
-    return UnitaryGeneratorCoefficients(-1j * xi1, -1j * xi2, -1j * xi11)
-
-
-def pi_u_leading(
-    f: PhaseSpaceField,
-    xi: UnitaryGeneratorCoefficients,
-    q_floor_ratio: float = Q_FLOOR_RATIO,
-) -> float:
-    """Leading-order unitary production for a quadratically expanded generator.
-
-    Pi_u = 1/2 int (1/Q) [xi2 (dQ/dnubar)^2 + conj(xi2) (dQ/dnu)^2];
-    only the squeezing-diffusion constant survives the integrations by
-    parts.  With dQ/dnu = conj(dQ/dnubar) this reduces to
-    int Re[xi2 (dQ/dnubar)^2] / Q.
-    """
-    mask, excluded = _floor_mask(f, q_floor_ratio)
-    z = xi.xi2 * f.dQ_dmubar[mask] ** 2
-    val = float(np.dot(f.grid.weights[mask], z.real / f.Q[mask]))
-    log.debug("pi_u_leading: excluded mass %.3e", excluded)
-    return val
-
-
-# ---------------------------------------------------------------------------
 # Entropy budget
 # ---------------------------------------------------------------------------
 
@@ -453,10 +351,6 @@ class EntropyBudget:
     def Pi_total(self) -> float:
         extra = (self.Pi_d_b or 0.0)
         return self.Pi_ext + self.Pi_u + self.Pi_d + extra
-
-    @property
-    def balance_ok(self) -> bool:
-        return self.balance_rel < BALANCE_TOL
 
 
 def entropy_budget(

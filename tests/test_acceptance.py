@@ -19,6 +19,7 @@ from wehrlflux.dicke_gaussian import (
     critical_coupling,
     dicke_point,
     divergence_scan,
+    hamiltonian_quadratic_form,
     kink_detector,
     mc_gaussian_budget,
     mean_field_fixed_point,
@@ -382,7 +383,10 @@ def test_criterion_10_monte_carlo():
     for ratio in (0.5, 0.8, 1.2, 1.5, 2.0):
         p = DickeParams(0.005, 0.01, 1.0, ratio * LAMBDA_C, 1e-3)
         budget, sigma, hp, _ = dicke_point(p)
-        mc = mc_gaussian_budget(sigma, hp, p, samples=10 ** 6, seed=20260810)
+        mc = mc_gaussian_budget(
+            sigma, hamiltonian_quadratic_form(hp, p), (p.gamma, p.kappa),
+            samples=10 ** 6, seed=20260810,
+        )
         worst["S"] = max(worst["S"], abs(mc.S - budget.S) / abs(budget.S))
         worst["Pi_d"] = max(worst["Pi_d"], abs(mc.Pi_d - budget.Pi_d) / abs(budget.Pi_d))
         worst["Pi_u"] = max(worst["Pi_u"], abs(mc.Pi_u - budget.Pi_u) / abs(budget.Pi_u))
@@ -413,7 +417,6 @@ def test_criterion_11_determinism(tmp_path):
                 "certify_cutoff": False,
                 "compute_gap": True,
                 "points_per_axis": 64,
-                "seed": 0,
             },
             "output": str(tmp_path / "out.csv"),
         }

@@ -32,7 +32,7 @@ def cavity_config(tmp_path, out_name="out.csv", **numerics):
         "schema_version": 1,
         "model": "cavity",
         "params": {"E": 1.0, "kappa": 0.5},
-        "numerics": {"compute_gap": False, **numerics},
+        "numerics": numerics,
         "output": str(tmp_path / out_name),
     }
 
@@ -113,40 +113,67 @@ class TestConfigValidation:
         assert f"params.{key}" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "numerics, argv, env, named",
+        "model, key, value, argv, env, named",
         [
-            ({"mc_validate": True, "mc_samples": 0}, [], None, "mc_samples"),
-            ({"seed": -1}, [], None, "seed"),
-            ({"seed": 1.5}, [], None, "seed"),
-            ({"points_per_axis": 10}, [], None, "points_per_axis"),
-            ({"mass_tol": -1e-6}, [], None, "mass_tol"),
-            ({"mass_tol": "tight"}, [], None, "mass_tol"),
-            ({"q_floor_ratio": -1e-14}, [], None, "q_floor_ratio"),
-            ({"q_floor_ratio": None}, [], None, "q_floor_ratio"),
-            ({"balance_tol": 1e-2}, [], None, "balance_tol"),
-            ({"certify_cutoff": "yes"}, [], None, "certify_cutoff"),
-            ({}, ["--threads", "-3"], None, "--threads"),
-            ({}, [], "abc", "WEHRLFLUX_THREADS"),
+            ("dicke", "numerics.mc_samples", 0, [], None, "mc_samples"),
+            ("dicke", "numerics.seed", -1, [], None, "seed"),
+            ("dicke", "numerics.seed", 1.5, [], None, "seed"),
+            ("kerr", "numerics.points_per_axis", 10, [], None, "points_per_axis"),
+            ("kerr", "numerics.mass_tol", -1e-6, [], None, "mass_tol"),
+            ("kerr", "numerics.mass_tol", "tight", [], None, "mass_tol"),
+            ("kerr", "numerics.mass_tol", math.inf, [], None, "mass_tol"),
+            ("kerr", "numerics.q_floor_ratio", -1e-14, [], None, "q_floor_ratio"),
+            ("kerr", "numerics.q_floor_ratio", None, [], None, "q_floor_ratio"),
+            ("dicke", "numerics.balance_tol", 1e-2, [], None, "balance_tol"),
+            ("kerr", "numerics.certify_cutoff", "yes", [], None, "certify_cutoff"),
+            ("dicke", None, None, ["--threads", "-3"], None, "--threads"),
+            ("dicke", None, None, [], "abc", "WEHRLFLUX_THREADS"),
+            ("kerr", "params.delta", math.nan, [], None, "params.delta"),
+            ("cavity", "params.E", math.inf, [], None, "params.E"),
+            ("dicke", "params.omega0", math.nan, [], None, "params.omega0"),
+            ("kerr", "sweep.eps.min", math.nan, [], None, "sweep.eps.min"),
+            ("kerr", "sweep.N_list", [True], [], None, "sweep.N_list"),
+            ("kerr", "sweep.eps.count", True, [], None, "sweep.eps.count"),
+            ("kerr", "numerics.mc_samples", 10, [], None, "mc_samples"),
+            ("dicke", "numerics.points_per_axis", 128, [], None, "points_per_axis"),
+            ("dicke", "numerics.compute_gap", False, [], None, "compute_gap"),
+            ("cavity", "numerics.compute_gap", False, [], None, "compute_gap"),
+            ("cavity", "numerics.seed", 1, [], None, "seed"),
         ],
         ids=[
             "mc_samples-0", "seed-negative", "seed-fraction", "points_per_axis-10",
-            "mass_tol-negative", "mass_tol-text", "q_floor_ratio-negative",
-            "q_floor_ratio-null", "balance_tol-removed", "certify_cutoff-text",
-            "threads-negative", "threads-env-text",
+            "mass_tol-negative", "mass_tol-text", "mass_tol-infinite",
+            "q_floor_ratio-negative", "q_floor_ratio-null", "balance_tol-removed",
+            "certify_cutoff-text", "threads-negative", "threads-env-text",
+            "kerr-delta-nan", "cavity-E-infinite", "dicke-omega0-nan",
+            "eps-min-nan", "N_list-bool", "eps-count-bool",
+            "kerr-reads-no-mc_samples", "dicke-reads-no-points_per_axis",
+            "dicke-reads-no-compute_gap", "cavity-reads-no-compute_gap",
+            "cavity-reads-no-seed",
         ],
     )
     def test_invalid_run_inputs_exit_config(
-        self, tmp_path, capsys, monkeypatch, numerics, argv, env, named
+        self, tmp_path, capsys, monkeypatch, model, key, value, argv, env, named
     ):
         if env is None:
             monkeypatch.delenv("WEHRLFLUX_THREADS", raising=False)
         else:
             monkeypatch.setenv("WEHRLFLUX_THREADS", env)
-        cfg = dicke_config(tmp_path, 0.3, 0.31, 2, **numerics)
+        cfg = {
+            "kerr": kerr_config,
+            "dicke": lambda path: dicke_config(path, 0.3, 0.31, 2),
+            "cavity": cavity_config,
+        }[model](tmp_path)
+        if key is not None:
+            *parents, leaf = key.split(".")
+            block = cfg
+            for name in parents:
+                block = block.setdefault(name, {})
+            block[leaf] = value
         code = main(["run", write_config(tmp_path / "c.json", cfg), *argv])
         assert code == EXIT_CONFIG
         assert named in capsys.readouterr().err
-        assert not (tmp_path / "dicke.csv").exists()
+        assert not Path(cfg["output"]).exists()
 
     @pytest.mark.parametrize("certify", [True, False])
     def test_certify_cutoff_still_accepted(self, tmp_path, certify):
@@ -172,8 +199,13 @@ class TestRun:
         assert len(rows) == 1
         row = rows[0]
         assert row["model"] == "cavity"
-        assert row["Pi_ext"] == pytest.approx(4.0, rel=1e-4)
-        assert row["Pi_ext"] == row["Phi_ext"]
+        # the one-mode Gaussian: exact coherent state alpha = E / kappa
+        assert row["S"] == 1.0 + math.log(math.pi)
+        assert row["Phi_ext"] == row["Pi_ext"] == 4.0
+        assert row["alpha_re"] == 2.0
+        assert row["alpha_im"] == row["Phi_q"] == row["Pi_u"] == row["Pi_d"] == 0.0
+        assert row["residual"] == 0.0
+        assert row["gap"] is None and row["n_max_used"] is None and row["beta"] is None
         assert row["wall_time_s"] == 0.0
         assert any(line.startswith("# config_sha256=") for line in header)
 

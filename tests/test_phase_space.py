@@ -5,7 +5,8 @@ import pytest
 import scipy.linalg as sla
 
 from conftest import kerr_params, random_density_matrix
-from wehrlflux.errors import DimensionError, MassDeficitError, SingularExpansionError
+from wehrlflux.dicke_gaussian import CovarianceMatrix, gaussian_budget, unitary_diffusion
+from wehrlflux.errors import DimensionError, MassDeficitError
 from wehrlflux.fock_algebra import (
     DensityMatrix,
     annihilation,
@@ -15,7 +16,6 @@ from wehrlflux.fock_algebra import (
 )
 from wehrlflux.liouvillian import KerrParams, evolve, max_stable_dt, build_kerr_liouvillian
 from wehrlflux.phase_space import (
-    NormalOrderedHamiltonian,
     _coherent_matrix,
     auto_grid,
     build_grid,
@@ -25,9 +25,7 @@ from wehrlflux.phase_space import (
     husimi_field,
     pi_d,
     pi_u_kerr,
-    pi_u_leading,
     wehrl_entropy,
-    xi_coefficients,
 )
 
 WEHRL_VACUUM = 1.0 + math.log(math.pi)
@@ -40,13 +38,14 @@ def husimi_at(rho: DensityMatrix, mu: complex) -> float:
 
 
 def quadrature_covariance(rho: DensityMatrix) -> np.ndarray:
-    """2x2 symmetrized covariance of (q, p) for a centered state."""
+    """2x2 symmetrized covariance of the fluctuations of (q, p)."""
     a = annihilation(rho.dim).toarray()
     q = (a + a.conj().T) / math.sqrt(2.0)
     p = 1j * (a.conj().T - a) / math.sqrt(2.0)
+    dq, dp = (X - np.trace(rho.entries @ X).real * np.eye(rho.dim) for X in (q, p))
     out = np.empty((2, 2))
-    for i, A in enumerate((q, p)):
-        for j, B in enumerate((q, p)):
+    for i, A in enumerate((dq, dp)):
+        for j, B in enumerate((dq, dp)):
             out[i, j] = 0.5 * np.trace(rho.entries @ (A @ B + B @ A)).real
     return out
 
@@ -308,98 +307,98 @@ class TestUnitaryProduction:
         assert abs(v1 - v0) < 1e-6
 
 
-class TestXiCoefficients:
-    def test_kerr_squeezing_constant(self):
-        H = NormalOrderedHamiltonian.kerr(-2.0, 1.0)
-        xi = xi_coefficients(H, 1.0 + 0.0j)
-        assert xi.xi2 == pytest.approx(-1j)
-
-    def test_against_symbolic_enumeration(self):
-        import sympy
-
-        alpha_val = 0.8 + 0.3j
-        coeffs = {(1, 1): -2.0, (2, 2): 0.5, (1, 0): 0.25j, (0, 1): -0.25j}
-        H = NormalOrderedHamiltonian(coeffs)
-        a = sympy.Symbol("a")
-        ab = sympy.Symbol("ab")
-        xi1 = xi2 = xi11 = sympy.Integer(0)
-        for (r, s), h in coeffs.items():
-            if s >= 1:
-                xi1 += h * a ** (s - 1) * ab ** r * s
-            if s >= 2:
-                xi2 += h * a ** (s - 2) * ab ** r * s * (s - 1)
-            if r >= 1 and s >= 1:
-                xi11 += h * a ** (s - 1) * ab ** (r - 1) * r * s
-        subs = {a: alpha_val, ab: complex(alpha_val).conjugate()}
-        expected = [complex(-1j * expr.subs(subs)) for expr in (xi1, xi2, xi11)]
-        xi = xi_coefficients(H, alpha_val)
-        assert xi.xi1 == pytest.approx(expected[0], abs=1e-12)
-        assert xi.xi2 == pytest.approx(expected[1], abs=1e-12)
-        assert xi.xi11 == pytest.approx(expected[2], abs=1e-12)
-
-    def test_harmonic_has_no_squeezing(self):
-        H = NormalOrderedHamiltonian({(1, 1): 1.0})
-        xi = xi_coefficients(H, 0.5 + 0.5j)
-        assert xi.xi2 == 0
-        # purely imaginary rotation constant for diagonal Hamiltonians
-        assert abs(xi.xi11.real) < 1e-15
-
-    def test_pure_drive(self):
-        H = NormalOrderedHamiltonian({(1, 0): 1j, (0, 1): -1j})
-        xi = xi_coefficients(H, 0.3)
-        assert xi.xi2 == 0 and xi.xi11 == 0
-        assert xi.xi1 != 0
-
-    def test_singular_expansion_guard(self):
-        # valid ladder powers never produce a negative power with a nonzero
-        # multiplier, so the guard is exercised at the helper level
-        from wehrlflux.phase_space import _term
-
-        with pytest.raises(SingularExpansionError):
-            _term(1.0, 0.0, -1, 1.0, 0)
-        assert _term(0.0, 0.0, -1, 1.0, 0) == 0.0
-
-    def test_vacuum_expansion_point_is_regular(self):
-        H = NormalOrderedHamiltonian({(1, 1): -2.0, (2, 2): 0.5})
-        xi = xi_coefficients(H, 0.0)
-        # drift and squeezing vanish at the origin; the rotation constant
-        # keeps the bare detuning contribution -i h_11
-        assert xi.xi1 == 0 and xi.xi2 == 0
-        assert xi.xi11 == pytest.approx(2j)
-
-
 class TestLeadingOrderUnitary:
-    def test_zero_squeezing_constant(self):
-        from wehrlflux.phase_space import UnitaryGeneratorCoefficients
+    """The leading-order unitary production is the Gaussian one,
+    Pi_u = (1/2) tr(D_u Sigma^-1) of ``gaussian_budget``."""
 
-        f = husimi_field(DensityMatrix.thermal(0.5, 30), build_grid(0.0, 8.0, 64))
-        xi = UnitaryGeneratorCoefficients(1.0 + 1j, 0.0, -0.5j)
-        assert pi_u_leading(f, xi) == 0.0
+    def test_zero_squeezing_constant(self):
+        # a pure rotation G = w I does not squeeze: D_u = 0, so Pi_u = 0
+        sigma = CovarianceMatrix(quadrature_covariance(squeezed_vacuum(0.4)))
+        assert gaussian_budget(sigma, 1.3 * np.eye(2), (0.5,), 0.0, 1).Pi_u == 0.0
 
     def test_gaussian_closed_form(self):
-        from wehrlflux.phase_space import UnitaryGeneratorCoefficients
-
+        # (1/2) tr(D_u Sigma^-1) against the defining integral
+        # (1/2) int (grad Q)^T D_u (grad Q) / Q on the Husimi grid, with
+        # grad Q = sqrt(2) (Re, Im) dQ/dmubar in R = (q, p)
         rho = squeezed_vacuum(0.4)
-        Sigma = quadrature_covariance(rho) + 0.5 * np.eye(2)
-        P = np.linalg.inv(Sigma)
-        xi2 = 0.3 - 0.7j
-        closed = (xi2 * 0.5 * (P[0, 0] - P[1, 1] + 2j * P[0, 1])).real
+        G = np.array([[0.3, -0.7], [-0.7, -0.2]])
         f = husimi_field(rho, auto_grid(rho, points_per_axis=128))
-        quad = pi_u_leading(f, UnitaryGeneratorCoefficients(0.0, xi2, 0.0))
-        assert quad == pytest.approx(closed, rel=1e-4)
+        keep = f.Q > 1e-14 * f.Q.max()
+        z = f.dQ_dmubar[keep]
+        grad = math.sqrt(2.0) * np.stack([z.real, z.imag])
+        integrand = np.einsum("ik,ij,jk->k", grad, unitary_diffusion(G), grad)
+        quad = 0.5 * np.dot(f.grid.weights[keep], integrand / f.Q[keep])
+        sigma = CovarianceMatrix(quadrature_covariance(rho))
+        closed = gaussian_budget(sigma, G, (1.0,), 0.0, 1).Pi_u
+        assert quad == pytest.approx(closed, rel=1e-9)
 
     def test_matches_exact_integrand_away_from_core(self, ness_cache):
-        # leading order vs exact Kerr integrand where one branch dominates
+        # exact Kerr integrand against the one-mode Gaussian Pi_u of the
+        # state's own covariance, where one branch dominates: the Kerr term
+        # linearized at alpha is H2 = (1/2) R^T G R with
+        # G = [[d + u x, u y], [u y, d - u x]], d = delta + 2u|alpha|^2,
+        # alpha^2 = x + i y
         p = kerr_params(1.0, 30)
         rho, _ = ness_cache(p)
-        f = husimi_field(rho, auto_grid(rho))
+        exact = pi_u_kerr(husimi_field(rho, auto_grid(rho)), p.u, p.N)
         alpha = mean_amplitude(rho) / math.sqrt(p.N)
-        xi = xi_coefficients(
-            NormalOrderedHamiltonian.kerr(p.delta, p.u, p.eps), alpha
+        x, y = (alpha ** 2).real, (alpha ** 2).imag
+        d = p.delta + 2.0 * p.u * abs(alpha) ** 2
+        G = np.array([[d + p.u * x, p.u * y], [p.u * y, d - p.u * x]])
+        sigma = CovarianceMatrix(quadrature_covariance(rho))
+        linearized = gaussian_budget(sigma, G, (p.kappa,), alpha, p.N).Pi_u
+        assert linearized == pytest.approx(exact, rel=1e-2)
+
+
+def displaced_squeezed_thermal(nbar, xi, beta, dim):
+    """D(beta) S(xi) rho_th(nbar) S(xi)^dag D(beta)^dag built in Fock space,
+    with S(xi) = exp((conj(xi) a^2 - xi a^dag^2)/2), and its analytic
+    quadrature covariance (nbar + 1/2) M^2, M the symmetric symplectic
+    matrix of S(xi)."""
+    a = annihilation(dim).toarray()
+    ad = a.conj().T
+    U = sla.expm(beta * ad - np.conj(beta) * a) @ sla.expm(
+        0.5 * (np.conj(xi) * a @ a - xi * ad @ ad)
+    )
+    n = np.arange(dim)
+    rho = U @ np.diag((nbar / (1.0 + nbar)) ** n / (1.0 + nbar)) @ U.conj().T
+    r, theta = abs(xi), np.angle(xi)
+    c, s = math.cosh(r), math.sinh(r)
+    M = np.array(
+        [[c - s * math.cos(theta), -s * math.sin(theta)],
+         [-s * math.sin(theta), c + s * math.cos(theta)]]
+    )
+    return rho, (nbar + 0.5) * M @ M
+
+
+class TestGaussianCrossCheck:
+    @pytest.mark.parametrize(
+        "nbar, xi, beta, dim",
+        [
+            (0.0, 0.0, 0.0, 12),
+            (0.5, 0.0, 0.0, 40),
+            (0.0, 0.2 + 0.4j, 0.0, 40),
+            (0.2, 0.3, 1.5 + 0.5j, 60),
+            (0.1, 0.25 * np.exp(0.7j), -0.8 + 0.6j, 60),
+        ],
+        ids=["vacuum", "thermal", "squeezed", "displaced-squeezed-thermal",
+             "rotated-squeeze"],
+    )
+    def test_grid_matches_closed_form(self, nbar, xi, beta, dim):
+        # the Husimi grid on a Fock-space state against the one-mode
+        # Gaussian closed form with the analytic covariance
+        rho, sigma = displaced_squeezed_thermal(nbar, xi, beta, dim)
+        assert abs(rho[-1, -1]) < 1e-14
+        rho = DensityMatrix(dim, 0.5 * (rho + rho.conj().T))
+        kappa = 0.7
+        grid = entropy_budget(rho, KerrParams(0.0, 1.0, kappa, 0.0, 1), auto_grid(rho))
+        closed = gaussian_budget(
+            CovarianceMatrix(sigma), np.zeros((2, 2)), (kappa,), complex(beta), 1
         )
-        exact = pi_u_kerr(f, p.u, p.N)
-        leading = pi_u_leading(f, xi)
-        assert leading == pytest.approx(exact, rel=0.10)
+        for name in ("S", "Phi_q", "Pi_d", "Phi_ext"):
+            assert getattr(grid, name) == pytest.approx(
+                getattr(closed, name), rel=1e-9, abs=1e-12
+            ), name
 
 
 class TestEntropyBudget:
