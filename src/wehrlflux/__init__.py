@@ -51,6 +51,7 @@ from .phase_space import (
     EntropyBudget,
     PhaseSpaceField,
     PhaseSpaceGrid,
+    PolarGrid,
     auto_grid,
     build_grid,
     entropy_budget,
@@ -59,5 +60,7 @@ from .phase_space import (
     husimi_field,
     pi_d,
     pi_u_kerr,
+    polar_grid,
+    polar_husimi_field,
     wehrl_entropy,
 )

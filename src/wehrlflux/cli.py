@@ -44,6 +44,8 @@ CSV_COLUMNS = [
 _NUMERICS_DEFAULTS = {
     "kerr": {
         "n_max": None,
+        # validated but ignored: the Kerr budget runs on the polar grid, and
+        # schema 2 retires the key
         "points_per_axis": POINTS_PER_AXIS,
         "mass_tol": MASS_TOL,
         "q_floor_ratio": Q_FLOOR_RATIO,
@@ -270,7 +272,6 @@ def _run_kerr(cfg, keep_going, threads):
         KerrParams(p["delta"], p["u"], p["kappa"], 0.0, 1),
         cfg["sweep"]["N_list"],
         cfg["sweep"]["eps_grid"],
-        points_per_axis=numerics["points_per_axis"],
         compute_gap=numerics["compute_gap"],
         threads=threads,
         timing=numerics["timing"],

@@ -89,6 +89,9 @@ class DickeParams:
     gamma: float
 
     def __post_init__(self):
+        vals = (self.omega0, self.omega, self.kappa, self.lam, self.gamma)
+        if not all(math.isfinite(v) for v in vals):
+            raise ValueError("Dicke parameters must be finite")
         for name in ("omega0", "omega", "kappa", "gamma"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be > 0")

@@ -13,17 +13,17 @@ and the drive values eps(n_pm) delimit the bistable window.  Note the
 upper turning point carries the lower drive: eps(n_minus) > eps(n_plus).
 
 ``sweep`` computes one steady-state entropy budget per (N, eps) point,
-with Fock cutoff and quadrature grid auto-selected per point and BLAS on
-one thread (in the serial path and in every pool worker alike), and
-``collapse_transform`` rescales the resulting curves onto the finite-size
-coordinate x = N (eps/eps_c - 1).
+with the Fock cutoff auto-selected per point, the Husimi integrals on
+``phase_space.polar_grid`` and BLAS on one thread (in the serial path and
+in every pool worker alike), and ``collapse_transform`` rescales the
+resulting curves onto the finite-size coordinate x = N (eps/eps_c - 1).
 
 The cutoff rule and its Fock-tail check (``steady_state_certified``, on
 every sweep point) are fixed by the module constants ``CUTOFF_C1``,
 ``CUTOFF_C2``, ``CUTOFF_FLOOR``, ``CUTOFF_TAIL_TOL`` and
 ``CUTOFF_MAX_ESCALATIONS``.  ``sweep`` takes its numerics as keyword-only
-options; the grid and quadrature defaults are ``phase_space``'s
-``POINTS_PER_AXIS``, ``MASS_TOL`` and ``Q_FLOOR_RATIO``.
+options; the quadrature defaults are ``phase_space``'s ``MASS_TOL`` and
+``Q_FLOOR_RATIO``.
 """
 
 from __future__ import annotations
@@ -48,9 +48,7 @@ from .liouvillian import (
     liouvillian_gap,
     steady_state,
 )
-from .phase_space import (
-    MASS_TOL, POINTS_PER_AXIS, Q_FLOOR_RATIO, EntropyBudget, auto_grid, entropy_budget,
-)
+from .phase_space import MASS_TOL, Q_FLOOR_RATIO, EntropyBudget, entropy_budget
 
 log = logging.getLogger(__name__)
 
@@ -202,9 +200,6 @@ class SweepRecord:
     gap: float
     n_mean: float
     n_max_used: int
-    grid_center: complex
-    grid_half_width: float
-    grid_points: int
     ness_residual: float
     wall_time_s: float = 0.0
 
@@ -217,8 +212,7 @@ class SweepResult:
 
 @one_blas_thread
 def _sweep_point(
-    p_base, N, eps, *, points_per_axis, compute_gap, timing, n_max, mass_tol,
-    q_floor_ratio,
+    p_base, N, eps, *, compute_gap, timing, n_max, mass_tol, q_floor_ratio,
 ) -> SweepRecord:
     """One point of ``sweep``, which documents the options."""
     start = time.perf_counter()
@@ -229,10 +223,7 @@ def _sweep_point(
     gap = liouvillian_gap(L) if compute_gap else float("nan")
     ness_residual = L.residual(rho)
     del L
-    grid = auto_grid(rho, points_per_axis=points_per_axis)
-    budget = entropy_budget(
-        rho, p, grid, mass_tol=mass_tol, q_floor_ratio=q_floor_ratio
-    )
+    budget = entropy_budget(rho, p, mass_tol=mass_tol, q_floor_ratio=q_floor_ratio)
     return SweepRecord(
         N=N,
         eps=eps,
@@ -240,9 +231,6 @@ def _sweep_point(
         gap=gap,
         n_mean=mean_photon_number(rho) / N,
         n_max_used=n_used,
-        grid_center=grid.center,
-        grid_half_width=grid.half_width,
-        grid_points=grid.points_per_axis,
         ness_residual=ness_residual,
         wall_time_s=(time.perf_counter() - start) if timing else 0.0,
     )
@@ -254,7 +242,6 @@ def sweep(
     eps_grid,
     *,
     threads: int = 1,
-    points_per_axis: int = POINTS_PER_AXIS,
     compute_gap: bool = True,
     timing: bool = False,
     n_max: int | None = None,
@@ -282,8 +269,8 @@ def sweep(
                 stacklevel=2,
             )
     point = functools.partial(
-        _sweep_point, points_per_axis=points_per_axis, compute_gap=compute_gap,
-        timing=timing, n_max=n_max, mass_tol=mass_tol, q_floor_ratio=q_floor_ratio,
+        _sweep_point, compute_gap=compute_gap, timing=timing, n_max=n_max,
+        mass_tol=mass_tol, q_floor_ratio=q_floor_ratio,
     )
     jobs = [(p_base, int(N), float(eps)) for N in N_list for eps in eps_grid]
     result = SweepResult()

@@ -7,13 +7,33 @@ analytically,
     d Q / d mubar = -mu Q + <mu| a rho |mu> / pi,
     d Q / d mu    = conj(d Q / d mubar)          (Q is real),
 
-never by finite differences.  Both come from one product per chunk of
-nodes: with C the matrix whose columns are the coherent components
-c(mu) and R = rho C, Q = conj(c)^T R / pi column by column, and since
-(a rho)_{n,m} = sqrt(n+1) rho_{n+1,m}, the matrix (a rho) C is R shifted
-up one row with row n scaled by sqrt(n+1).  So <mu| a rho |mu> is
-sum_n sqrt(n+1) conj(c_n) R_{n+1} and no operator is ever built.  C
-itself comes from the rescaled recurrence c_n = c_{n-1} mu / sqrt(n).
+never by finite differences.
+
+The pipeline evaluates both on a polar grid about the origin
+(``polar_grid``, ``polar_husimi_field``).  With mu = r e^{i theta} the
+coherent components are c_n(mu) = a_n(r) e^{i n theta}, where
+a_n(r) = e^{-r^2/2} r^n / sqrt(n!), so
+
+    Q(r, theta) = (1/pi) sum_k e^{i k theta} q_k(r),
+    q_k(r) = sum_m rho_{m,m+k} a_m(r) a_{m+k}(r),
+
+a band-limited Fourier series in theta whose coefficients are diagonal
+sums of rho.  <mu| a rho |mu> is the same sum over
+(a rho)_{m,n} = sqrt(m+1) rho_{m+1,n}, for both signs of k, since a rho
+is not Hermitian.  So the Fock work is O(radii dim^2), and one FFT per
+radius turns the coefficients into values at 2 dim + 2 equally spaced
+angles, which sample Q without aliasing.  The radii sit on
+``POLAR_PANELS`` Gauss-Legendre panels of ``POLAR_RADII_PER_PANEL`` nodes
+over [0, r_max], with r_max taken from the state's Fock support.
+
+The tensor path (``build_grid``, ``auto_grid``, ``husimi_field``) is the
+oracle: a uniform grid of any center and width, with Q and
+<mu| a rho |mu> from one product per chunk of nodes.  With C the matrix
+whose columns are the coherent components c(mu) and R = rho C,
+Q = conj(c)^T R / pi column by column, and the matrix (a rho) C is R
+shifted up one row with row n scaled by sqrt(n+1), so no operator is
+ever built.  C itself comes from the rescaled recurrence
+c_n = c_{n-1} mu / sqrt(n).
 
 On top of Q the module computes:
 
@@ -30,14 +50,17 @@ On top of Q the module computes:
 The leading-order (Gaussian) budget of a quadratic model, Pi_u included,
 is closed-form and lives in ``dicke_gaussian.gaussian_budget``.
 
-Quadrature is a tensor trapezoidal rule on a uniform grid; Husimi
-functions are smooth and exponentially localized, so the rule converges
-geometrically and reproduces identically across implementations.
+Quadrature on the polar grid is Gauss-Legendre in r and the trapezoidal
+rule in theta; on the tensor grid it is the trapezoidal rule in both
+axes.  Husimi functions are smooth and exponentially localized, so both
+rules converge geometrically.  The integrals below read only nodes,
+weights, Q and dQ, so they serve either grid.
 
-Fixed settings are module constants: the default grid size
-``POINTS_PER_AXIS``, the extent of ``auto_grid`` (``GRID_WIDTH_SIGMAS``,
-``SUPPORT_TAIL``), and ``MASS_TOL``, ``Q_FLOOR_RATIO``, ``BALANCE_TOL``
-and ``PI_U_IMAG_TOL``.
+Fixed settings are module constants: the polar panels
+(``POLAR_PANELS``, ``POLAR_RADII_PER_PANEL``), the default tensor grid
+size ``POINTS_PER_AXIS``, the extent of both grids
+(``GRID_WIDTH_SIGMAS``, ``SUPPORT_TAIL``), and ``MASS_TOL``,
+``Q_FLOOR_RATIO``, ``BALANCE_TOL`` and ``PI_U_IMAG_TOL``.
 """
 
 from __future__ import annotations
@@ -47,6 +70,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.special import gammaln
 
 from .errors import (
     DimensionError,
@@ -71,6 +95,8 @@ POINTS_PER_AXIS = 128
 GRID_WIDTH_SIGMAS = 6.0
 SUPPORT_TAIL = 1e-13
 PI_U_IMAG_TOL = 1e-6
+POLAR_PANELS = 4
+POLAR_RADII_PER_PANEL = 32
 _NODE_CHUNK = 8192
 
 
@@ -91,10 +117,6 @@ class PhaseSpaceGrid:
     points_per_axis: int
     nodes: np.ndarray = field(repr=False)
     weights: np.ndarray = field(repr=False)
-
-    @property
-    def spacing(self) -> float:
-        return 2.0 * self.half_width / (self.points_per_axis - 1)
 
 
 def build_grid(center: complex, half_width: float, points_per_axis: int) -> PhaseSpaceGrid:
@@ -132,12 +154,54 @@ def auto_grid(
     mean_a = mean_amplitude(rho)
     var = mean_photon_number(rho) - abs(mean_a) ** 2
     half_width = GRID_WIDTH_SIGMAS * max(1.0, math.sqrt(max(var, 0.0) + 1.0))
+    half_width = max(half_width, _support_radius(rho) + abs(mean_a))
+    return build_grid(mean_a, half_width, points_per_axis)
+
+
+def _support_radius(rho: DensityMatrix) -> float:
+    """sqrt(n_eff + 1) + 0.75 GRID_WIDTH_SIGMAS, with n_eff the highest Fock
+    level whose population exceeds ``SUPPORT_TAIL`` (0 if none does)."""
     populations = np.abs(np.diag(rho.entries).real)
     populated = np.nonzero(populations > SUPPORT_TAIL)[0]
-    if populated.size:
-        radius = math.sqrt(populated[-1] + 1.0) + 0.75 * GRID_WIDTH_SIGMAS
-        half_width = max(half_width, radius + abs(mean_a))
-    return build_grid(mean_a, half_width, points_per_axis)
+    n_eff = populated[-1] if populated.size else 0
+    return math.sqrt(n_eff + 1.0) + 0.75 * GRID_WIDTH_SIGMAS
+
+
+@dataclass(frozen=True)
+class PolarGrid:
+    """Polar grid about the origin: Gauss-Legendre radii, each carrying
+    ``angles`` equally spaced angles.
+
+    ``nodes`` and ``weights`` are radius-major: flat index a * angles + b
+    holds radii[a] exp(2 pi 1j b / angles), with weight
+    radii[a] w_a 2 pi / angles, w_a the radial Gauss-Legendre weight.
+    """
+
+    radii: np.ndarray = field(repr=False)
+    angles: int
+    nodes: np.ndarray = field(repr=False)
+    weights: np.ndarray = field(repr=False)
+
+
+def polar_grid(rho: DensityMatrix) -> PolarGrid:
+    """Polar grid for the Husimi function of rho.
+
+    The radii cover [0, r_max] with ``POLAR_PANELS`` equal Gauss-Legendre
+    panels of ``POLAR_RADII_PER_PANEL`` nodes, r_max being ``auto_grid``'s
+    support radius sqrt(n_eff + 1) + 0.75 GRID_WIDTH_SIGMAS.  Q has Fourier
+    modes |k| < dim in theta, so the trapezoidal rule on 2 dim + 2 angles
+    per radius integrates Q, mu Q and |mu|^2 Q exactly in theta.
+    """
+    x, w = np.polynomial.legendre.leggauss(POLAR_RADII_PER_PANEL)
+    edges = np.linspace(0.0, _support_radius(rho), POLAR_PANELS + 1)
+    half = 0.5 * np.diff(edges)[:, None]
+    radii = (0.5 * (edges[:-1] + edges[1:])[:, None] + half * x).ravel()
+    w_r = (half * w).ravel()
+    angles = 2 * rho.dim + 2
+    phases = np.exp(2j * math.pi * np.arange(angles) / angles)
+    nodes = (radii[:, None] * phases).ravel()
+    weights = np.repeat(radii * w_r * (2.0 * math.pi / angles), angles)
+    return PolarGrid(radii, angles, nodes, weights)
 
 
 # ---------------------------------------------------------------------------
@@ -148,7 +212,7 @@ def auto_grid(
 class PhaseSpaceField:
     """Husimi values and analytic derivatives sampled on a grid."""
 
-    grid: PhaseSpaceGrid
+    grid: PhaseSpaceGrid | PolarGrid
     Q: np.ndarray = field(repr=False)
     dQ_dmubar: np.ndarray = field(repr=False)
     mass: float
@@ -185,11 +249,58 @@ def husimi_field(
         np.conjugate(C, out=C)
         Q[sl] = np.einsum("nk,nk->k", C, R).real / math.pi
         E[sl] = np.einsum("n,nk,nk->k", shift_weights, C[:-1], R[1:]) / math.pi
+    return _checked_field(grid, Q, E, mass_tol)
+
+
+def polar_husimi_field(
+    rho: DensityMatrix, grid: PolarGrid, mass_tol: float = MASS_TOL
+) -> PhaseSpaceField:
+    """Q and its analytic first derivatives on a polar grid, with the checks
+    of ``husimi_field``.
+
+    For k = 0 .. dim - 1 the diagonal sums q_k(r) of rho, and those of
+    a rho for +k and -k, share the radial products a_m(r) a_{m+k}(r); one
+    inverse FFT per radius then sums each Fourier series at the grid's
+    angles (a real one for Q, whose coefficients of -k are the conjugates).
+    """
+    dim = rho.dim
+    if grid.angles < 2 * dim - 1:
+        raise DimensionError(
+            f"{grid.angles} angles alias the {2 * dim - 1} Fourier modes of Q"
+        )
+    amp = _radial_amplitudes(grid.radii, dim)
+    entries = rho.entries.astype(complex, copy=False)
+    a_rho = np.zeros_like(entries)
+    a_rho[:-1] = np.sqrt(np.arange(1, dim))[:, None] * entries[1:]
+    q = np.empty((grid.radii.size, dim), dtype=complex)
+    e = np.zeros((grid.radii.size, grid.angles), dtype=complex)
+    for k in range(dim):
+        pair = amp[:, : dim - k] * amp[:, k:]
+        diags = np.stack(
+            [np.diagonal(entries, k), np.diagonal(a_rho, k), np.diagonal(a_rho, -k)],
+            axis=1,
+        )
+        # a real matrix times a complex one, as one real product
+        q[:, k], e[:, k], lower = (pair @ diags.view(float)).view(complex).T
+        if k:
+            e[:, -k] = lower
+    Q = np.fft.irfft(q, n=grid.angles, axis=1, norm="forward").ravel() / math.pi
+    E = np.fft.ifft(e, axis=1, norm="forward").ravel() / math.pi
+    return _checked_field(grid, Q, E, mass_tol)
+
+
+def _checked_field(grid, Q, E, mass_tol) -> PhaseSpaceField:
+    """Field from Q and E = <mu| a rho |mu> / pi at the grid's nodes.
+
+    Fails when Q dips below -1e-8 (rho not a state) or when its quadrature
+    mass strays from 1 by more than ``mass_tol`` (grid too small or
+    misplaced); otherwise clips Q at 0.
+    """
     qmin = Q.min()
     if qmin < -1e-8:
         raise StateValidationError(f"Husimi function dips to {qmin:.3e}")
     Q = np.clip(Q, 0.0, None)
-    dQ_dmubar = -nodes * Q + E
+    dQ_dmubar = -grid.nodes * Q + E
     mass = float(np.dot(grid.weights, Q))
     if abs(mass - 1.0) > mass_tol:
         raise MassDeficitError(
@@ -197,6 +308,19 @@ def husimi_field(
             "enlarge or re-center the grid"
         )
     return PhaseSpaceField(grid, Q, dQ_dmubar, mass)
+
+
+def _radial_amplitudes(radii: np.ndarray, dim: int) -> np.ndarray:
+    """a_n(r) = exp(-r^2/2) r^n / sqrt(n!), one row per radius r > 0 and
+    one column per n < dim.
+
+    Summed in log space, -r^2/2 + n ln r - ln(n!)/2, so only amplitudes
+    below ~1e-308 underflow; exp(-r^2/2) alone underflows beyond r ~ 38,
+    and r^n overflows long before n! does.
+    """
+    n = np.arange(dim)
+    r = radii[:, None]
+    return np.exp(np.log(r) * n - 0.5 * gammaln(n + 1.0) - 0.5 * r ** 2)
 
 
 def _coherent_matrix(nodes: np.ndarray, dim: int) -> np.ndarray:
@@ -356,18 +480,23 @@ class EntropyBudget:
 def entropy_budget(
     rho: DensityMatrix,
     p: KerrParams,
-    grid: PhaseSpaceGrid,
+    grid: PhaseSpaceGrid | None = None,
     mass_tol: float = MASS_TOL,
     q_floor_ratio: float = Q_FLOOR_RATIO,
 ) -> EntropyBudget:
     """Assemble the full entropy budget of a Kerr steady state.
 
-    The caller must supply a certified steady state; at such a state the
-    fluctuation balance |Pi_u + Pi_d - Phi_q| / Phi_q is recorded and a
-    violation beyond ``BALANCE_TOL`` is logged (grid refinement hint), not
-    raised.
+    Without a grid, Q is evaluated on ``polar_grid(rho)``, as the sweep
+    pipeline does; a tensor ``PhaseSpaceGrid`` evaluates it with the
+    oracle ``husimi_field`` instead.  The caller must supply a certified
+    steady state; at such a state the fluctuation balance
+    |Pi_u + Pi_d - Phi_q| / Phi_q is recorded and a violation beyond
+    ``BALANCE_TOL`` is logged (grid refinement hint), not raised.
     """
-    field_ = husimi_field(rho, grid, mass_tol=mass_tol)
+    if grid is None:
+        field_ = polar_husimi_field(rho, polar_grid(rho), mass_tol=mass_tol)
+    else:
+        field_ = husimi_field(rho, grid, mass_tol=mass_tol)
     alpha = mean_amplitude(rho) / math.sqrt(p.N)
     phi_ext, phi_q = flux_split(rho, p.kappa, p.N)
     s_wehrl = wehrl_entropy(field_)

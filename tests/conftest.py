@@ -6,6 +6,8 @@ from wehrlflux.kerr_model import recommended_cutoff
 from wehrlflux.liouvillian import KerrParams, build_kerr_liouvillian, steady_state
 
 FIG2 = dict(delta=-2.0, u=1.0, kappa=0.5)
+# criterion 4's drives at N=10, across the transition
+BALANCE_DRIVES = [0.86, 0.88, 0.90, 0.92, 0.94, 0.95, 0.96, 0.98, 1.00, 1.05]
 
 
 def kerr_params(eps, N, **overrides):

@@ -13,7 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import kerr_params
+from conftest import BALANCE_DRIVES, kerr_params
 from wehrlflux.dicke_gaussian import (
     DickeParams,
     critical_coupling,
@@ -141,9 +141,6 @@ def test_criterion_03_bistability_window():
 # ---------------------------------------------------------------------------
 # Criterion 4: NESS entropy balance across the transition
 # ---------------------------------------------------------------------------
-
-BALANCE_DRIVES = [0.86, 0.88, 0.90, 0.92, 0.94, 0.95, 0.96, 0.98, 1.00, 1.05]
-
 
 @pytest.fixture(scope="module")
 def balance_states(ness_cache):

@@ -55,6 +55,18 @@ def dicke_drift(p):
     return drift_diffusion(G, losses)
 
 
+class TestParams:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", ["omega0", "omega", "kappa", "lam", "gamma"])
+    def test_non_finite_rejected(self, name, bad):
+        # comparisons are false for NaN, so only an explicit finiteness
+        # check stops it before the Lyapunov solve
+        values = dict(FIG3, lam=0.5 * LAMBDA_C)
+        values[name] = bad
+        with pytest.raises(ValueError, match="finite"):
+            DickeParams(**values)
+
+
 class TestCriticalCoupling:
     def test_reference_value_against_high_precision(self):
         import mpmath

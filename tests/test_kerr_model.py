@@ -131,14 +131,14 @@ class TestCutoffRule:
 
 class TestSweep:
     def test_single_point_matches_budget(self, ness_cache):
-        from wehrlflux.phase_space import auto_grid, entropy_budget
+        from wehrlflux.phase_space import entropy_budget
 
         p = kerr_params(0.9, 5)
         result = sweep(p, [5], [0.9], compute_gap=False)
         assert len(result.records) == 1 and not result.failures
         rec = result.records[0]
         rho, _ = ness_cache(p)
-        b = entropy_budget(rho, p, auto_grid(rho))
+        b = entropy_budget(rho, p)
         assert rec.budget.Pi_d == pytest.approx(b.Pi_d, rel=1e-9)
         assert rec.budget.S == pytest.approx(b.S, rel=1e-12)
 

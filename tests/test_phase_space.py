@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg as sla
+import scipy.special
 
-from conftest import kerr_params, random_density_matrix
+from conftest import BALANCE_DRIVES, kerr_params, random_density_matrix
 from wehrlflux.dicke_gaussian import CovarianceMatrix, gaussian_budget, unitary_diffusion
 from wehrlflux.errors import DimensionError, MassDeficitError
 from wehrlflux.fock_algebra import (
@@ -12,11 +13,13 @@ from wehrlflux.fock_algebra import (
     annihilation,
     coherent_components,
     mean_amplitude,
+    mean_photon_number,
     von_neumann_entropy,
 )
 from wehrlflux.liouvillian import KerrParams, evolve, max_stable_dt, build_kerr_liouvillian
 from wehrlflux.phase_space import (
     _coherent_matrix,
+    _radial_amplitudes,
     auto_grid,
     build_grid,
     entropy_budget,
@@ -25,6 +28,8 @@ from wehrlflux.phase_space import (
     husimi_field,
     pi_d,
     pi_u_kerr,
+    polar_grid,
+    polar_husimi_field,
     wehrl_entropy,
 )
 
@@ -174,6 +179,103 @@ class TestHusimiField:
         rho = DensityMatrix.coherent(3.0, 40)
         with pytest.raises(MassDeficitError):
             husimi_field(rho, build_grid(0.0, 2.0, 64))
+
+
+class TestPolarField:
+    """The pipeline's polar rule against the tensor oracle and Fock moments."""
+
+    @pytest.mark.parametrize("r", [40.0, 45.0])
+    def test_radial_amplitudes_do_not_underflow(self, r):
+        # sum_n a_n(r)^2 = exp(-r^2) sum_n r^(2n)/n! = 1 once dim covers the
+        # Poisson(r^2) support; the naive product underflows and overflows
+        dim = int(r * r + 20 * r)
+        n = np.arange(dim)
+        with np.errstate(all="ignore"):
+            naive = np.exp(-0.5 * r * r) * r ** n / np.sqrt(scipy.special.factorial(n))
+        assert not np.isclose(np.sum(naive ** 2), 1.0)
+        amp = _radial_amplitudes(np.array([r]), dim)[0]
+        assert np.sum(amp ** 2) == pytest.approx(1.0, rel=1e-12)
+        import mpmath
+
+        with mpmath.workdps(30):
+            for k in (int(r * r) - 3 * int(r), int(r * r), int(r * r) + 3 * int(r)):
+                exact = mpmath.exp(-mpmath.mpf(r) ** 2 / 2) * mpmath.mpf(r) ** k
+                exact /= mpmath.sqrt(mpmath.factorial(k))
+                assert amp[k] == pytest.approx(float(exact), rel=1e-11)
+
+    @pytest.mark.parametrize("dim", [12, 60])
+    def test_values_match_coherent_matrix_product(self, dim):
+        # Q = conj(c)^T rho c / pi and dQ/dmubar = -mu Q + conj(c)^T (a rho) c / pi
+        # at every node, c from the tensor path's coherent matrix
+        rng = np.random.default_rng(dim)
+        rho = random_density_matrix(dim, rng)
+        f = polar_husimi_field(rho, polar_grid(rho))
+        C = _coherent_matrix(f.grid.nodes, dim)
+        Q = np.einsum("nk,nk->k", C.conj(), rho.entries @ C).real / math.pi
+        a_rho = annihilation(dim).toarray() @ rho.entries
+        dQ = -f.grid.nodes * Q + np.einsum("nk,nk->k", C.conj(), a_rho @ C) / math.pi
+        assert np.max(np.abs(f.Q - Q)) < 1e-13 * Q.max()
+        assert np.max(np.abs(f.dQ_dmubar - dQ)) < 1e-13 * np.max(np.abs(dQ))
+
+    def test_real_entries(self):
+        # a real-valued rho gives the field of its complex copy
+        entries = np.diag([0.5, 0.3, 0.2])
+        entries[0, 1] = entries[1, 0] = 0.1
+        real = DensityMatrix(3, entries)
+        cplx = DensityMatrix(3, entries.astype(complex))
+        f_real = polar_husimi_field(real, polar_grid(real))
+        f_cplx = polar_husimi_field(cplx, polar_grid(cplx))
+        assert np.array_equal(f_real.Q, f_cplx.Q)
+        assert np.array_equal(f_real.dQ_dmubar, f_cplx.dQ_dmubar)
+
+    @pytest.mark.parametrize(
+        "state",
+        ["coherent", "displaced-squeezed-thermal", "random", "kerr"],
+    )
+    def test_moment_identities(self, state, ness_cache):
+        # int mu Q = <a> and int |mu|^2 Q = <a^dag a> + 1 (anti-normal order)
+        if state == "coherent":
+            rho = DensityMatrix.coherent(1.2 - 0.8j, 40)
+        elif state == "displaced-squeezed-thermal":
+            entries, _ = displaced_squeezed_thermal(0.2, 0.3, 1.5 + 0.5j, 60)
+            rho = DensityMatrix(60, 0.5 * (entries + entries.conj().T))
+        elif state == "random":
+            rho = random_density_matrix(12, np.random.default_rng(5))
+        else:
+            rho, _ = ness_cache(kerr_params(0.95, 10))
+        f = polar_husimi_field(rho, polar_grid(rho))
+        mu = f.grid.nodes
+        first = np.dot(f.grid.weights, mu * f.Q)
+        second = np.dot(f.grid.weights, np.abs(mu) ** 2 * f.Q)
+        mean_a = mean_amplitude(rho)
+        assert abs(first - mean_a) <= 1e-12 * abs(mean_a)
+        assert second == pytest.approx(mean_photon_number(rho) + 1.0, rel=1e-12)
+        assert f.mass == pytest.approx(1.0, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "N, eps", [(10, eps) for eps in BALANCE_DRIVES] + [(30, 0.941)]
+    )
+    def test_budget_matches_tensor_256(self, ness_cache, N, eps):
+        # criterion 4's states and one N=30 drive near eps_c: the pipeline's
+        # budget against the oracle on a 256^2 tensor grid
+        p = kerr_params(eps, N)
+        rho, _ = ness_cache(p)
+        polar = entropy_budget(rho, p)
+        tensor = entropy_budget(rho, p, auto_grid(rho, points_per_axis=256))
+        assert polar.S == pytest.approx(tensor.S, rel=1e-9)
+        assert polar.Pi_d == pytest.approx(tensor.Pi_d, rel=1e-9)
+        assert polar.Pi_u == pytest.approx(tensor.Pi_u, rel=1e-8)
+
+    def test_mass_deficit_error(self):
+        # the vacuum's grid ends at r = 5.5, too close for a state at mu = 3
+        grid = polar_grid(DensityMatrix.vacuum(40))
+        with pytest.raises(MassDeficitError):
+            polar_husimi_field(DensityMatrix.coherent(3.0, 40), grid)
+
+    def test_too_few_angles_rejected(self):
+        grid = polar_grid(DensityMatrix.vacuum(5))
+        with pytest.raises(DimensionError, match="alias"):
+            polar_husimi_field(DensityMatrix.vacuum(20), grid)
 
 
 class TestWehrlEntropy:
