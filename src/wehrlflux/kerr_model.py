@@ -172,14 +172,18 @@ def steady_state_certified(p: KerrParams, n_max: int | None = None):
     ``CUTOFF_TAIL_TOL``, solved first at ``n_max`` (default
     ``recommended_cutoff(p)``) and then at +10 levels, at most
     ``CUTOFF_MAX_ESCALATIONS`` times, before ``SolverConvergenceError``.
-    Returns (rho, L, n_max_used).
+    Returns (rho, L, n_max_used).  A first cutoff below the rule raises
+    ``CutoffError`` with the rule's value as ``recommended``.
 
-    Unlike an observable's change between two cutoffs, the tail does not
-    depend on how well the LU is conditioned near eps_c.
+    The tail check adds to the rule and does not replace it.  Near eps_c
+    the truncation error is amplified by about 1/gap, so a cutoff below
+    the rule can pass the tail check with a wrong state: at N=30, eps 0.93
+    every cutoff from 45 to 100 leaves a tail below 1e-10 and gives
+    <a^dag a> = 8.02, against 11.35 at the rule's 148.
     """
     first = recommended_cutoff(p) if n_max is None else n_max
     for n in range(first, first + 10 * CUTOFF_MAX_ESCALATIONS + 1, 10):
-        L = build_kerr_liouvillian(p, n, enforce_cutoff=n_max is None)
+        L = build_kerr_liouvillian(p, n)
         rho = steady_state(L)
         tail = float(np.abs(np.diagonal(rho.entries)[-3:]).sum())
         if tail < CUTOFF_TAIL_TOL:
@@ -255,7 +259,8 @@ def sweep(
     executor, so output is deterministic for any thread count (per-point
     wall time is only recorded when ``timing`` is set).  ``n_max``
     replaces ``recommended_cutoff`` as the first cutoff of each point's
-    ``steady_state_certified``; ``mass_tol`` and ``q_floor_ratio`` go to
+    ``steady_state_certified``, and a point where it lies below the rule
+    fails with ``CutoffError``; ``mass_tol`` and ``q_floor_ratio`` go to
     ``entropy_budget``.
     """
     win = bistability_window(p_base)

@@ -27,9 +27,9 @@ a fixed point of the RK4 map, so long-time propagation converges to the
 same state without a step-size bias.
 
 Settings that every caller leaves alone are module constants:
-``LU_ORDERING``, ``LU_PIVOT_THRESHOLD`` and ``GAP_EIGENVALUES`` for the
-solvers, ``POWER_ITERATIONS``, ``TRACE_DRIFT_TOL`` and
-``STATIONARITY_T_MAX`` for the RK4 oracle.
+``LU_ORDERING``, ``LU_PIVOT_THRESHOLD``, ``GAP_EIGENVALUES`` and
+``GAP_RITZ_TOL`` for the solvers, ``POWER_ITERATIONS``,
+``TRACE_DRIFT_TOL`` and ``STATIONARITY_T_MAX`` for the RK4 oracle.
 """
 
 from __future__ import annotations
@@ -37,6 +37,7 @@ from __future__ import annotations
 import functools
 import logging
 import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -80,6 +81,17 @@ LU_PIVOT_THRESHOLD = 0.1
 # the step count is not monotone in k: 6 take more solves than 8, and 10
 # more than 12.
 GAP_EIGENVALUES = 8
+# Relative accuracy to which ARPACK converges the Ritz values 1/lambda of
+# B^-1 (scipy's default 0 means machine precision).  Through an LU whose
+# inverse has norm about 1/gap, only the slow mode is resolved that
+# finely; the other values carry an error of about eps_mach / (gap
+# |lambda|), 1e-6 at N=30 near eps_c, so converging them further only
+# chases roundoff.  The slow mode that sets the gap near eps_c still
+# converges to full precision.  1e-8 cuts the nine near-critical drives at
+# N = 10/20/30 from 686 to 421 LU solves and moves the gap by at most
+# 1.6e-13 relative on 54 drives at N = 1-30; 1e-6 moves it by 2.7e-6 at
+# N = 15, eps 1.29.
+GAP_RITZ_TOL = 1e-8
 POWER_ITERATIONS = 30
 TRACE_DRIFT_TOL = 1e-9
 STATIONARITY_T_MAX = 1e5
@@ -110,8 +122,13 @@ class KerrParams:
             raise ValueError(f"u must be > 0, got {self.u}")
         if self.eps < 0:
             raise ValueError(f"eps must be >= 0, got {self.eps}")
-        if int(self.N) != self.N or self.N < 1:
-            raise ValueError(f"N must be a positive integer, got {self.N}")
+        N = self.N
+        integral = isinstance(N, numbers.Integral) or (
+            isinstance(N, numbers.Real) and math.isfinite(N) and N == int(N)
+        )
+        if isinstance(N, bool) or not integral or N < 1:
+            raise ValueError(f"N must be a positive integer, got {N!r}")
+        object.__setattr__(self, "N", int(N))
 
     def with_drive(self, eps: float, N: int | None = None) -> "KerrParams":
         return replace(self, eps=eps, N=self.N if N is None else N)
@@ -355,14 +372,17 @@ def liouvillian_gap(L: Superoperator) -> float:
     f -> B^{-1}(f with f_0 := 0) with eigenvalue 1/lambda.  That operator
     maps into the trace-free subspace, so the null mode never enters its
     spectrum; one Arnoldi pass returns the ``GAP_EIGENVALUES`` eigenvalues
-    of L closest to zero.  A gap below the roundoff floor eps_mach ||L||_1
-    is not resolved and raises, and so does any ARPACK failure, with
-    ARPACK's message.
+    of L closest to zero, converged to ``GAP_RITZ_TOL``.  A gap below the
+    roundoff floor eps_mach ||L||_1 is not resolved and raises, and so does
+    any ARPACK failure, with ARPACK's message.
     """
     dim, n = L.dim, L.n_max
     lu = L.bordered_lu
+    solves = 0
 
     def matvec(f):
+        nonlocal solves
+        solves += 1
         f = np.array(f, dtype=complex).ravel()
         f[0] = 0.0
         return lu.solve(f)
@@ -374,10 +394,11 @@ def liouvillian_gap(L: Superoperator) -> float:
     try:
         nu = eigs(
             op, k=min(GAP_EIGENVALUES, dim - 2), which="LM", v0=v0,
-            return_eigenvectors=False,
+            tol=GAP_RITZ_TOL, return_eigenvectors=False,
         )
     except ArpackError as exc:
         raise SolverConvergenceError(f"gap eigensolve failed: {exc}") from exc
+    log.debug("gap: %d LU solves, %d converged Ritz values", solves, len(nu))
     gap = -float(np.max((1.0 / nu).real))
     floor = np.finfo(float).eps * spnorm(L.matrix, 1)
     if gap < floor:

@@ -6,7 +6,7 @@ import pytest
 
 from conftest import kerr_params
 from wehrlflux import kerr_model
-from wehrlflux.errors import SolverConvergenceError
+from wehrlflux.errors import CutoffError, SolverConvergenceError
 from wehrlflux.fock_algebra import mean_photon_number
 from wehrlflux.liouvillian import KerrParams, build_kerr_liouvillian, steady_state
 from wehrlflux.kerr_model import (
@@ -121,6 +121,19 @@ class TestCutoffRule:
         L_ref = build_kerr_liouvillian(p, rec.n_max_used + 30, enforce_cutoff=False)
         n_ref = mean_photon_number(steady_state(L_ref))
         assert rec.n_mean * N == pytest.approx(n_ref, rel=1e-9)
+
+    def test_cutoff_below_rule_fails_the_point(self):
+        # at N=30, eps 0.94 a cutoff of 116 passes the tail check (4.2e-11)
+        # but gives <a^dag a> = 31.97 against 36.25 at the rule's 148
+        p = kerr_params(0.94, 30)
+        assert recommended_cutoff(p) == 148
+        with pytest.raises(CutoffError) as info:
+            kerr_model.steady_state_certified(p, n_max=116)
+        assert info.value.recommended == 148
+        result = sweep(p, [30], [0.94], compute_gap=False, n_max=116)
+        assert not result.records
+        ((N, eps, message),) = result.failures
+        assert (N, eps) == (30, 0.94) and "below recommended cutoff 148" in message
 
     def test_exhausted_escalation_names_the_tail(self, monkeypatch):
         monkeypatch.setattr(kerr_model, "CUTOFF_MAX_ESCALATIONS", 0)

@@ -36,6 +36,27 @@ def undriven_params(kappa=0.5, delta=0.0):
     return KerrParams(delta, 1e-12, kappa, 0.0, 1)
 
 
+def reference_gap(L, monkeypatch):
+    """Gap from 30 eigenvalues converged to machine precision (tol 0)."""
+    monkeypatch.setattr(liouvillian, "GAP_EIGENVALUES", 30)
+    monkeypatch.setattr(liouvillian, "GAP_RITZ_TOL", 0.0)
+    return liouvillian_gap(L)
+
+
+class TestParams:
+    @pytest.mark.parametrize("bad", [True, False, 10.5, math.nan, math.inf, 0, -3, "10"])
+    def test_non_integral_N_rejected(self, bad):
+        # int(True) == True and int(10.0) == 10.0, so an equality check
+        # alone lets a boolean or a float through
+        with pytest.raises(ValueError, match="positive integer"):
+            KerrParams(-2.0, 1.0, 0.5, 0.9, bad)
+
+    @pytest.mark.parametrize("N", [10, 10.0, np.int64(10)])
+    def test_N_stored_as_int(self, N):
+        p = KerrParams(-2.0, 1.0, 0.5, 0.9, N)
+        assert type(p.N) is int and p.N == 10
+
+
 class TestBuild:
     def test_trace_preservation(self):
         L = build_kerr_liouvillian(kerr_params(0.9, 3), 20, enforce_cutoff=False)
@@ -234,12 +255,21 @@ class TestGap:
         L = build_kerr_liouvillian(p, recommended_cutoff(p))
         assert L.n_max == 66
         gap = liouvillian_gap(L)
-        monkeypatch.setattr(liouvillian, "GAP_EIGENVALUES", 30)
-        assert gap == pytest.approx(liouvillian_gap(L), rel=1e-9)
+        assert gap == pytest.approx(reference_gap(L, monkeypatch), rel=1e-9)
 
-    def test_gap_solve_count(self, monkeypatch):
-        # each Arnoldi step is one LU solve: 66 near eps_c at N=10 with 8
-        # eigenvalues, against 116 with 12.  The fixed start vector on
+    @pytest.mark.parametrize("eps", [0.95, 0.955, 0.96, 1.1662, 1.3119, 1.4577])
+    def test_ritz_tolerance_keeps_the_gap(self, monkeypatch, eps):
+        # in the window and above it, where the slowest decay sits deeper
+        # in the spectrum; the reference reuses the same LU
+        p = kerr_params(eps, 10)
+        L = build_kerr_liouvillian(p, recommended_cutoff(p))
+        gap = liouvillian_gap(L)
+        assert gap == pytest.approx(reference_gap(L, monkeypatch), rel=1e-9)
+
+    def test_gap_solve_count(self, monkeypatch, caplog):
+        # each Arnoldi step is one LU solve: 39 near eps_c at N=10 with 8
+        # eigenvalues converged to GAP_RITZ_TOL, against 66 converged to
+        # machine precision and 116 with 12.  The fixed start vector on
         # one BLAS thread makes the count the same on every run.
         solves = []
         real_splu = liouvillian.splu
@@ -258,8 +288,13 @@ class TestGap:
         p = kerr_params(0.955, 10)
         L = build_kerr_liouvillian(p, recommended_cutoff(p))
         assert L.n_max == 60
-        assert liouvillian_gap(L) > 0
-        assert len(solves) < 90
+        with caplog.at_level("DEBUG", logger="wehrlflux.liouvillian"):
+            assert liouvillian_gap(L) > 0
+        assert len(solves) < 50
+        # the pass logs its own count, so a debug-level run shows it
+        assert caplog.messages == [
+            f"gap: {len(solves)} LU solves, 8 converged Ritz values"
+        ]
 
     def test_arpack_failure_has_reason(self, monkeypatch):
         # 30 eigenvalues of a 64-dimensional operator leave ARPACK no
