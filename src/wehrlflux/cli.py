@@ -26,7 +26,7 @@ import time
 
 from . import __version__
 from .errors import ConfigError, WehrlFluxError
-from .phase_space import MASS_TOL, MIN_POINTS_PER_AXIS, POINTS_PER_AXIS, Q_FLOOR_RATIO
+from .phase_space import MIN_POINTS_PER_AXIS, POINTS_PER_AXIS
 
 SCHEMA_VERSION = 1
 
@@ -47,8 +47,6 @@ _NUMERICS_DEFAULTS = {
         # validated but ignored: the Kerr budget runs on the polar grid, and
         # schema 2 retires the key
         "points_per_axis": POINTS_PER_AXIS,
-        "mass_tol": MASS_TOL,
-        "q_floor_ratio": Q_FLOOR_RATIO,
         "certify_cutoff": True,  # ignored: each Kerr point checks its Fock tail
         "compute_gap": True,
         "timing": False,
@@ -194,12 +192,6 @@ def validate_config(raw: dict, path: str = "<config>") -> dict:
         if key in ("certify_cutoff", "compute_gap", "mc_validate", "timing"):
             if not isinstance(val, bool):
                 raise ConfigError(f"numerics.{key} must be a boolean")
-        elif key in ("mass_tol", "q_floor_ratio"):
-            number = isinstance(val, (int, float)) and not isinstance(val, bool)
-            if not number or not 0 <= val < math.inf:
-                raise ConfigError(
-                    f"numerics.{key} must be a finite non-negative number, got {val!r}"
-                )
         elif key == "n_max":
             if val is not None and not _is_int(val, 2):
                 raise ConfigError("numerics.n_max must be an integer >= 2")
@@ -276,8 +268,6 @@ def _run_kerr(cfg, keep_going, threads):
         threads=threads,
         timing=numerics["timing"],
         n_max=numerics["n_max"],
-        mass_tol=numerics["mass_tol"],
-        q_floor_ratio=numerics["q_floor_ratio"],
     )
     if result.failures and not keep_going:
         n, eps, msg = result.failures[0]
@@ -519,7 +509,7 @@ def cmd_collapse(args) -> int:
     points = [
         CollapsePoint(r["N"], r["eps_or_lambda"], r["Pi_u"], r["Pi_d"])
         for r in rows
-        if r["model"] in ("kerr", "cavity")
+        if r["model"] == "kerr"
     ]
     if not points:
         print("no kerr rows in results file", file=sys.stderr)

@@ -269,24 +269,24 @@ class CovarianceMatrix:
         if np.max(np.abs(s - s.T)) > 1e-12:
             raise InvalidCovarianceError("covariance not symmetric")
 
-    def validate_physical(self, tol: float = PHYSICALITY_TOL):
-        """Uncertainty check: sigma + (i/2) Omega must be positive semidefinite."""
+    def validate_physical(self):
+        """Uncertainty check: sigma + (i/2) Omega must be positive
+        semidefinite, to within ``PHYSICALITY_TOL``."""
         herm = self.sigma + 0.5j * symplectic_form(len(self.sigma) // 2)
         lam_min = float(np.linalg.eigvalsh(herm).min())
-        if lam_min < -tol:
+        if lam_min < -PHYSICALITY_TOL:
             raise InvalidCovarianceError(
                 f"uncertainty violation: min eig(sigma + i Omega/2) = {lam_min:.3e}"
             )
         return lam_min
 
 
-def solve_lyapunov(
-    A: np.ndarray, D: np.ndarray, require_physical: bool = True
-) -> CovarianceMatrix:
+def solve_lyapunov(A: np.ndarray, D: np.ndarray) -> CovarianceMatrix:
     """Direct solve of A sigma + sigma A^T + D = 0 for Hurwitz A.
 
-    ``require_physical`` enforces the quantum uncertainty bound on the
-    result; disable it when solving generic (non-quadrature) systems.
+    The result must be a quadrature covariance: it is checked against the
+    quantum uncertainty bound (``CovarianceMatrix.validate_physical``),
+    which every (A, D) from ``drift_diffusion`` meets.
     """
     eigvals = np.linalg.eigvals(A)
     worst = eigvals[np.argmax(eigvals.real)]
@@ -303,8 +303,7 @@ def solve_lyapunov(
     if residual > LYAPUNOV_RESIDUAL_TOL:
         raise SolverConvergenceError(f"relative Lyapunov residual {residual:.3e}")
     out = CovarianceMatrix(sigma)
-    if require_physical:
-        out.validate_physical()
+    out.validate_physical()
     return out
 
 
@@ -489,7 +488,6 @@ class DivergenceFit:
     right_stderr: float
     n_left: int
     n_right: int
-    core_excluded: float
 
 
 def fit_power_law(lams, values, lambda_c: float, window=DIVERGENCE_WINDOW):
@@ -535,7 +533,7 @@ def divergence_scan(p_base: DickeParams, lambda_grid) -> DivergenceFit:
         lams.append(float(lam))
         pids.append(budget.Pi_d)
     (ls, le, nl), (rs, re, nr) = fit_power_law(lams, pids, lc)
-    return DivergenceFit(ls, rs, le, re, nl, nr, DIVERGENCE_WINDOW[0])
+    return DivergenceFit(ls, rs, le, re, nl, nr)
 
 
 @dataclass(frozen=True)

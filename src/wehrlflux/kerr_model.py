@@ -21,9 +21,10 @@ resulting curves onto the finite-size coordinate x = N (eps/eps_c - 1).
 The cutoff rule and its Fock-tail check (``steady_state_certified``, on
 every sweep point) are fixed by the module constants ``CUTOFF_C1``,
 ``CUTOFF_C2``, ``CUTOFF_FLOOR``, ``CUTOFF_TAIL_TOL`` and
-``CUTOFF_MAX_ESCALATIONS``.  ``sweep`` takes its numerics as keyword-only
-options; the quadrature defaults are ``phase_space``'s ``MASS_TOL`` and
-``Q_FLOOR_RATIO``.
+``CUTOFF_MAX_ESCALATIONS``.  ``sweep`` takes four keyword-only options:
+``threads``, ``compute_gap``, ``timing`` and ``n_max``.  The quadrature
+tolerances are ``phase_space``'s constants ``MASS_TOL`` and
+``Q_FLOOR_RATIO``, which no sweep option overrides.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ from .liouvillian import (
     liouvillian_gap,
     steady_state,
 )
-from .phase_space import MASS_TOL, Q_FLOOR_RATIO, EntropyBudget, entropy_budget
+from .phase_space import EntropyBudget, entropy_budget
 
 log = logging.getLogger(__name__)
 
@@ -215,9 +216,7 @@ class SweepResult:
 
 
 @one_blas_thread
-def _sweep_point(
-    p_base, N, eps, *, compute_gap, timing, n_max, mass_tol, q_floor_ratio,
-) -> SweepRecord:
+def _sweep_point(p_base, N, eps, *, compute_gap, timing, n_max) -> SweepRecord:
     """One point of ``sweep``, which documents the options."""
     start = time.perf_counter()
     p = p_base.with_drive(eps, N)
@@ -227,7 +226,7 @@ def _sweep_point(
     gap = liouvillian_gap(L) if compute_gap else float("nan")
     ness_residual = L.residual(rho)
     del L
-    budget = entropy_budget(rho, p, mass_tol=mass_tol, q_floor_ratio=q_floor_ratio)
+    budget = entropy_budget(rho, p)
     return SweepRecord(
         N=N,
         eps=eps,
@@ -249,8 +248,6 @@ def sweep(
     compute_gap: bool = True,
     timing: bool = False,
     n_max: int | None = None,
-    mass_tol: float = MASS_TOL,
-    q_floor_ratio: float = Q_FLOOR_RATIO,
 ) -> SweepResult:
     """Steady-state budgets over a (N, eps) product grid.
 
@@ -260,8 +257,11 @@ def sweep(
     wall time is only recorded when ``timing`` is set).  ``n_max``
     replaces ``recommended_cutoff`` as the first cutoff of each point's
     ``steady_state_certified``, and a point where it lies below the rule
-    fails with ``CutoffError``; ``mass_tol`` and ``q_floor_ratio`` go to
-    ``entropy_budget``.
+    fails with ``CutoffError``.  A failure is recorded as the exception's
+    class and message, e.g. ``CutoffError: n_max = ...``.  A warning counts
+    the drives outside [eps_lo / 2, 1.5 eps_hi]: above that band the
+    cutoff rule may be generous, and below it short, so that points pay
+    for cutoff escalations.
     """
     win = bistability_window(p_base)
     if win is not None:
@@ -269,13 +269,13 @@ def sweep(
         outside = [e for e in eps_grid if not lo <= e <= hi]
         if outside:
             warnings.warn(
-                f"{len(outside)} drive values outside [{lo:.4g}, {hi:.4g}]; "
-                "cutoffs may be generous there",
+                f"{len(outside)} drive values outside [{lo:.4g}, {hi:.4g}]: "
+                "the cutoff rule may be generous above that range and short "
+                "below it, where points escalate their cutoff",
                 stacklevel=2,
             )
     point = functools.partial(
-        _sweep_point, compute_gap=compute_gap, timing=timing, n_max=n_max,
-        mass_tol=mass_tol, q_floor_ratio=q_floor_ratio,
+        _sweep_point, compute_gap=compute_gap, timing=timing, n_max=n_max
     )
     jobs = [(p_base, int(N), float(eps)) for N in N_list for eps in eps_grid]
     result = SweepResult()
@@ -289,8 +289,9 @@ def sweep(
             try:
                 result.records.append(outcome())
             except Exception as exc:  # per-point failure, sweep continues
-                log.warning("sweep point N=%s eps=%.6g failed: %s", N, eps, exc)
-                result.failures.append((N, eps, str(exc)))
+                msg = f"{type(exc).__name__}: {exc}"
+                log.warning("sweep point N=%s eps=%.6g failed: %s", N, eps, msg)
+                result.failures.append((N, eps, msg))
     result.records.sort(key=lambda r: (r.N, r.eps))
     result.failures.sort(key=lambda f: (f[0], f[1]))
     return result

@@ -29,7 +29,8 @@ same state without a step-size bias.
 Settings that every caller leaves alone are module constants:
 ``LU_ORDERING``, ``LU_PIVOT_THRESHOLD``, ``GAP_EIGENVALUES`` and
 ``GAP_RITZ_TOL`` for the solvers, ``POWER_ITERATIONS``,
-``TRACE_DRIFT_TOL`` and ``STATIONARITY_T_MAX`` for the RK4 oracle.
+``TRACE_DRIFT_TOL``, ``STATIONARITY_TOL`` and ``STATIONARITY_T_MAX`` for
+the RK4 oracle.
 """
 
 from __future__ import annotations
@@ -94,6 +95,9 @@ GAP_EIGENVALUES = 8
 GAP_RITZ_TOL = 1e-8
 POWER_ITERATIONS = 30
 TRACE_DRIFT_TOL = 1e-9
+# Trace distance between consecutive RK4 checkpoints that ends the
+# propagation.
+STATIONARITY_TOL = 1e-11
 STATIONARITY_T_MAX = 1e5
 
 
@@ -329,9 +333,9 @@ def evolve_to_stationarity(
     rho0: DensityMatrix,
     L: Superoperator,
     block_time: float = 10.0,
-    tol: float = 1e-10,
 ) -> tuple[DensityMatrix, float]:
-    """Propagate until consecutive checkpoints agree in trace distance.
+    """Propagate until consecutive checkpoints agree in trace distance to
+    ``STATIONARITY_TOL``.
 
     Fixed-step RK4 at ``max_stable_dt(L)`` throughout; only the total
     propagation time adapts, so the end state is reproducible.  Gives up
@@ -351,7 +355,7 @@ def evolve_to_stationarity(
         rho = 0.5 * (rho + rho.conj().T)
         rho = rho / np.trace(rho).real
         state = DensityMatrix(L.n_max, rho)
-        if prev is not None and trace_distance(prev, state) < tol:
+        if prev is not None and trace_distance(prev, state) < STATIONARITY_TOL:
             return state, t
         prev = state
     raise SolverConvergenceError(

@@ -59,8 +59,10 @@ weights, Q and dQ, so they serve either grid.
 Fixed settings are module constants: the polar panels
 (``POLAR_PANELS``, ``POLAR_RADII_PER_PANEL``), the default tensor grid
 size ``POINTS_PER_AXIS``, the extent of both grids
-(``GRID_WIDTH_SIGMAS``, ``SUPPORT_TAIL``), and ``MASS_TOL``,
-``Q_FLOOR_RATIO``, ``BALANCE_TOL`` and ``PI_U_IMAG_TOL``.
+(``GRID_WIDTH_SIGMAS``, ``SUPPORT_TAIL``), and the tolerances: the
+quadrature-mass bound ``MASS_TOL``, the 1/Q floor ``Q_FLOOR_RATIO``,
+``BALANCE_TOL`` and ``PI_U_IMAG_TOL``.  No function takes them as
+parameters; each is read when the check runs.
 """
 
 from __future__ import annotations
@@ -228,13 +230,11 @@ class PhaseSpaceField:
         return kappa * (nu * self.Q + self.dQ_dmubar)
 
 
-def husimi_field(
-    rho: DensityMatrix, grid: PhaseSpaceGrid, mass_tol: float = MASS_TOL
-) -> PhaseSpaceField:
+def husimi_field(rho: DensityMatrix, grid: PhaseSpaceGrid) -> PhaseSpaceField:
     """Evaluate Q and its analytic first derivatives on the grid.
 
     Fails with a mass-deficit error when the quadrature mass of Q strays
-    from 1 by more than ``mass_tol`` (grid too small or misplaced).
+    from 1 by more than ``MASS_TOL`` (grid too small or misplaced).
     """
     dim = rho.dim
     # row n + 1 of R = rho C, scaled by sqrt(n + 1), is row n of (a rho) C
@@ -249,12 +249,10 @@ def husimi_field(
         np.conjugate(C, out=C)
         Q[sl] = np.einsum("nk,nk->k", C, R).real / math.pi
         E[sl] = np.einsum("n,nk,nk->k", shift_weights, C[:-1], R[1:]) / math.pi
-    return _checked_field(grid, Q, E, mass_tol)
+    return _checked_field(grid, Q, E)
 
 
-def polar_husimi_field(
-    rho: DensityMatrix, grid: PolarGrid, mass_tol: float = MASS_TOL
-) -> PhaseSpaceField:
+def polar_husimi_field(rho: DensityMatrix, grid: PolarGrid) -> PhaseSpaceField:
     """Q and its analytic first derivatives on a polar grid, with the checks
     of ``husimi_field``.
 
@@ -286,14 +284,14 @@ def polar_husimi_field(
             e[:, -k] = lower
     Q = np.fft.irfft(q, n=grid.angles, axis=1, norm="forward").ravel() / math.pi
     E = np.fft.ifft(e, axis=1, norm="forward").ravel() / math.pi
-    return _checked_field(grid, Q, E, mass_tol)
+    return _checked_field(grid, Q, E)
 
 
-def _checked_field(grid, Q, E, mass_tol) -> PhaseSpaceField:
+def _checked_field(grid, Q, E) -> PhaseSpaceField:
     """Field from Q and E = <mu| a rho |mu> / pi at the grid's nodes.
 
     Fails when Q dips below -1e-8 (rho not a state) or when its quadrature
-    mass strays from 1 by more than ``mass_tol`` (grid too small or
+    mass strays from 1 by more than ``MASS_TOL`` (grid too small or
     misplaced); otherwise clips Q at 0.
     """
     qmin = Q.min()
@@ -302,9 +300,9 @@ def _checked_field(grid, Q, E, mass_tol) -> PhaseSpaceField:
     Q = np.clip(Q, 0.0, None)
     dQ_dmubar = -grid.nodes * Q + E
     mass = float(np.dot(grid.weights, Q))
-    if abs(mass - 1.0) > mass_tol:
+    if abs(mass - 1.0) > MASS_TOL:
         raise MassDeficitError(
-            f"quadrature mass {mass:.8f} deviates from 1 beyond {mass_tol}; "
+            f"quadrature mass {mass:.8f} deviates from 1 beyond {MASS_TOL}; "
             "enlarge or re-center the grid"
         )
     return PhaseSpaceField(grid, Q, dQ_dmubar, mass)
@@ -377,33 +375,27 @@ def flux_split(rho: DensityMatrix, kappa: float, N: int) -> tuple[float, float]:
 # Entropy production integrals
 # ---------------------------------------------------------------------------
 
-def _floor_mask(f: PhaseSpaceField, q_floor_ratio: float):
+def _floor_mask(f: PhaseSpaceField):
     """Nodes kept in 1/Q integrals, plus the excluded mass fraction.
 
     |J|^2/Q decays faster than Q in Gaussian tails, so dropping nodes with
-    Q below q_floor_ratio * max(Q) biases the integral by less than the
+    Q below Q_FLOOR_RATIO * max(Q) biases the integral by less than the
     quadrature error; the excluded mass is reported for monitoring.
     """
-    floor = q_floor_ratio * f.Q.max()
+    floor = Q_FLOOR_RATIO * f.Q.max()
     mask = f.Q > floor
     excluded = float(np.dot(f.grid.weights[~mask], f.Q[~mask]))
     return mask, excluded
 
 
-def pi_d(
-    f: PhaseSpaceField,
-    kappa: float,
-    alpha: complex,
-    N: int,
-    q_floor_ratio: float = Q_FLOOR_RATIO,
-) -> float:
+def pi_d(f: PhaseSpaceField, kappa: float, alpha: complex, N: int) -> float:
     """Dissipative entropy production (2/kappa) int |J^nu|^2 / Q.
 
     The current is evaluated in coordinates displaced by the order
     parameter, nu = mu - alpha sqrt(N); derivatives are unchanged by the
     displacement.
     """
-    mask, excluded = _floor_mask(f, q_floor_ratio)
+    mask, excluded = _floor_mask(f)
     J = f.current(kappa, displacement=complex(alpha) * math.sqrt(N))
     integrand = np.abs(J[mask]) ** 2 / f.Q[mask]
     val = (2.0 / kappa) * float(np.dot(f.grid.weights[mask], integrand))
@@ -411,12 +403,7 @@ def pi_d(
     return val
 
 
-def pi_u_kerr(
-    f: PhaseSpaceField,
-    u: float,
-    N: int,
-    q_floor_ratio: float = Q_FLOOR_RATIO,
-) -> float:
+def pi_u_kerr(f: PhaseSpaceField, u: float, N: int) -> float:
     """Unitary entropy production of the Kerr term, exact integrand.
 
     Pi_u = (i u / 2N) int (1/Q) [mu^2 (dQ/dmu)^2 - mubar^2 (dQ/dmubar)^2].
@@ -425,7 +412,7 @@ def pi_u_kerr(
     conjugates, hence purely real up to roundoff; the imaginary residue is
     monitored and must stay below ``PI_U_IMAG_TOL``.
     """
-    mask, excluded = _floor_mask(f, q_floor_ratio)
+    mask, excluded = _floor_mask(f)
     mu = f.grid.nodes[mask]
     z = (mu * f.dQ_dmu[mask]) ** 2 - (mu.conj() * f.dQ_dmubar[mask]) ** 2
     total = (1j * u / (2.0 * N)) * np.dot(f.grid.weights[mask], z / f.Q[mask])
@@ -481,8 +468,6 @@ def entropy_budget(
     rho: DensityMatrix,
     p: KerrParams,
     grid: PhaseSpaceGrid | None = None,
-    mass_tol: float = MASS_TOL,
-    q_floor_ratio: float = Q_FLOOR_RATIO,
 ) -> EntropyBudget:
     """Assemble the full entropy budget of a Kerr steady state.
 
@@ -494,14 +479,14 @@ def entropy_budget(
     ``BALANCE_TOL`` is logged (grid refinement hint), not raised.
     """
     if grid is None:
-        field_ = polar_husimi_field(rho, polar_grid(rho), mass_tol=mass_tol)
+        field_ = polar_husimi_field(rho, polar_grid(rho))
     else:
-        field_ = husimi_field(rho, grid, mass_tol=mass_tol)
+        field_ = husimi_field(rho, grid)
     alpha = mean_amplitude(rho) / math.sqrt(p.N)
     phi_ext, phi_q = flux_split(rho, p.kappa, p.N)
     s_wehrl = wehrl_entropy(field_)
-    piu = pi_u_kerr(field_, p.u, p.N, q_floor_ratio=q_floor_ratio)
-    pid = pi_d(field_, p.kappa, alpha, p.N, q_floor_ratio=q_floor_ratio)
+    piu = pi_u_kerr(field_, p.u, p.N)
+    pid = pi_d(field_, p.kappa, alpha, p.N)
     balance_rel = abs(piu + pid - phi_q) / max(phi_q, 1e-12)
     if balance_rel > BALANCE_TOL:
         log.info(

@@ -56,7 +56,7 @@ def test_sweep_point_runs_on_one_thread(caller_at_two_threads, monkeypatch, thre
         kerr_params(0.0, 1), [2], [0.5, 0.6], threads=threads, compute_gap=False
     )
     ones = str((1,) * len(blas_threads()))
-    assert [f[2] for f in result.failures] == [f"blas threads {ones}"] * 2
+    assert [f[2] for f in result.failures] == [f"RuntimeError: blas threads {ones}"] * 2
     assert blas_threads() == (2,) * len(blas_threads())
 
 

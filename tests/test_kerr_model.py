@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import kerr_params
-from wehrlflux import kerr_model
+from wehrlflux import kerr_model, phase_space
 from wehrlflux.errors import CutoffError, SolverConvergenceError
 from wehrlflux.fock_algebra import mean_photon_number
 from wehrlflux.liouvillian import KerrParams, build_kerr_liouvillian, steady_state
@@ -134,6 +134,7 @@ class TestCutoffRule:
         assert not result.records
         ((N, eps, message),) = result.failures
         assert (N, eps) == (30, 0.94) and "below recommended cutoff 148" in message
+        assert message.startswith("CutoffError: n_max = 116 below")
 
     def test_exhausted_escalation_names_the_tail(self, monkeypatch):
         monkeypatch.setattr(kerr_model, "CUTOFF_MAX_ESCALATIONS", 0)
@@ -159,15 +160,16 @@ class TestSweep:
         # an absurd drive far outside the guard range still yields a record
         # or a recorded failure, never an exception
         p = kerr_params(0.0, 2)
-        with pytest.warns(UserWarning):
+        with pytest.warns(UserWarning, match="1 drive values outside .* short below"):
             result = sweep(p, [2], [30.0], compute_gap=False)
         assert len(result.records) + len(result.failures) == 1
 
-    def test_explicit_zero_tolerance_is_honoured(self):
-        # mass_tol = 0 reaches the quadrature check instead of falling back
-        # to the default; no finite grid captures the mass exactly
+    def test_explicit_zero_tolerance_is_honoured(self, monkeypatch):
+        # MASS_TOL is read when the check runs, so 0 reaches the quadrature
+        # check; no finite grid captures the mass exactly
+        monkeypatch.setattr(phase_space, "MASS_TOL", 0.0)
         p = kerr_params(0.9, 2)
-        result = sweep(p, [2], [0.9], compute_gap=False, mass_tol=0.0)
+        result = sweep(p, [2], [0.9], compute_gap=False)
         assert not result.records
         ((N, eps, msg),) = result.failures
         assert "quadrature mass" in msg and "beyond 0.0" in msg

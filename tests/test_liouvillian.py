@@ -162,7 +162,7 @@ class TestEvolve:
         n = recommended_cutoff(p)
         L = build_kerr_liouvillian(p, n)
         rho_eig = steady_state(L)
-        rho_rk4, _ = evolve_to_stationarity(DensityMatrix.vacuum(n), L, tol=1e-11)
+        rho_rk4, _ = evolve_to_stationarity(DensityMatrix.vacuum(n), L)
         assert trace_distance(rho_eig, rho_rk4) < 1e-8
 
     def test_short_time_photon_growth(self):
