@@ -119,6 +119,11 @@ class TestConfigValidation:
             ("dicke", "numerics.seed", -1, [], None, "seed"),
             ("dicke", "numerics.seed", 1.5, [], None, "seed"),
             ("kerr", "numerics.points_per_axis", 10, [], None, "points_per_axis"),
+            ("kerr", "numerics.mass_tol", -1e-6, [], None, "mass_tol"),
+            ("kerr", "numerics.mass_tol", "tight", [], None, "mass_tol"),
+            ("kerr", "numerics.mass_tol", math.inf, [], None, "mass_tol"),
+            ("kerr", "numerics.q_floor_ratio", -1e-14, [], None, "q_floor_ratio"),
+            ("kerr", "numerics.q_floor_ratio", None, [], None, "q_floor_ratio"),
             ("kerr", "numerics.mass_tol", 1e-6, [], None, "mass_tol"),
             ("kerr", "numerics.q_floor_ratio", 1e-14, [], None, "q_floor_ratio"),
             ("dicke", "numerics.balance_tol", 1e-2, [], None, "balance_tol"),
@@ -139,6 +144,8 @@ class TestConfigValidation:
         ],
         ids=[
             "mc_samples-0", "seed-negative", "seed-fraction", "points_per_axis-10",
+            "mass_tol-negative", "mass_tol-text", "mass_tol-infinite",
+            "q_floor_ratio-negative", "q_floor_ratio-null",
             "kerr-reads-no-mass_tol", "kerr-reads-no-q_floor_ratio", "balance_tol-removed",
             "certify_cutoff-text", "threads-negative", "threads-env-text",
             "kerr-delta-nan", "cavity-E-infinite", "dicke-omega0-nan",
