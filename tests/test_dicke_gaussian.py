@@ -32,6 +32,7 @@ from wehrlflux.dicke_gaussian import (
     mean_field_fixed_point,
     solve_lyapunov,
     symplectic_form,
+    unitary_diffusion,
 )
 
 FIG3 = dict(omega0=0.005, omega=0.01, kappa=1.0, gamma=1e-3)
@@ -65,6 +66,16 @@ class TestParams:
         values[name] = bad
         with pytest.raises(ValueError, match="finite"):
             DickeParams(**values)
+
+    def test_weak_stabilizer_warning_names_the_caller(self):
+        # the warning points at this line, not into the generated __init__
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            DickeParams(0.005, 0.01, 1.0, 0.0, 0.5)
+        [w] = caught
+        assert issubclass(w.category, UserWarning)
+        assert "is not small against kappa" in str(w.message)
+        assert w.filename == __file__
 
 
 class TestCriticalCoupling:
@@ -357,6 +368,38 @@ class TestQuadraticModels:
             drift_diffusion(np.array([[0.0, 1.0], [0.0, 0.0]]), (1.0,))
 
 
+def r_coordinate_means(sigma, G, losses, samples, seed):
+    """Sample means of the oracle's integrands in r = chol(Sigma) z.
+
+    The reference for the whitened ``mc_gaussian_budget``, on the same
+    Philox draws z: -ln Q and the rates as quadratic forms in r, with
+    P = Sigma^{-1}, M = I - P and C = P D_u P.
+    """
+    m = len(losses)
+    k = np.asarray(losses, dtype=float)
+    Sigma = sigma.sigma + 0.5 * np.eye(2 * m)
+    P = np.linalg.inv(Sigma)
+    M = np.eye(2 * m) - P
+    C = P @ unitary_diffusion(G) @ P
+    _, logdet = np.linalg.slogdet(Sigma)
+    log_norm = m * math.log(2.0) - m * math.log(2.0 * math.pi) - 0.5 * logdet
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    r = rng.standard_normal((samples, 2 * m)) @ np.linalg.cholesky(Sigma).T
+    mr = r @ M.T
+    pid = k * (mr[:, 0::2] ** 2 + mr[:, 1::2] ** 2)
+    phq = k * (r[:, 0::2] ** 2 + r[:, 1::2] ** 2 - 2.0)
+    means = {
+        "S": np.mean(0.5 * np.einsum("ij,jk,ik->i", r, P, r) - log_norm),
+        "Pi_d": np.mean(pid[:, -1]),
+        "Pi_u": np.mean(0.5 * np.einsum("ij,jk,ik->i", r, C, r)),
+        "Phi_q": np.mean(phq[:, -1]),
+    }
+    if m > 1:
+        means["Pi_d_b"] = np.mean(pid[:, :-1].sum(axis=1))
+        means["Phi_q_b"] = np.mean(phq[:, :-1].sum(axis=1))
+    return means
+
+
 class TestMonteCarloOracle:
     @pytest.mark.parametrize("ratio", [0.5, 0.8, 1.2, 1.5, 2.0])
     def test_closed_forms_within_one_percent(self, ratio):
@@ -366,9 +409,15 @@ class TestMonteCarloOracle:
             sigma, hamiltonian_quadratic_form(hp, p), (p.gamma, p.kappa),
             samples=10 ** 6, seed=20260810,
         )
-        assert mc.S == pytest.approx(b.S, rel=0.01)
-        assert mc.Pi_d == pytest.approx(b.Pi_d, rel=0.01)
-        assert mc.Pi_u == pytest.approx(b.Pi_u, rel=0.01)
+        for name in ("S", "Pi_d", "Pi_u", "Phi_q", "Phi_q_b", "Pi_d_b"):
+            assert getattr(mc, name) == pytest.approx(getattr(b, name), rel=0.01)
+        # the sampled two-mode balance, against its terms' combined errors
+        balance = mc.Pi_u + mc.Pi_d + mc.Pi_d_b - mc.Phi_q - mc.Phi_q_b
+        combined = math.hypot(
+            mc.Pi_u_stderr, mc.Pi_d_stderr, mc.Pi_d_b_stderr,
+            mc.Phi_q_stderr, mc.Phi_q_b_stderr,
+        )
+        assert abs(balance) < 5.0 * combined
 
     def test_seeded_reproducibility_and_chunk_invariance(self, monkeypatch):
         # the same seed draws the same samples for any batch size; only the
@@ -381,9 +430,51 @@ class TestMonteCarloOracle:
         assert a == b
         monkeypatch.setattr(dicke_gaussian, "MC_CHUNK", 2 ** 10)
         c = mc_gaussian_budget(sigma, G, losses, samples=10 ** 5, seed=42)
-        for name in ("S", "Pi_d", "Pi_u"):
+        for name in ("S", "Pi_d", "Pi_u", "Phi_q", "Phi_q_b", "Pi_d_b"):
             assert getattr(c, name) == pytest.approx(getattr(a, name), rel=1e-13)
+            stderr = name + "_stderr"
+            assert getattr(c, stderr) == pytest.approx(getattr(a, stderr), rel=1e-13)
         assert c.samples == a.samples
+
+    @pytest.mark.parametrize(
+        "ratio", [0.8, 1.2, None], ids=["dicke-0.8", "dicke-1.2", "one-mode"]
+    )
+    def test_whitened_estimators_match_r_coordinates(self, ratio):
+        # the same draws through both forms of the integrands
+        if ratio is None:
+            G, losses = np.array([[1.0, 0.3], [0.3, 0.6]]), (0.4,)
+        else:
+            _, G, losses = dicke_model(fig3_params(ratio * LAMBDA_C))
+        sigma = solve_lyapunov(*drift_diffusion(G, losses))
+        mc = mc_gaussian_budget(sigma, G, losses, samples=10 ** 4, seed=11)
+        ref = r_coordinate_means(sigma, G, losses, 10 ** 4, seed=11)
+        for name, value in ref.items():
+            assert getattr(mc, name) == pytest.approx(value, rel=1e-12), name
+        if len(losses) == 1:
+            assert mc.Phi_q_b is mc.Pi_d_b is None
+            assert mc.Phi_q_b_stderr is mc.Pi_d_b_stderr is None
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"samples": -5},
+            {"samples": 0},
+            {"samples": 10.0},
+            {"samples": True},
+            {"samples": "10"},
+            {"seed": -1},
+            {"seed": 1.5},
+            {"seed": True},
+            {"seed": None},
+        ],
+        ids=lambda bad: "-".join(f"{k}={v!r}" for k, v in bad.items()),
+    )
+    def test_bad_input_rejected(self, bad):
+        sigma = solve_lyapunov(*drift_diffusion(np.zeros((2, 2)), (1.0,)))
+        kwargs = {"samples": 10, "seed": 0, **bad}
+        [name] = bad
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            mc_gaussian_budget(sigma, np.zeros((2, 2)), (1.0,), **kwargs)
 
 
 class TestCriticalScans:
