@@ -18,6 +18,7 @@ from .dicke_gaussian import (
     hp_coefficients,
     kink_detector,
     mc_gaussian_budget,
+    mc_gaussian_budgets,
     mean_field_fixed_point,
     solve_lyapunov,
 )

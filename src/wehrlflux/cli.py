@@ -282,29 +282,51 @@ def _run_kerr(cfg, keep_going, threads):
     return rows, result.failures
 
 
-def _run_points(model, label, N, drives, keep_going, timing, solve):
-    """Rows of a Gaussian model, one ``solve(drive) -> (budget, beta)`` each.
+def _run_points(model, label, N, drives, keep_going, timing, solve, check=None):
+    """Rows of a Gaussian model, one ``solve(drive) -> (budget, beta, quad)``
+    each, where ``quad`` is the point's ``(sigma, G, losses)`` model.
 
-    A failure at one point, whatever its exception, is recorded with the
-    exception's class in its message; without ``keep_going`` it ends the run.
+    ``check(budgets, quads)``, if given, runs once on all the points that
+    solved and returns a failure message or None for each; its wall time
+    is shared equally among them.  A failure at one point, whatever its
+    exception, is recorded with the exception's class in its message.
+    Failures are listed in drive order; without ``keep_going`` the first
+    one ends the run, and no drive after a failed solve is solved.
     """
-    rows, failures = [], []
-    for drive in drives:
+    solved, failures = [], []
+    for i, drive in enumerate(drives):
         start = time.perf_counter()
         try:
-            budget, beta = solve(drive)
+            budget, beta, quad = solve(drive)
         except Exception as exc:
-            msg = f"{type(exc).__name__}: {exc}"
-            failures.append((N, drive, msg))
+            failures.append((i, f"{type(exc).__name__}: {exc}"))
             if not keep_going:
-                raise WehrlFluxError(f"point {label}={drive:.6g} failed: {msg}") from exc
+                break
             continue
-        wall = (time.perf_counter() - start) if timing else 0.0
+        solved.append((i, budget, beta, quad, time.perf_counter() - start))
+    messages, share = [None] * len(solved), 0.0
+    if check is not None and solved:
+        start = time.perf_counter()
+        try:
+            messages = check([s[1] for s in solved], [s[3] for s in solved])
+        except Exception as exc:
+            messages = [f"{type(exc).__name__}: {exc}"] * len(solved)
+        share = (time.perf_counter() - start) / len(solved)
+    rows = []
+    for (i, budget, beta, _, wall), msg in zip(solved, messages):
+        if msg is not None:
+            failures.append((i, msg))
+            continue
         rows.append(
             _budget_row(
-                model, N, drive, budget, None, beta, budget.balance_rel, None, wall
+                model, N, drives[i], budget, None, beta, budget.balance_rel, None,
+                wall + share if timing else 0.0,
             )
         )
+    failures = [(N, drives[i], msg) for i, msg in sorted(failures)]
+    if failures and not keep_going:
+        _, drive, msg = failures[0]
+        raise WehrlFluxError(f"point {label}={drive:.6g} failed: {msg}")
     return rows, failures
 
 
@@ -319,7 +341,8 @@ def _run_cavity(cfg, keep_going):
 
     def solve(E):
         sigma = solve_lyapunov(*drift_diffusion(G, losses))
-        return gaussian_budget(sigma, G, losses, E / kappa, 1), None
+        budget = gaussian_budget(sigma, G, losses, E / kappa, 1)
+        return budget, None, (sigma, G, losses)
 
     return _run_points(
         "cavity", "E", 1, [cfg["params"]["E"]], keep_going,
@@ -327,13 +350,34 @@ def _run_cavity(cfg, keep_going):
     )
 
 
+# The sampled terms the Dicke Monte-Carlo check compares with the closed form.
+_MC_TERMS = ("S", "Pi_d", "Pi_u", "Phi_q", "Phi_q_b", "Pi_d_b")
+
+
+def _mc_mismatch(budget, mc):
+    """Why the sampled budget ``mc`` fails its closed form, or None.
+
+    Each term must lie within 1 % of its closed form, or within 5 of its
+    standard errors of it where the closed form is exactly 0.
+    """
+    off = []
+    for name in _MC_TERMS:
+        closed, sampled = getattr(budget, name), getattr(mc, name)
+        bound = 0.01 * abs(closed) if closed else 5.0 * getattr(mc, name + "_stderr")
+        if not abs(sampled - closed) <= bound:
+            off.append(f"{name} (sampled {sampled:.6g}, closed form {closed:.6g})")
+    return f"MC check failed for {', '.join(off)}" if off else None
+
+
 def _run_dicke(cfg, keep_going):
+    """Every closed-form point first, then one Monte-Carlo oracle call on
+    all the points that solved, when the config asks for the check."""
     from .dicke_gaussian import (
         DickeParams,
         critical_coupling,
         dicke_point,
         hamiltonian_quadratic_form,
-        mc_gaussian_budget,
+        mc_gaussian_budgets,
     )
 
     p = cfg["params"]
@@ -348,25 +392,16 @@ def _run_dicke(cfg, keep_going):
         if lambda_c is None:
             lambda_c = critical_coupling(params)
         budget, sigma, hp, mf = dicke_point(params, N=N)
-        if numerics["mc_validate"]:
-            mc = mc_gaussian_budget(
-                sigma, hamiltonian_quadratic_form(hp, params),
-                (params.gamma, params.kappa),
-                samples=numerics["mc_samples"], seed=numerics["seed"],
-            )
-            for name, closed, sampled in (
-                ("S", budget.S, mc.S),
-                ("Pi_d", budget.Pi_d, mc.Pi_d),
-            ):
-                if closed and abs(sampled - closed) / abs(closed) > 0.01:
-                    raise WehrlFluxError(
-                        f"MC check failed for {name} at lambda={lam:.6g}"
-                    )
-        return budget, mf.beta
+        G = hamiltonian_quadratic_form(hp, params)
+        return budget, mf.beta, (sigma, G, (params.gamma, params.kappa))
+
+    def check(budgets, quads):
+        mcs = mc_gaussian_budgets(quads, numerics["mc_samples"], numerics["seed"])
+        return [_mc_mismatch(b, mc) for b, mc in zip(budgets, mcs)]
 
     rows, failures = _run_points(
         "dicke", "lambda", N, cfg["sweep"]["lambda_grid"], keep_going,
-        numerics["timing"], solve,
+        numerics["timing"], solve, check if numerics["mc_validate"] else None,
     )
     return rows, failures, lambda_c
 

@@ -41,7 +41,10 @@ counter-based Monte-Carlo quadrature of the defining integrals,
 ``mc_gaussian_budget``, is the independent oracle for the whole budget
 (S, both modes' Phi_q and Pi_d, and Pi_u); it evaluates the integrands
 in whitened coordinates z = L^{-1} r, Sigma = L L^T, and draws in
-batches of ``MC_CHUNK``.
+batches of ``MC_CHUNK``.  ``mc_gaussian_budgets`` runs it for many models
+on one stream of draws, drawn once: the CLI's Dicke scan checks all its
+points with one call, so the points' estimates are correlated with each
+other, as they were when every point drew the same seed.
 ``divergence_scan`` fits inside the fixed band ``DIVERGENCE_WINDOW``.
 """
 
@@ -436,7 +439,6 @@ def _check_count(name: str, value, lowest: int):
         raise ValueError(f"{name} must be an integer >= {lowest}, got {value!r}")
 
 
-@one_blas_thread
 def mc_gaussian_budget(
     sigma: CovarianceMatrix,
     G: np.ndarray,
@@ -446,13 +448,63 @@ def mc_gaussian_budget(
 ) -> MonteCarloBudget:
     """Monte-Carlo quadrature of the defining entropy-rate integrals.
 
-    Draws from the Gaussian Husimi distribution itself (no importance
-    weights) with a counter-based Philox generator keyed by ``seed`` (an
-    integer >= 0), ``samples`` (an integer >= 1) draws in batches of
-    ``MC_CHUNK``.  A seed gives the same draws for any batch size, but the
-    sums are grouped by batch, so another ``MC_CHUNK`` moves the results
-    in the last digits (~1e-16 relative).  Estimators, with r ~ N(0, Sigma)
-    over m modes, density p(r), Q = 2^m p under the per-mode d^2 nu measure:
+    The one-model case of ``mc_gaussian_budgets``, which documents the
+    draws and the estimators.
+    """
+    return mc_gaussian_budgets([(sigma, G, losses)], samples, seed)[0]
+
+
+def _whitened_estimators(sigma: CovarianceMatrix, G: np.ndarray, losses):
+    """(lin, weights, offset, names) of one model's estimators.
+
+    The estimators' values on the draws z are ``offset + weights @ y``,
+    averaged over the rows of y = (z @ lin)^2, in the order of ``names``.
+    """
+    m = _mode_count(G, losses)
+    Sigma = _husimi_covariance(sigma, m)
+    L = np.linalg.cholesky(Sigma)
+    L_inv = sla.solve_triangular(L, np.eye(2 * m), lower=True)
+    w, V = np.linalg.eigh(L_inv @ unitary_diffusion(G) @ L_inv.T)
+    # the columns of z @ lin are M r = (L - L^{-T}) z, r = L z and V^T z
+    lin = np.hstack([(L - L_inv.T).T, L.T, V])
+    # rows S, Pi_u, Pi_d, Phi_q, Pi_d_b, Phi_q_b: each estimator is a
+    # weighted sum of the squared columns plus a constant
+    k = np.repeat(np.asarray(losses, dtype=float), 2)
+    last = np.arange(2 * m) >= 2 * m - 2
+    modes = np.array([k * last, k * ~last])  # the last mode, the others
+    weights = np.zeros((6, 6 * m))
+    weights[0, 4 * m:] = 0.5
+    weights[1, 4 * m:] = 0.5 * w
+    weights[2::2, :2 * m] = modes
+    weights[3::2, 2 * m:4 * m] = modes
+    # -ln Q(r) = |z|^2 / 2 + m ln pi + (1/2) ln det Sigma
+    s_0 = m * math.log(math.pi) + float(np.log(np.diag(L)).sum())
+    offset = np.array([s_0, 0.0, 0.0, -modes[0].sum(), 0.0, -modes[1].sum()])
+    names = ("S", "Pi_u", "Pi_d", "Phi_q", "Pi_d_b", "Phi_q_b")[:4 if m == 1 else 6]
+    return lin, weights, offset, names
+
+
+@one_blas_thread
+def mc_gaussian_budgets(models, samples: int = 10 ** 6, seed: int = 0) -> list:
+    """Monte-Carlo quadrature of the defining entropy-rate integrals of
+    several models on one stream of draws.
+
+    ``models`` is a sequence of ``(sigma, G, losses)`` triples with one mode
+    count; the result is one ``MonteCarloBudget`` per model, in order, and
+    ``[]`` for no models.  A counter-based Philox generator keyed by
+    ``seed`` (an integer >= 0) draws ``samples`` (an integer >= 1) normal
+    vectors z ~ N(0, I) in batches of ``MC_CHUNK``, each batch once; each
+    z stands for the sample r = L z of the Gaussian Husimi distribution
+    itself (no importance weights).  Every model is evaluated on the same
+    batches, each through its own arithmetic in the same order as alone,
+    so a model's result is bit-identical to ``mc_gaussian_budget`` on it
+    and does not depend on the other models or their order; the models'
+    estimates are correlated with each other, as they are for separate
+    calls with one seed.  A seed gives the same draws for any batch size,
+    but the sums are grouped by batch, so another ``MC_CHUNK`` moves the
+    results in the last digits (~1e-16 relative).  Estimators, with
+    r ~ N(0, Sigma) over m modes, density p(r), Q = 2^m p under the
+    per-mode d^2 nu measure:
 
       * S      = E[-ln Q(r)]
       * Phi_q,i = k_i E[ r_q^2 + r_p^2 - 2 ] on mode i, the fluctuation
@@ -474,60 +526,55 @@ def mc_gaussian_budget(
     and with W = V diag(w) V^T (V orthogonal, so |z|^2 = |V^T z|^2) every
     estimator is a constant plus a weighted sum of squares of the columns
     of z @ [(L - L^{-T})^T, L^T, V].  The small matrices are built once
-    per call from one triangular solve against L; a batch is two narrow
-    matrix products and two row-wise sums.  The call runs on one BLAS
-    thread (``one_blas_thread``): products this narrow gain nothing from a
-    second thread, which only spins and doubles the CPU time.
-    ``MC_CHUNK`` = 2^13 rows keeps a batch's arrays (about 1.4 MB for two
-    modes) inside a 2 MB per-core L2 cache and the process small; on a
-    2-vCPU Xeon VM 2^12 and 2^13 rows were never slower than larger
-    batches, and 2^17 rows ran 15-30 % slower.  Drawing the normals is
-    about two thirds of the time.
+    per model from one triangular solve against L; a batch is two narrow
+    matrix products and two row-wise sums per model, and only one model's
+    products are held at a time.  The call runs on one BLAS thread
+    (``one_blas_thread``): products this narrow gain nothing from a second
+    thread, which only spins and doubles the CPU time.  ``MC_CHUNK`` = 2^13
+    rows keeps a batch's arrays (about 1.4 MB for two modes) inside a 2 MB
+    per-core L2 cache and the process small; on a 2-vCPU Xeon VM 2^12 and
+    2^13 rows were never slower than larger batches, and 2^17 rows ran
+    15-30 % slower.  For one model, drawing the normals is about two
+    thirds of the time, which a batch of models pays once.
     """
     _check_count("samples", samples, 1)
     _check_count("seed", seed, 0)
-    m = _mode_count(G, losses)
-    Sigma = _husimi_covariance(sigma, m)
-    L = np.linalg.cholesky(Sigma)
-    L_inv = sla.solve_triangular(L, np.eye(2 * m), lower=True)
-    w, V = np.linalg.eigh(L_inv @ unitary_diffusion(G) @ L_inv.T)
-    # the columns of z @ lin are M r = (L - L^{-T}) z, r = L z and V^T z
-    lin = np.hstack([(L - L_inv.T).T, L.T, V])
-    # rows S, Pi_u, Pi_d, Phi_q, Pi_d_b, Phi_q_b: each estimator is a
-    # weighted sum of the squared columns plus a constant
-    k = np.repeat(np.asarray(losses, dtype=float), 2)
-    last = np.arange(2 * m) >= 2 * m - 2
-    modes = np.array([k * last, k * ~last])  # the last mode, the others
-    weights = np.zeros((6, 6 * m))
-    weights[0, 4 * m:] = 0.5
-    weights[1, 4 * m:] = 0.5 * w
-    weights[2::2, :2 * m] = modes
-    weights[3::2, 2 * m:4 * m] = modes
-    # -ln Q(r) = |z|^2 / 2 + m ln pi + (1/2) ln det Sigma
-    s_0 = m * math.log(math.pi) + float(np.log(np.diag(L)).sum())
-    offset = np.array([s_0, 0.0, 0.0, -modes[0].sum(), 0.0, -modes[1].sum()])
+    estimators = [_whitened_estimators(*model) for model in models]
+    if not estimators:
+        return []
+    widths = sorted({len(lin) for lin, *_ in estimators})
+    if len(widths) > 1:
+        raise ValueError(
+            f"models must share one mode count, got {[n // 2 for n in widths]}"
+        )
 
     rng = np.random.Generator(np.random.Philox(key=seed))
-    tot = np.zeros(6)
-    tot2 = np.zeros(6)
+    tot = np.zeros((len(estimators), 6))
+    tot2 = np.zeros((len(estimators), 6))
     done = 0
     while done < samples:
         n = min(MC_CHUNK, samples - done)
-        y = rng.standard_normal((n, 2 * m)) @ lin
-        y *= y
-        vals = weights @ y.T
-        tot += vals.sum(axis=1)
-        tot2 += np.einsum("ij,ij->i", vals, vals)
+        z = rng.standard_normal((n, widths[0]))
+        for i, (lin, weights, _, _) in enumerate(estimators):
+            y = z @ lin
+            y *= y
+            vals = weights @ y.T
+            tot[i] += vals.sum(axis=1)
+            tot2[i] += np.einsum("ij,ij->i", vals, vals)
+            # free this model's products before the next model makes its own
+            del y, vals
         done += n
 
-    mean = tot / samples
-    err = np.sqrt(np.maximum(tot2 / samples - mean ** 2, 0.0) / samples)
-    mean += offset
-    fields = {}
-    names = ("S", "Pi_u", "Pi_d", "Phi_q", "Pi_d_b", "Phi_q_b")[:4 if m == 1 else 6]
-    for name, value, stderr in zip(names, mean.tolist(), err.tolist()):
-        fields[name], fields[name + "_stderr"] = value, stderr
-    return MonteCarloBudget(samples=samples, **fields)
+    out = []
+    for (_, _, offset, names), t, t2 in zip(estimators, tot, tot2):
+        mean = t / samples
+        err = np.sqrt(np.maximum(t2 / samples - mean ** 2, 0.0) / samples)
+        mean += offset
+        fields = {}
+        for name, value, stderr in zip(names, mean.tolist(), err.tolist()):
+            fields[name], fields[name + "_stderr"] = value, stderr
+        out.append(MonteCarloBudget(samples=samples, **fields))
+    return out
 
 
 # ---------------------------------------------------------------------------

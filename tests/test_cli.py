@@ -1,5 +1,7 @@
+import dataclasses
 import json
 import math
+import time
 import re
 from pathlib import Path
 
@@ -17,7 +19,8 @@ from wehrlflux.cli import (
     validate_config,
     write_results,
 )
-from wehrlflux.errors import ConfigError
+from wehrlflux import dicke_gaussian
+from wehrlflux.errors import ConfigError, SolverConvergenceError
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -266,6 +269,138 @@ class TestRun:
         cfg = cavity_config(tmp_path)
         cfg["output"] = "/dev/null/cannot/exist.csv"
         assert main(["run", write_config(tmp_path / "c.json", cfg)]) == EXIT_IO
+
+
+class InjectedFaults:
+    """Wraps the Dicke closed form and the batched Monte-Carlo oracle.
+
+    The closed form raises at the couplings in ``closed``; at those in
+    ``sampled`` the oracle's ``term`` is returned 2 % off.  Couplings are
+    rounded to 6 digits.  ``calls`` counts the oracle calls.
+    """
+
+    def __init__(self, monkeypatch, closed=(), sampled=(), term="Pi_u"):
+        real_point = dicke_gaussian.dicke_point
+        real_oracle = dicke_gaussian.mc_gaussian_budgets
+        lam_of = {}  # id of a point's covariance -> its coupling
+        self.calls = 0
+
+        def point(p, N=1):
+            lam = round(p.lam, 6)
+            if lam in closed:
+                raise SolverConvergenceError(f"injected at {lam}")
+            out = real_point(p, N=N)
+            lam_of[id(out[1])] = lam
+            return out
+
+        def oracle(models, samples, seed):
+            self.calls += 1
+            return [
+                dataclasses.replace(mc, **{term: 1.02 * getattr(mc, term)})
+                if lam_of[id(model[0])] in sampled else mc
+                for model, mc in zip(models, real_oracle(models, samples, seed))
+            ]
+
+        monkeypatch.setattr(dicke_gaussian, "dicke_point", point)
+        monkeypatch.setattr(dicke_gaussian, "mc_gaussian_budgets", oracle)
+
+
+def failed_drives(err):
+    return [
+        float(line.split("drive=")[1].split(":")[0])
+        for line in err.splitlines()
+        if line.startswith("  failed:")
+    ]
+
+
+class TestDickeMonteCarloCheck:
+    @pytest.mark.parametrize(
+        "term", [None, "S", "Pi_d", "Pi_u", "Phi_q", "Phi_q_b", "Pi_d_b"]
+    )
+    def test_every_sampled_term_checked(self, tmp_path, capsys, monkeypatch, term):
+        # one coupling on each side of lambda_c, at the default 10^6 samples
+        cfg = dicke_config(tmp_path, 0.30, 0.40, 2, mc_validate=True, seed=3)
+        faults = InjectedFaults(monkeypatch, sampled={0.4} if term else (), term=term)
+        code = main(["run", write_config(tmp_path / "c.json", cfg)])
+        err = capsys.readouterr().err
+        assert faults.calls == 1
+        if term is None:
+            assert code == 0
+            assert len(read_results(cfg["output"])[0]) == 2
+        else:
+            assert code == EXIT_NUMERICAL
+            assert re.search(
+                rf"point lambda=0\.4 failed: MC check failed for {term} \(", err
+            )
+            assert not (tmp_path / "dicke.csv").exists()
+
+    @pytest.mark.parametrize(
+        "pi_u, expected", [(None, 0), (4e-3, 0), (6e-3, EXIT_NUMERICAL)]
+    )
+    def test_zero_closed_form_checked_against_stderr(
+        self, tmp_path, capsys, monkeypatch, pi_u, expected
+    ):
+        # at lambda = 0 the modes decouple: Pi_u, Pi_d, Phi_q, Phi_q_b and
+        # Pi_d_b are exactly 0, and Pi_u must lie within 5 standard errors
+        cfg = dicke_config(tmp_path, 0.0, 0.0, 1, mc_validate=True)
+        if pi_u is not None:
+            real = dicke_gaussian.mc_gaussian_budgets
+
+            def oracle(models, samples, seed):
+                return [
+                    dataclasses.replace(mc, Pi_u=pi_u, Pi_u_stderr=1e-3)
+                    for mc in real(models, samples, seed)
+                ]
+
+            monkeypatch.setattr(dicke_gaussian, "mc_gaussian_budgets", oracle)
+        assert main(["run", write_config(tmp_path / "c.json", cfg)]) == expected
+        if expected:
+            assert "MC check failed for Pi_u (" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "closed, sampled, first",
+        [({0.32}, {0.31, 0.33}, 0.31), ({0.31}, {0.33}, 0.31), ({0.33}, {0.32}, 0.32)],
+        ids=["oracle-first", "closed-form-first", "oracle-then-closed-form"],
+    )
+    @pytest.mark.parametrize("keep_going", [False, True])
+    def test_failures_in_lambda_order(
+        self, tmp_path, capsys, monkeypatch, closed, sampled, first, keep_going
+    ):
+        cfg = dicke_config(tmp_path, 0.30, 0.34, 5, mc_validate=True)
+        InjectedFaults(monkeypatch, closed=closed, sampled=sampled)
+        argv = ["run", write_config(tmp_path / "c.json", cfg)]
+        code = main(argv + ["--keep-going"] * keep_going)
+        err = capsys.readouterr().err
+        bad = sorted(closed | sampled)
+        if keep_going:
+            assert code == 0
+            assert failed_drives(err) == pytest.approx(bad, abs=1e-12)
+            lams = [r["eps_or_lambda"] for r in read_results(cfg["output"])[0]]
+            good = [l for l in (0.30, 0.31, 0.32, 0.33, 0.34) if l not in bad]
+            assert lams == pytest.approx(good, abs=1e-12)
+        else:
+            assert code == EXIT_NUMERICAL
+            assert f"point lambda={first:g} failed" in err
+            assert not (tmp_path / "dicke.csv").exists()
+
+    def test_wall_time_shares_the_oracle(self, tmp_path, monkeypatch):
+        cfg = dicke_config(
+            tmp_path, 0.30, 0.32, 2, mc_validate=True, mc_samples=10, timing=True
+        )
+        real = dicke_gaussian.mc_gaussian_budgets
+
+        def slow_oracle(models, samples, seed):
+            time.sleep(0.4)
+            return real(models, samples, seed)
+
+        monkeypatch.setattr(dicke_gaussian, "mc_gaussian_budgets", slow_oracle)
+        monkeypatch.setattr("wehrlflux.cli._mc_mismatch", lambda budget, mc: None)
+        assert main(["run", write_config(tmp_path / "c.json", cfg)]) == 0
+        walls = [r["wall_time_s"] for r in read_results(cfg["output"])[0]]
+        # each row carries half the oracle's 0.4 s, not all of it
+        assert len(walls) == 2
+        assert min(walls) >= 0.2
+        assert sum(walls) < 0.7
 
 
 class TestDeterminism:

@@ -29,6 +29,7 @@ from wehrlflux.dicke_gaussian import (
     hp_coefficients,
     kink_detector,
     mc_gaussian_budget,
+    mc_gaussian_budgets,
     mean_field_fixed_point,
     solve_lyapunov,
     symplectic_form,
@@ -400,6 +401,33 @@ def r_coordinate_means(sigma, G, losses, samples, seed):
     return means
 
 
+def quadratic_model(ratio):
+    """(sigma, G, losses) of the Dicke fluctuations at ratio * lambda_c, or
+    of a one-mode squeezing model for ``ratio`` None."""
+    if ratio is None:
+        G, losses = np.array([[1.0, 0.3], [0.3, 0.6]]), (0.4,)
+    else:
+        _, G, losses = dicke_model(fig3_params(ratio * LAMBDA_C))
+    return solve_lyapunov(*drift_diffusion(G, losses)), G, losses
+
+
+BAD_COUNTS = [
+    {"samples": -5},
+    {"samples": 0},
+    {"samples": 10.0},
+    {"samples": True},
+    {"samples": "10"},
+    {"seed": -1},
+    {"seed": 1.5},
+    {"seed": True},
+    {"seed": None},
+]
+
+
+def bad_count_id(bad):
+    return "-".join(f"{k}={v!r}" for k, v in bad.items())
+
+
 class TestMonteCarloOracle:
     @pytest.mark.parametrize("ratio", [0.5, 0.8, 1.2, 1.5, 2.0])
     def test_closed_forms_within_one_percent(self, ratio):
@@ -441,11 +469,7 @@ class TestMonteCarloOracle:
     )
     def test_whitened_estimators_match_r_coordinates(self, ratio):
         # the same draws through both forms of the integrands
-        if ratio is None:
-            G, losses = np.array([[1.0, 0.3], [0.3, 0.6]]), (0.4,)
-        else:
-            _, G, losses = dicke_model(fig3_params(ratio * LAMBDA_C))
-        sigma = solve_lyapunov(*drift_diffusion(G, losses))
+        sigma, G, losses = quadratic_model(ratio)
         mc = mc_gaussian_budget(sigma, G, losses, samples=10 ** 4, seed=11)
         ref = r_coordinate_means(sigma, G, losses, 10 ** 4, seed=11)
         for name, value in ref.items():
@@ -454,27 +478,60 @@ class TestMonteCarloOracle:
             assert mc.Phi_q_b is mc.Pi_d_b is None
             assert mc.Phi_q_b_stderr is mc.Pi_d_b_stderr is None
 
-    @pytest.mark.parametrize(
-        "bad",
-        [
-            {"samples": -5},
-            {"samples": 0},
-            {"samples": 10.0},
-            {"samples": True},
-            {"samples": "10"},
-            {"seed": -1},
-            {"seed": 1.5},
-            {"seed": True},
-            {"seed": None},
-        ],
-        ids=lambda bad: "-".join(f"{k}={v!r}" for k, v in bad.items()),
-    )
+    @pytest.mark.parametrize("bad", BAD_COUNTS, ids=bad_count_id)
     def test_bad_input_rejected(self, bad):
         sigma = solve_lyapunov(*drift_diffusion(np.zeros((2, 2)), (1.0,)))
         kwargs = {"samples": 10, "seed": 0, **bad}
         [name] = bad
         with pytest.raises(ValueError, match=f"{name} must be an integer"):
             mc_gaussian_budget(sigma, np.zeros((2, 2)), (1.0,), **kwargs)
+
+
+CAVITY_MODEL = (
+    solve_lyapunov(*drift_diffusion(np.zeros((2, 2)), (1.0,))), np.zeros((2, 2)), (1.0,)
+)
+
+
+class TestBatchedOracle:
+    # not a multiple of MC_CHUNK, so the last batch is a partial one
+    SAMPLES = 3 * 2 ** 13 + 5
+
+    @pytest.mark.parametrize(
+        "models",
+        [
+            [quadratic_model(r) for r in (0.8, 1.2, 1.5)],
+            [quadratic_model(None), CAVITY_MODEL],
+        ],
+        ids=["dicke-both-sides", "one-mode"],
+    )
+    def test_batch_equals_single_calls(self, models):
+        batch = mc_gaussian_budgets(models, samples=self.SAMPLES, seed=9)
+        single = [mc_gaussian_budget(*m, samples=self.SAMPLES, seed=9) for m in models]
+        assert batch == single
+
+    def test_result_independent_of_partners_and_order(self):
+        a, b, c = (quadratic_model(r) for r in (0.5, 1.0, 2.0))
+        [alone] = mc_gaussian_budgets([a], samples=self.SAMPLES, seed=3)
+        forward = mc_gaussian_budgets([a, b, c], samples=self.SAMPLES, seed=3)
+        backward = mc_gaussian_budgets([c, b, a], samples=self.SAMPLES, seed=3)
+        assert forward[0] == alone
+        assert backward == forward[::-1]
+        assert mc_gaussian_budgets([b, a], samples=self.SAMPLES, seed=3)[1] == alone
+
+    def test_mixed_mode_counts_rejected(self):
+        with pytest.raises(ValueError, match="one mode count"):
+            mc_gaussian_budgets([quadratic_model(1.2), CAVITY_MODEL], samples=10)
+
+    def test_empty_batch(self):
+        assert mc_gaussian_budgets([], samples=10, seed=0) == []
+
+    @pytest.mark.parametrize("bad", BAD_COUNTS, ids=bad_count_id)
+    @pytest.mark.parametrize("size", [0, 1], ids=["empty", "one-model"])
+    def test_bad_input_rejected(self, bad, size):
+        kwargs = {"samples": 10, "seed": 0, **bad}
+        [name] = bad
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            mc_gaussian_budgets([CAVITY_MODEL] * size, **kwargs)
 
 
 class TestCriticalScans:
