@@ -13,6 +13,7 @@ from wehrlflux.cli import (
     EXIT_CONFIG,
     EXIT_IO,
     EXIT_NUMERICAL,
+    _run_points,
     load_config,
     main,
     read_results,
@@ -20,7 +21,7 @@ from wehrlflux.cli import (
     write_results,
 )
 from wehrlflux import dicke_gaussian
-from wehrlflux.errors import ConfigError, SolverConvergenceError
+from wehrlflux.errors import ConfigError, SolverConvergenceError, WehrlFluxError
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -330,7 +331,8 @@ class TestDickeMonteCarloCheck:
         else:
             assert code == EXIT_NUMERICAL
             assert re.search(
-                rf"point lambda=0\.4 failed: MC check failed for {term} \(", err
+                rf"point lambda=0\.4 failed: WehrlFluxError: MC check failed for {term} \(",
+                err,
             )
             assert not (tmp_path / "dicke.csv").exists()
 
@@ -356,6 +358,23 @@ class TestDickeMonteCarloCheck:
         assert main(["run", write_config(tmp_path / "c.json", cfg)]) == expected
         if expected:
             assert "MC check failed for Pi_u (" in capsys.readouterr().err
+
+    def test_weak_coupling_within_standard_errors(self, tmp_path):
+        # far below lambda_c, Pi_u, Phi_q and Phi_q_b are about 2e-6 and
+        # Phi_q's standard error about 2e-3, so 1 % alone would fail them
+        cfg = dicke_config(tmp_path, 0.0, 0.002, 3, mc_validate=True, seed=7)
+        assert main(["run", write_config(tmp_path / "c.json", cfg)]) == 0
+        lams = [r["eps_or_lambda"] for r in read_results(cfg["output"])[0]]
+        assert lams == pytest.approx([0.0, 0.001, 0.002], abs=1e-15)
+
+    def test_first_failure_chains_its_exception(self):
+        def solve(drive):
+            raise ValueError(f"injected at {drive}")
+
+        with pytest.raises(WehrlFluxError) as info:
+            _run_points("dicke", "lambda", 1, [0.1, 0.2], False, False, solve)
+        assert "point lambda=0.1 failed: ValueError: injected" in str(info.value)
+        assert isinstance(info.value.__cause__, ValueError)
 
     @pytest.mark.parametrize(
         "closed, sampled, first",
