@@ -13,12 +13,12 @@ from .dicke_gaussian import (
     dicke_point,
     divergence_scan,
     drift_diffusion,
+    estimator_means,
     gaussian_budget,
     hamiltonian_quadratic_form,
     hp_coefficients,
     kink_detector,
     mc_gaussian_budget,
-    mc_gaussian_budgets,
     mean_field_fixed_point,
     solve_lyapunov,
 )

@@ -41,11 +41,11 @@ counter-based Monte-Carlo quadrature of the defining integrals,
 ``mc_gaussian_budget``, is the independent oracle for the whole budget
 (S, both modes' Phi_q and Pi_d, and Pi_u); it evaluates the integrands
 in whitened coordinates z = L^{-1} r, Sigma = L L^T, and draws in
-batches of ``MC_CHUNK``.  ``mc_gaussian_budgets`` runs it for many models
-on one stream of draws, drawn once: the CLI's Dicke scan checks all its
-points with one call, so the points' estimates are correlated with each
-other, as they were when every point drew the same seed.
-``divergence_scan`` fits inside the fixed band ``DIVERGENCE_WINDOW``.
+batches of ``MC_CHUNK``.  Its estimators are quadratic in z, so
+``estimator_means`` gives their exact expectations through the same
+whitened algebra; the CLI's Dicke check compares those with the closed
+forms at every point.  ``divergence_scan`` fits inside the fixed band
+``DIVERGENCE_WINDOW``.
 """
 
 from __future__ import annotations
@@ -73,11 +73,17 @@ log = logging.getLogger(__name__)
 # Bound on ||A sigma + sigma A^T + D|| relative to 2 ||A|| ||sigma|| + ||D||.
 LYAPUNOV_RESIDUAL_TOL = 1e-12
 
-# Relative coupling distances |lam/lam_c - 1| used for the power-law fit.
+# Relative coupling distances x = |lam/lam_c - 1| used for the power-law fit.
 # The stabilizer gamma rounds the divergence over a core whose width is set
-# by gamma against the soft-mode scale omega0 (not against kappa); at
-# gamma = 1e-3 kappa and the reference parameters the local log-log slope
-# reaches -1 inside this band and steepens beyond it.
+# by gamma against the soft-mode scale omega0 (not against kappa).  At the
+# reference parameters (omega0 = 0.005, omega = 0.01, kappa = 1) and
+# gamma = 1e-3 this band lies inside that gamma-rounded crossover, not in
+# the asymptotic law Pi_d ~ A / x: below lam_c, x Pi_d is 9.8 at x = 0.01
+# against the gamma -> 0 limit A = kappa (kappa^2 + omega^2) / (8 omega^2)
+# = 1250, and the local log-log slope runs from about -1.3 at x = 0.12 to
+# -0.8 at x = 0.04.  The slope near -1 fitted here is that crossover
+# passing through -1; only at gamma ~ 1e-5 and below do the local slopes
+# themselves approach -1 as x -> 0.
 DIVERGENCE_WINDOW = (0.04, 0.12)
 PHYSICALITY_TOL = 1e-9
 HURWITZ_TOL = 1e-12
@@ -439,21 +445,6 @@ def _check_count(name: str, value, lowest: int):
         raise ValueError(f"{name} must be an integer >= {lowest}, got {value!r}")
 
 
-def mc_gaussian_budget(
-    sigma: CovarianceMatrix,
-    G: np.ndarray,
-    losses,
-    samples: int = 10 ** 6,
-    seed: int = 0,
-) -> MonteCarloBudget:
-    """Monte-Carlo quadrature of the defining entropy-rate integrals.
-
-    The one-model case of ``mc_gaussian_budgets``, which documents the
-    draws and the estimators.
-    """
-    return mc_gaussian_budgets([(sigma, G, losses)], samples, seed)[0]
-
-
 def _whitened_estimators(sigma: CovarianceMatrix, G: np.ndarray, losses):
     """(lin, weights, offset, names) of one model's estimators.
 
@@ -484,27 +475,42 @@ def _whitened_estimators(sigma: CovarianceMatrix, G: np.ndarray, losses):
     return lin, weights, offset, names
 
 
-@one_blas_thread
-def mc_gaussian_budgets(models, samples: int = 10 ** 6, seed: int = 0) -> list:
-    """Monte-Carlo quadrature of the defining entropy-rate integrals of
-    several models on one stream of draws.
+def estimator_means(sigma: CovarianceMatrix, G: np.ndarray, losses) -> dict:
+    """Exact expectations of ``mc_gaussian_budget``'s estimators, by name.
 
-    ``models`` is a sequence of ``(sigma, G, losses)`` triples with one mode
-    count; the result is one ``MonteCarloBudget`` per model, in order, and
-    ``[]`` for no models.  A counter-based Philox generator keyed by
-    ``seed`` (an integer >= 0) draws ``samples`` (an integer >= 1) normal
-    vectors z ~ N(0, I) in batches of ``MC_CHUNK``, each batch once; each
-    z stands for the sample r = L z of the Gaussian Husimi distribution
-    itself (no importance weights).  Every model is evaluated on the same
-    batches, each through its own arithmetic in the same order as alone,
-    so a model's result is bit-identical to ``mc_gaussian_budget`` on it
-    and does not depend on the other models or their order; the models'
-    estimates are correlated with each other, as they are for separate
-    calls with one seed.  A seed gives the same draws for any batch size,
-    but the sums are grouped by batch, so another ``MC_CHUNK`` moves the
-    results in the last digits (~1e-16 relative).  Estimators, with
-    r ~ N(0, Sigma) over m modes, density p(r), Q = 2^m p under the
-    per-mode d^2 nu measure:
+    Each estimator is ``offset + weights @ (z @ lin)^2`` for z ~ N(0, I),
+    so its mean is ``offset + weights @ (lin^2).sum(axis=0)``: the value
+    the sampled oracle converges to, without its noise.  It is built from
+    the same whitened matrices (L - L^{-T} and L^{-1} D_u L^{-T}), not
+    from the inverse and traces of ``gaussian_budget``, so comparing the
+    two checks the closed forms through an independent route; they agree
+    to roundoff.  Keys are those of the model's ``MonteCarloBudget``
+    values: S, Pi_u, Pi_d and Phi_q, plus Pi_d_b and Phi_q_b for two or
+    more modes.
+    """
+    lin, weights, offset, names = _whitened_estimators(sigma, G, losses)
+    means = offset + weights @ (lin * lin).sum(axis=0)
+    return dict(zip(names, means.tolist()))
+
+
+@one_blas_thread
+def mc_gaussian_budget(
+    sigma: CovarianceMatrix,
+    G: np.ndarray,
+    losses,
+    samples: int = 10 ** 6,
+    seed: int = 0,
+) -> MonteCarloBudget:
+    """Monte-Carlo quadrature of the defining entropy-rate integrals.
+
+    A counter-based Philox generator keyed by ``seed`` (an integer >= 0)
+    draws ``samples`` (an integer >= 1) normal vectors z ~ N(0, I) in
+    batches of ``MC_CHUNK``; each z stands for the sample r = L z of the
+    Gaussian Husimi distribution itself (no importance weights).  A seed
+    gives the same draws for any batch size, but the sums are grouped by
+    batch, so another ``MC_CHUNK`` moves the results in the last digits
+    (~1e-16 relative).  Estimators, with r ~ N(0, Sigma) over m modes,
+    density p(r), Q = 2^m p under the per-mode d^2 nu measure:
 
       * S      = E[-ln Q(r)]
       * Phi_q,i = k_i E[ r_q^2 + r_p^2 - 2 ] on mode i, the fluctuation
@@ -525,56 +531,42 @@ def mc_gaussian_budgets(models, samples: int = 10 ** 6, seed: int = 0) -> list:
 
     and with W = V diag(w) V^T (V orthogonal, so |z|^2 = |V^T z|^2) every
     estimator is a constant plus a weighted sum of squares of the columns
-    of z @ [(L - L^{-T})^T, L^T, V].  The small matrices are built once
-    per model from one triangular solve against L; a batch is two narrow
-    matrix products and two row-wise sums per model, and only one model's
-    products are held at a time.  The call runs on one BLAS thread
-    (``one_blas_thread``): products this narrow gain nothing from a second
-    thread, which only spins and doubles the CPU time.  ``MC_CHUNK`` = 2^13
-    rows keeps a batch's arrays (about 1.4 MB for two modes) inside a 2 MB
-    per-core L2 cache and the process small; on a 2-vCPU Xeon VM 2^12 and
-    2^13 rows were never slower than larger batches, and 2^17 rows ran
-    15-30 % slower.  For one model, drawing the normals is about two
-    thirds of the time, which a batch of models pays once.
+    of z @ [(L - L^{-T})^T, L^T, V]; ``estimator_means`` gives their exact
+    expectations.  The small matrices are built once from one triangular
+    solve against L; a batch is two narrow matrix products and two
+    row-wise sums.  The call runs on one BLAS thread (``one_blas_thread``):
+    products this narrow gain nothing from a second thread, which only
+    spins and doubles the CPU time.  ``MC_CHUNK`` = 2^13 rows keeps a
+    batch's arrays (about 1.4 MB for two modes) inside a 2 MB per-core L2
+    cache and the process small; on a 2-vCPU Xeon VM 2^12 and 2^13 rows
+    were never slower than larger batches, and 2^17 rows ran 15-30 %
+    slower.  Drawing the normals is about two thirds of the time.
     """
     _check_count("samples", samples, 1)
     _check_count("seed", seed, 0)
-    estimators = [_whitened_estimators(*model) for model in models]
-    if not estimators:
-        return []
-    widths = sorted({len(lin) for lin, *_ in estimators})
-    if len(widths) > 1:
-        raise ValueError(
-            f"models must share one mode count, got {[n // 2 for n in widths]}"
-        )
+    lin, weights, offset, names = _whitened_estimators(sigma, G, losses)
 
     rng = np.random.Generator(np.random.Philox(key=seed))
-    tot = np.zeros((len(estimators), 6))
-    tot2 = np.zeros((len(estimators), 6))
+    tot = np.zeros(6)
+    tot2 = np.zeros(6)
     done = 0
     while done < samples:
         n = min(MC_CHUNK, samples - done)
-        z = rng.standard_normal((n, widths[0]))
-        for i, (lin, weights, _, _) in enumerate(estimators):
-            y = z @ lin
-            y *= y
-            vals = weights @ y.T
-            tot[i] += vals.sum(axis=1)
-            tot2[i] += np.einsum("ij,ij->i", vals, vals)
-            # free this model's products before the next model makes its own
-            del y, vals
+        z = rng.standard_normal((n, len(lin)))
+        y = z @ lin
+        y *= y
+        vals = weights @ y.T
+        tot += vals.sum(axis=1)
+        tot2 += np.einsum("ij,ij->i", vals, vals)
         done += n
 
-    out = []
-    for (_, _, offset, names), t, t2 in zip(estimators, tot, tot2):
-        mean = t / samples
-        err = np.sqrt(np.maximum(t2 / samples - mean ** 2, 0.0) / samples)
-        mean += offset
-        fields = {}
-        for name, value, stderr in zip(names, mean.tolist(), err.tolist()):
-            fields[name], fields[name + "_stderr"] = value, stderr
-        out.append(MonteCarloBudget(samples=samples, **fields))
-    return out
+    mean = tot / samples
+    err = np.sqrt(np.maximum(tot2 / samples - mean ** 2, 0.0) / samples)
+    mean += offset
+    fields = {}
+    for name, value, stderr in zip(names, mean.tolist(), err.tolist()):
+        fields[name], fields[name + "_stderr"] = value, stderr
+    return MonteCarloBudget(samples=samples, **fields)
 
 
 # ---------------------------------------------------------------------------

@@ -23,13 +23,13 @@ from wehrlflux.dicke_gaussian import (
     dicke_point,
     divergence_scan,
     drift_diffusion,
+    estimator_means,
     fit_power_law,
     gaussian_budget,
     hamiltonian_quadratic_form,
     hp_coefficients,
     kink_detector,
     mc_gaussian_budget,
-    mc_gaussian_budgets,
     mean_field_fixed_point,
     solve_lyapunov,
     symplectic_form,
@@ -487,51 +487,58 @@ class TestMonteCarloOracle:
             mc_gaussian_budget(sigma, np.zeros((2, 2)), (1.0,), **kwargs)
 
 
-CAVITY_MODEL = (
-    solve_lyapunov(*drift_diffusion(np.zeros((2, 2)), (1.0,))), np.zeros((2, 2)), (1.0,)
-)
+def within_check_bound(value, closed, b, losses):
+    """The CLI's Dicke check: |value - closed| within 1e-10 of |closed| plus
+    the gross fluctuation flux sum_i k_i tr Sigma_i."""
+    gross = b.Phi_q + (b.Phi_q_b or 0.0) + 2.0 * sum(losses)
+    return abs(value - closed) <= 1e-10 * (abs(closed) + gross)
 
 
-class TestBatchedOracle:
-    # not a multiple of MC_CHUNK, so the last batch is a partial one
-    SAMPLES = 3 * 2 ** 13 + 5
+SCAN_RATIOS = {
+    # the dicke_mc_scan benchmark's couplings, in units of lambda_c
+    "benchmark-scan": list(np.linspace(0.30, 0.41, 45) / LAMBDA_C),
+    "criterion-10": [0.5, 0.8, 1.2, 1.5, 2.0],
+    "weak-coupling": [0.0, 1e-3],
+}
+
+
+class TestEstimatorMeans:
+    @pytest.mark.parametrize(
+        "ratios, gamma",
+        [(r, 1e-3) for r in SCAN_RATIOS.values()] + [([0.99, 0.999, 1.001, 1.01], 1e-7)],
+        ids=[*SCAN_RATIOS, "gamma-1e-7-near-lambda_c"],
+    )
+    def test_closed_forms_to_roundoff(self, ratios, gamma):
+        for ratio in ratios:
+            p = DickeParams(0.005, 0.01, 1.0, ratio * LAMBDA_C, gamma)
+            b, sigma, hp, _ = dicke_point(p)
+            losses = (p.gamma, p.kappa)
+            means = estimator_means(sigma, hamiltonian_quadratic_form(hp, p), losses)
+            assert set(means) == {"S", "Pi_u", "Pi_d", "Phi_q", "Pi_d_b", "Phi_q_b"}
+            for name, value in means.items():
+                assert within_check_bound(value, getattr(b, name), b, losses), (
+                    ratio, name, value, getattr(b, name),
+                )
+
+    def test_one_mode_terms(self):
+        sigma, G, losses = quadratic_model(None)
+        b = gaussian_budget(sigma, G, losses, 0.0, 1)
+        means = estimator_means(sigma, G, losses)
+        assert set(means) == {"S", "Pi_u", "Pi_d", "Phi_q"}
+        for name, value in means.items():
+            assert within_check_bound(value, getattr(b, name), b, losses), name
 
     @pytest.mark.parametrize(
-        "models",
-        [
-            [quadratic_model(r) for r in (0.8, 1.2, 1.5)],
-            [quadratic_model(None), CAVITY_MODEL],
-        ],
-        ids=["dicke-both-sides", "one-mode"],
+        "ratio", [0.8, 1.2, None], ids=["dicke-0.8", "dicke-1.2", "one-mode"]
     )
-    def test_batch_equals_single_calls(self, models):
-        batch = mc_gaussian_budgets(models, samples=self.SAMPLES, seed=9)
-        single = [mc_gaussian_budget(*m, samples=self.SAMPLES, seed=9) for m in models]
-        assert batch == single
-
-    def test_result_independent_of_partners_and_order(self):
-        a, b, c = (quadratic_model(r) for r in (0.5, 1.0, 2.0))
-        [alone] = mc_gaussian_budgets([a], samples=self.SAMPLES, seed=3)
-        forward = mc_gaussian_budgets([a, b, c], samples=self.SAMPLES, seed=3)
-        backward = mc_gaussian_budgets([c, b, a], samples=self.SAMPLES, seed=3)
-        assert forward[0] == alone
-        assert backward == forward[::-1]
-        assert mc_gaussian_budgets([b, a], samples=self.SAMPLES, seed=3)[1] == alone
-
-    def test_mixed_mode_counts_rejected(self):
-        with pytest.raises(ValueError, match="one mode count"):
-            mc_gaussian_budgets([quadratic_model(1.2), CAVITY_MODEL], samples=10)
-
-    def test_empty_batch(self):
-        assert mc_gaussian_budgets([], samples=10, seed=0) == []
-
-    @pytest.mark.parametrize("bad", BAD_COUNTS, ids=bad_count_id)
-    def test_empty_batch_validates_input(self, bad):
-        # validation runs before the empty batch's early return
-        kwargs = {"samples": 10, "seed": 0, **bad}
-        [name] = bad
-        with pytest.raises(ValueError, match=f"{name} must be an integer"):
-            mc_gaussian_budgets([], **kwargs)
+    def test_sampled_oracle_converges_to_means(self, ratio):
+        # the quadrature's noise about the exact means is its standard error
+        sigma, G, losses = quadratic_model(ratio)
+        means = estimator_means(sigma, G, losses)
+        mc = mc_gaussian_budget(sigma, G, losses, samples=10 ** 5, seed=5)
+        for name, value in means.items():
+            stderr = getattr(mc, name + "_stderr")
+            assert abs(getattr(mc, name) - value) < 5.0 * stderr, name
 
 
 class TestCriticalScans:
