@@ -487,6 +487,24 @@ class TestMonteCarloOracle:
             mc_gaussian_budget(sigma, np.zeros((2, 2)), (1.0,), **kwargs)
 
 
+class TestBatchedOracle:
+    """mc_gaussian_budget draws its normals in batches of MC_CHUNK."""
+
+    @pytest.mark.parametrize("bad", BAD_COUNTS, ids=bad_count_id)
+    def test_empty_batch_validates_input(self, bad, monkeypatch):
+        # a bad count is rejected before the model is whitened or any batch
+        # is drawn, so the model itself is never looked at
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started before the counts were validated")
+
+        monkeypatch.setattr(dicke_gaussian, "_whitened_estimators", no_work)
+        monkeypatch.setattr(np.random, "Philox", no_work)
+        kwargs = {"samples": 10, "seed": 0, **bad}
+        [name] = bad
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            mc_gaussian_budget(None, None, (), **kwargs)
+
+
 def within_check_bound(value, closed, b, losses):
     """The CLI's Dicke check: |value - closed| within 1e-10 of |closed| plus
     the gross fluctuation flux sum_i k_i tr Sigma_i."""
