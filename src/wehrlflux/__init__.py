@@ -32,7 +32,6 @@ from .kerr_model import (
     SweepRecord,
     bistability_window,
     collapse_transform,
-    estimate_eps_c,
     extrapolate_eps_c,
     mean_field_curve,
     recommended_cutoff,

@@ -43,7 +43,6 @@ CSV_COLUMNS = [
 # The numerics keys each model reads, with their defaults.
 _NUMERICS_DEFAULTS = {
     "kerr": {
-        "n_max": None,
         # validated but ignored: the Kerr budget runs on the polar grid, and
         # schema 2 retires the key
         "points_per_axis": POINTS_PER_AXIS,
@@ -131,6 +130,8 @@ def _grid_spec(block: dict, where: str):
     if hi < lo:
         raise ConfigError(f"{where}: max < min")
     if count == 1:
+        if hi != lo:
+            raise ConfigError(f"{where}.count must be > 1 when max != min")
         return [lo]
     step = (hi - lo) / (count - 1)
     return [lo + i * step for i in range(count)]
@@ -199,9 +200,6 @@ def validate_config(raw: dict, path: str = "<config>") -> dict:
         if key in ("certify_cutoff", "compute_gap", "mc_validate", "timing"):
             if not isinstance(val, bool):
                 raise ConfigError(f"numerics.{key} must be a boolean")
-        elif key == "n_max":
-            if val is not None and not _is_int(val, 2):
-                raise ConfigError("numerics.n_max must be an integer >= 2")
         else:
             lowest = {
                 "points_per_axis": MIN_POINTS_PER_AXIS, "mc_samples": 1, "seed": 0
@@ -274,7 +272,6 @@ def _run_kerr(cfg, keep_going, threads):
         compute_gap=numerics["compute_gap"],
         threads=threads,
         timing=numerics["timing"],
-        n_max=numerics["n_max"],
     )
     if result.failures and not keep_going:
         n, eps, msg = result.failures[0]
@@ -428,16 +425,27 @@ def write_results(path: str, rows, config_raw: dict, extra_header=()):
 
 
 def read_results(path: str):
-    """Returns (rows as dicts with floats where possible, header comments)."""
+    """Returns (rows as dicts with floats where possible, header comments).
+
+    A row with the wrong number of fields, a numeric field that does not
+    parse or a stamped ``# lambda_c=`` that is not a finite number > 0
+    raises ``ConfigError`` naming ``path:line``.
+    """
     header_comments = []
     rows = []
     columns = None
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             line = line.rstrip("\n")
             if not line:
                 continue
             if line.startswith("#"):
+                key, _, value = line[2:].partition("=")
+                if key == "lambda_c" and not _positive_finite(value):
+                    raise ConfigError(
+                        f"{path}:{lineno}: lambda_c must be a finite number > 0, "
+                        f"got {value!r}"
+                    )
                 header_comments.append(line)
                 continue
             if columns is None:
@@ -448,16 +456,23 @@ def read_results(path: str):
                     )
                 continue
             parts = line.split(",")
+            if len(parts) != len(columns):
+                raise ConfigError(
+                    f"{path}:{lineno}: {len(parts)} fields, expected {len(columns)}"
+                )
             row = {}
             for key, val in zip(columns, parts):
                 if val == "":
                     row[key] = None
                 elif key == "model":
                     row[key] = val
-                elif key in ("N", "n_max_used"):
-                    row[key] = int(val)
                 else:
-                    row[key] = float(val)
+                    try:
+                        row[key] = int(val) if key in ("N", "n_max_used") else float(val)
+                    except ValueError:
+                        raise ConfigError(
+                            f"{path}:{lineno}: {key} = {val!r} is not a number"
+                        ) from None
             rows.append(row)
     if columns is None:
         raise ConfigError(f"{path} contains no data header")
@@ -482,19 +497,14 @@ def cmd_run(args) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    if args.threads is not None:
-        source, text = "--threads", str(args.threads)
-    else:
-        source, text = "WEHRLFLUX_THREADS", os.environ.get("WEHRLFLUX_THREADS", "1")
-    if not text.strip().isdecimal() or int(text) < 1:
-        print(f"config error: {source} must be a positive integer, got {text!r}",
+    if args.threads < 1:
+        print(f"config error: --threads must be a positive integer, got {args.threads}",
               file=sys.stderr)
         return EXIT_CONFIG
-    threads = int(text)
     extra_header = []
     try:
         if cfg["model"] == "kerr":
-            rows, failures = _run_kerr(cfg, args.keep_going, threads)
+            rows, failures = _run_kerr(cfg, args.keep_going, args.threads)
         elif cfg["model"] == "cavity":
             rows, failures = _run_cavity(cfg, args.keep_going)
         else:
@@ -590,6 +600,20 @@ def cmd_fit_divergence(args) -> int:
     return 0
 
 
+def _positive_finite(text: str) -> bool:
+    try:
+        value = float(text)
+    except ValueError:
+        return False
+    return math.isfinite(value) and value > 0
+
+
+def _parse_positive(text: str) -> float:
+    if not _positive_finite(text):
+        raise argparse.ArgumentTypeError(f"must be a finite number > 0, got {text!r}")
+    return float(text)
+
+
 def _parse_window(text: str):
     try:
         lo, hi = (float(x) for x in text.split(","))
@@ -611,13 +635,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("config")
     p_run.add_argument("--keep-going", action="store_true",
                        help="record per-point failures and continue")
-    p_run.add_argument("--threads", type=int, default=None,
-                       help="worker processes (default WEHRLFLUX_THREADS or 1)")
+    p_run.add_argument("--threads", type=int, default=1,
+                       help="worker processes (default 1)")
     p_run.set_defaults(func=cmd_run)
 
     p_col = sub.add_parser("collapse", help="finite-size rescaling of a kerr sweep")
     p_col.add_argument("results")
-    p_col.add_argument("--eps-c", type=float, required=True, dest="eps_c")
+    p_col.add_argument("--eps-c", type=_parse_positive, required=True, dest="eps_c")
     p_col.set_defaults(func=cmd_collapse)
 
     p_fit = sub.add_parser("fit-divergence", help="log-log slopes of Pi_d near lambda_c")
@@ -625,7 +649,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit.add_argument("--window", type=_parse_window, default=None,
                        help="relative |lambda/lambda_c - 1| bounds, 'lo,hi' "
                             "(default: the package scaling window)")
-    p_fit.add_argument("--lambda-c", type=float, default=None, dest="lambda_c")
+    p_fit.add_argument("--lambda-c", type=_parse_positive, default=None, dest="lambda_c")
     p_fit.set_defaults(func=cmd_fit_divergence)
     return parser
 

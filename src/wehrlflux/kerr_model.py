@@ -21,8 +21,8 @@ resulting curves onto the finite-size coordinate x = N (eps/eps_c - 1).
 The cutoff rule and its Fock-tail check (``steady_state_certified``, on
 every sweep point) are fixed by the module constants ``CUTOFF_C1``,
 ``CUTOFF_C2``, ``CUTOFF_FLOOR``, ``CUTOFF_TAIL_TOL`` and
-``CUTOFF_MAX_ESCALATIONS``.  ``sweep`` takes four keyword-only options:
-``threads``, ``compute_gap``, ``timing`` and ``n_max``.  The quadrature
+``CUTOFF_MAX_ESCALATIONS``.  ``sweep`` takes three keyword-only options:
+``threads``, ``compute_gap`` and ``timing``.  The quadrature
 tolerances are ``phase_space``'s constants ``MASS_TOL`` and
 ``Q_FLOOR_RATIO``, which no sweep option overrides.
 """
@@ -34,7 +34,6 @@ import functools
 import logging
 import math
 import time
-import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -168,13 +167,11 @@ def recommended_cutoff(p: KerrParams) -> int:
 # Certified steady states and sweeps
 # ---------------------------------------------------------------------------
 
-def steady_state_certified(p: KerrParams, n_max: int | None = None):
+def steady_state_certified(p: KerrParams):
     """Steady state whose top three Fock levels hold a population below
-    ``CUTOFF_TAIL_TOL``, solved first at ``n_max`` (default
-    ``recommended_cutoff(p)``) and then at +10 levels, at most
-    ``CUTOFF_MAX_ESCALATIONS`` times, before ``SolverConvergenceError``.
-    Returns (rho, L, n_max_used).  A first cutoff below the rule raises
-    ``CutoffError`` with the rule's value as ``recommended``.
+    ``CUTOFF_TAIL_TOL``, solved first at ``recommended_cutoff(p)`` and then
+    at +10 levels, at most ``CUTOFF_MAX_ESCALATIONS`` times, before
+    ``SolverConvergenceError``.  Returns (rho, L, n_max_used).
 
     The tail check adds to the rule and does not replace it.  Near eps_c
     the truncation error is amplified by about 1/gap, so a cutoff below
@@ -182,7 +179,7 @@ def steady_state_certified(p: KerrParams, n_max: int | None = None):
     every cutoff from 45 to 100 leaves a tail below 1e-10 and gives
     <a^dag a> = 8.02, against 11.35 at the rule's 148.
     """
-    first = recommended_cutoff(p) if n_max is None else n_max
+    first = recommended_cutoff(p)
     for n in range(first, first + 10 * CUTOFF_MAX_ESCALATIONS + 1, 10):
         L = build_kerr_liouvillian(p, n)
         rho = steady_state(L)
@@ -216,11 +213,11 @@ class SweepResult:
 
 
 @one_blas_thread
-def _sweep_point(p_base, N, eps, *, compute_gap, timing, n_max) -> SweepRecord:
+def _sweep_point(p_base, N, eps, *, compute_gap, timing) -> SweepRecord:
     """One point of ``sweep``, which documents the options."""
     start = time.perf_counter()
     p = p_base.with_drive(eps, N)
-    rho, L, n_used = steady_state_certified(p, n_max=n_max)
+    rho, L, n_used = steady_state_certified(p)
     # L holds the LU its steady state was solved with, and the gap reuses
     # it; drop L before the Husimi stage so the two never share memory.
     gap = liouvillian_gap(L) if compute_gap else float("nan")
@@ -247,36 +244,19 @@ def sweep(
     threads: int = 1,
     compute_gap: bool = True,
     timing: bool = False,
-    n_max: int | None = None,
 ) -> SweepResult:
     """Steady-state budgets over a (N, eps) product grid.
 
     Points are independent jobs; failures are recorded and the sweep
     continues.  Records come back sorted by (N, eps) regardless of the
     executor, so output is deterministic for any thread count (per-point
-    wall time is only recorded when ``timing`` is set).  ``n_max``
-    replaces ``recommended_cutoff`` as the first cutoff of each point's
-    ``steady_state_certified``, and a point where it lies below the rule
-    fails with ``CutoffError``.  A failure is recorded as the exception's
-    class and message, e.g. ``CutoffError: n_max = ...``.  A warning counts
-    the drives outside [eps_lo / 2, 1.5 eps_hi]: above that band the
-    cutoff rule may be generous, and below it short, so that points pay
-    for cutoff escalations.
+    wall time is only recorded when ``timing`` is set).  Each point solves
+    ``steady_state_certified``, and its record's ``n_max_used`` shows
+    whether it escalated past ``recommended_cutoff``.  A failure is
+    recorded as the exception's class and message, e.g.
+    ``SolverConvergenceError: Fock tail ...``.
     """
-    win = bistability_window(p_base)
-    if win is not None:
-        lo, hi = 0.5 * win.eps_lo, 1.5 * win.eps_hi
-        outside = [e for e in eps_grid if not lo <= e <= hi]
-        if outside:
-            warnings.warn(
-                f"{len(outside)} drive values outside [{lo:.4g}, {hi:.4g}]: "
-                "the cutoff rule may be generous above that range and short "
-                "below it, where points escalate their cutoff",
-                stacklevel=2,
-            )
-    point = functools.partial(
-        _sweep_point, compute_gap=compute_gap, timing=timing, n_max=n_max
-    )
+    point = functools.partial(_sweep_point, compute_gap=compute_gap, timing=timing)
     jobs = [(p_base, int(N), float(eps)) for N in N_list for eps in eps_grid]
     result = SweepResult()
     with contextlib.ExitStack() as stack:
@@ -300,23 +280,6 @@ def sweep(
 # ---------------------------------------------------------------------------
 # Critical-drive estimate and data collapse
 # ---------------------------------------------------------------------------
-
-def estimate_eps_c(records) -> float:
-    """Transition drive from the largest-N curve of a sweep: the drive
-    minimizing the spectral gap, by parabolic refinement of the grid
-    minimum.
-    """
-    records = list(records)
-    if not records:
-        raise ValueError("no records")
-    n_big = max(r.N for r in records)
-    rows = sorted((r for r in records if r.N == n_big), key=lambda r: r.eps)
-    eps = np.array([r.eps for r in rows])
-    y = np.array([r.gap for r in rows])
-    if np.any(~np.isfinite(y)):
-        raise ValueError("gap values missing; rerun sweep with compute_gap=True")
-    return _refine_extremum(eps, y)
-
 
 def extrapolate_eps_c(records) -> float:
     """Thermodynamic transition drive from per-size gap minima.

@@ -106,6 +106,11 @@ class TestConfigValidation:
         loaded = load_config(write_config(tmp_path / "c.json", cfg))
         assert loaded["sweep"]["lambda_grid"] == pytest.approx([0.1, 0.15, 0.2])
 
+    def test_single_point_grid(self, tmp_path):
+        cfg = dicke_config(tmp_path, 0.3, 0.3, 1)
+        loaded = load_config(write_config(tmp_path / "c.json", cfg))
+        assert loaded["sweep"]["lambda_grid"] == [0.3]
+
     @pytest.mark.parametrize(
         "key, value", [("gamma", 0), ("gamma", "small"), ("N", 0), ("N", 2.5)]
     )
@@ -116,55 +121,54 @@ class TestConfigValidation:
         assert f"params.{key}" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "model, key, value, argv, env, named",
+        "model, key, value, argv, named",
         [
-            ("dicke", "numerics.mc_samples", 0, [], None, "mc_samples"),
-            ("dicke", "numerics.seed", -1, [], None, "seed"),
-            ("dicke", "numerics.seed", 1.5, [], None, "seed"),
-            ("kerr", "numerics.points_per_axis", 10, [], None, "points_per_axis"),
-            ("kerr", "numerics.mass_tol", -1e-6, [], None, "mass_tol"),
-            ("kerr", "numerics.mass_tol", "tight", [], None, "mass_tol"),
-            ("kerr", "numerics.mass_tol", math.inf, [], None, "mass_tol"),
-            ("kerr", "numerics.q_floor_ratio", -1e-14, [], None, "q_floor_ratio"),
-            ("kerr", "numerics.q_floor_ratio", None, [], None, "q_floor_ratio"),
-            ("kerr", "numerics.mass_tol", 1e-6, [], None, "mass_tol"),
-            ("kerr", "numerics.q_floor_ratio", 1e-14, [], None, "q_floor_ratio"),
-            ("dicke", "numerics.balance_tol", 1e-2, [], None, "balance_tol"),
-            ("kerr", "numerics.certify_cutoff", "yes", [], None, "certify_cutoff"),
-            ("dicke", None, None, ["--threads", "-3"], None, "--threads"),
-            ("dicke", None, None, [], "abc", "WEHRLFLUX_THREADS"),
-            ("kerr", "params.delta", math.nan, [], None, "params.delta"),
-            ("cavity", "params.E", math.inf, [], None, "params.E"),
-            ("dicke", "params.omega0", math.nan, [], None, "params.omega0"),
-            ("kerr", "sweep.eps.min", math.nan, [], None, "sweep.eps.min"),
-            ("kerr", "sweep.N_list", [True], [], None, "sweep.N_list"),
-            ("kerr", "sweep.eps.count", True, [], None, "sweep.eps.count"),
-            ("kerr", "numerics.mc_samples", 10, [], None, "mc_samples"),
-            ("dicke", "numerics.points_per_axis", 128, [], None, "points_per_axis"),
-            ("dicke", "numerics.compute_gap", False, [], None, "compute_gap"),
-            ("cavity", "numerics.compute_gap", False, [], None, "compute_gap"),
-            ("cavity", "numerics.seed", 1, [], None, "seed"),
+            ("dicke", "numerics.mc_samples", 0, [], "mc_samples"),
+            ("dicke", "numerics.seed", -1, [], "seed"),
+            ("dicke", "numerics.seed", 1.5, [], "seed"),
+            ("kerr", "numerics.points_per_axis", 10, [], "points_per_axis"),
+            ("kerr", "numerics.mass_tol", -1e-6, [], "mass_tol"),
+            ("kerr", "numerics.mass_tol", "tight", [], "mass_tol"),
+            ("kerr", "numerics.mass_tol", math.inf, [], "mass_tol"),
+            ("kerr", "numerics.q_floor_ratio", -1e-14, [], "q_floor_ratio"),
+            ("kerr", "numerics.q_floor_ratio", None, [], "q_floor_ratio"),
+            ("kerr", "numerics.mass_tol", 1e-6, [], "mass_tol"),
+            ("kerr", "numerics.q_floor_ratio", 1e-14, [], "q_floor_ratio"),
+            ("dicke", "numerics.balance_tol", 1e-2, [], "balance_tol"),
+            ("kerr", "numerics.certify_cutoff", "yes", [], "certify_cutoff"),
+            ("dicke", None, None, ["--threads", "-3"], "--threads"),
+            ("kerr", "params.delta", math.nan, [], "params.delta"),
+            ("cavity", "params.E", math.inf, [], "params.E"),
+            ("dicke", "params.omega0", math.nan, [], "params.omega0"),
+            ("kerr", "sweep.eps.min", math.nan, [], "sweep.eps.min"),
+            ("kerr", "sweep.N_list", [True], [], "sweep.N_list"),
+            ("kerr", "sweep.eps.count", True, [], "sweep.eps.count"),
+            ("kerr", "numerics.mc_samples", 10, [], "mc_samples"),
+            ("dicke", "numerics.points_per_axis", 128, [], "points_per_axis"),
+            ("dicke", "numerics.compute_gap", False, [], "compute_gap"),
+            ("cavity", "numerics.compute_gap", False, [], "compute_gap"),
+            ("cavity", "numerics.seed", 1, [], "seed"),
+            ("kerr", "numerics.n_max", 60, [], "n_max"),
+            ("kerr", "sweep.eps.count", 1, [], "sweep.eps.count"),
+            ("dicke", "sweep.lambda.count", 1, [], "sweep.lambda.count"),
         ],
         ids=[
             "mc_samples-0", "seed-negative", "seed-fraction", "points_per_axis-10",
             "mass_tol-negative", "mass_tol-text", "mass_tol-infinite",
             "q_floor_ratio-negative", "q_floor_ratio-null",
             "kerr-reads-no-mass_tol", "kerr-reads-no-q_floor_ratio", "balance_tol-removed",
-            "certify_cutoff-text", "threads-negative", "threads-env-text",
+            "certify_cutoff-text", "threads-negative",
             "kerr-delta-nan", "cavity-E-infinite", "dicke-omega0-nan",
             "eps-min-nan", "N_list-bool", "eps-count-bool",
             "kerr-reads-no-mc_samples", "dicke-reads-no-points_per_axis",
             "dicke-reads-no-compute_gap", "cavity-reads-no-compute_gap",
-            "cavity-reads-no-seed",
+            "cavity-reads-no-seed", "kerr-reads-no-n_max", "eps-count-1-wide",
+            "lambda-count-1-wide",
         ],
     )
     def test_invalid_run_inputs_exit_config(
-        self, tmp_path, capsys, monkeypatch, model, key, value, argv, env, named
+        self, tmp_path, capsys, model, key, value, argv, named
     ):
-        if env is None:
-            monkeypatch.delenv("WEHRLFLUX_THREADS", raising=False)
-        else:
-            monkeypatch.setenv("WEHRLFLUX_THREADS", env)
         cfg = {
             "kerr": kerr_config,
             "dicke": lambda path: dicke_config(path, 0.3, 0.31, 2),
@@ -534,3 +538,52 @@ class TestFitDivergenceCommand:
         path = tmp_path / "nolc.csv"
         write_results(str(path), rows, {})
         assert main(["fit-divergence", str(path)]) == EXIT_CONFIG
+
+
+class TestResultsInput:
+    """Malformed results files and critical values exit 2 and name the
+    cause, without a traceback."""
+
+    @pytest.mark.parametrize(
+        "lineno, edit, named",
+        [
+            (6, lambda line: line.rsplit(",", 1)[0], ":6: 15 fields, expected 16"),
+            (7, lambda line: re.sub(r"^(kerr,\d+,)[^,]*", r"\1abc", line),
+             ":7: eps_or_lambda = 'abc' is not a number"),
+            (8, lambda line: line.replace("kerr,10,", "kerr,ten,"),
+             ":8: N = 'ten' is not a number"),
+            # a stamp in place of the config hash line
+            (4, lambda line: "# lambda_c=abc",
+             ":4: lambda_c must be a finite number > 0, got 'abc'"),
+            (4, lambda line: "# lambda_c=nan",
+             ":4: lambda_c must be a finite number > 0, got 'nan'"),
+        ],
+        ids=["short-row", "eps-text", "N-text", "lambda_c-text", "lambda_c-nan"],
+    )
+    @pytest.mark.parametrize(
+        "argv", [["collapse", "--eps-c", "0.94"], ["fit-divergence"]],
+        ids=["collapse", "fit-divergence"],
+    )
+    def test_malformed_results_exit_config(
+        self, tmp_path, capsys, argv, lineno, edit, named
+    ):
+        path = write_collapse_rows(tmp_path / "sweep.csv", (10,), 0.94)
+        lines = Path(path).read_text().splitlines()
+        lines[lineno - 1] = edit(lines[lineno - 1])
+        Path(path).write_text("\n".join(lines) + "\n")
+        assert main([argv[0], path, *argv[1:]]) == EXIT_CONFIG
+        assert f"sweep.csv{named}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, option", [("collapse", "--eps-c"), ("fit-divergence", "--lambda-c")]
+    )
+    @pytest.mark.parametrize("value", ["0", "-1", "-0.35", "nan", "inf", "abc"])
+    def test_critical_value_checked_when_parsed(
+        self, tmp_path, capsys, command, option, value
+    ):
+        path = write_collapse_rows(tmp_path / "sweep.csv", (10,), 0.94)
+        with pytest.raises(SystemExit) as info:
+            main([command, path, option, value])
+        assert info.value.code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"argument {option}: must be a finite number > 0, got '{value}'" in err

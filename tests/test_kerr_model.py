@@ -1,5 +1,8 @@
+import inspect
 import math
 import os
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,7 +17,7 @@ from wehrlflux.kerr_model import (
     bistability_window,
     collapse_transform,
     drive_at,
-    estimate_eps_c,
+    extrapolate_eps_c,
     mean_field_curve,
     recommended_cutoff,
     sweep,
@@ -22,6 +25,7 @@ from wehrlflux.kerr_model import (
 
 
 TEST_PID = os.getpid()
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def exit_in_worker(*args, **kwargs):
@@ -127,14 +131,9 @@ class TestCutoffRule:
         # but gives <a^dag a> = 31.97 against 36.25 at the rule's 148
         p = kerr_params(0.94, 30)
         assert recommended_cutoff(p) == 148
-        with pytest.raises(CutoffError) as info:
-            kerr_model.steady_state_certified(p, n_max=116)
+        with pytest.raises(CutoffError, match="n_max = 116 below") as info:
+            build_kerr_liouvillian(p, 116)
         assert info.value.recommended == 148
-        result = sweep(p, [30], [0.94], compute_gap=False, n_max=116)
-        assert not result.records
-        ((N, eps, message),) = result.failures
-        assert (N, eps) == (30, 0.94) and "below recommended cutoff 148" in message
-        assert message.startswith("CutoffError: n_max = 116 below")
 
     def test_exhausted_escalation_names_the_tail(self, monkeypatch):
         monkeypatch.setattr(kerr_model, "CUTOFF_MAX_ESCALATIONS", 0)
@@ -160,8 +159,7 @@ class TestSweep:
         # an absurd drive far outside the guard range still yields a record
         # or a recorded failure, never an exception
         p = kerr_params(0.0, 2)
-        with pytest.warns(UserWarning, match="1 drive values outside .* short below"):
-            result = sweep(p, [2], [30.0], compute_gap=False)
+        result = sweep(p, [2], [30.0], compute_gap=False)
         assert len(result.records) + len(result.failures) == 1
 
     def test_explicit_zero_tolerance_is_honoured(self, monkeypatch):
@@ -187,6 +185,16 @@ class TestSweep:
     def test_unknown_option_is_a_type_error(self):
         with pytest.raises(TypeError, match="certfy"):
             sweep(kerr_params(0.9, 2), [2], [0.9], certfy=False)
+        # the first cutoff is always the rule's; a wider one is a library
+        # call, build_kerr_liouvillian(p, n, enforce_cutoff=False)
+        with pytest.raises(TypeError, match="n_max"):
+            sweep(kerr_params(0.9, 2), [2], [0.9], n_max=60)
+
+    def test_readme_names_the_sweep_options(self):
+        signature = r"`sweep\(p, N_list, eps_grid, \*, ([^)]*)\)`"
+        (named,) = re.findall(signature, README.read_text())
+        params = inspect.signature(sweep).parameters.values()
+        assert named.split(", ") == [q.name for q in params if q.kind is q.KEYWORD_ONLY]
 
 
 class TestCollapse:
@@ -224,12 +232,17 @@ class TestCollapse:
         res = collapse_transform(points, 1.0)
         assert res.metrics[(10, 20)] is None
 
-    def test_estimate_eps_c_from_parabola(self):
-        # records with a parabolic gap curve: refinement hits the vertex
+    def test_extrapolate_eps_c_from_parabolas(self):
+        # parabolic gap curves with vertices at 0.943 + b/N: refinement hits
+        # each vertex, and the 1/N fit's intercept is 0.943
         class Row:
-            def __init__(self, N, eps, gap, n_mean):
-                self.N, self.eps, self.gap, self.n_mean = N, eps, gap, n_mean
+            def __init__(self, N, eps, gap):
+                self.N, self.eps, self.gap = N, eps, gap
 
-        eps = np.linspace(0.9, 1.0, 11)
-        rows = [Row(10, e, (e - 0.943) ** 2 + 1e-5, e) for e in eps]
-        assert estimate_eps_c(rows) == pytest.approx(0.943, abs=1e-12)
+        eps = np.linspace(0.9, 1.1, 41)
+        rows = [
+            Row(N, e, (e - (0.943 + 0.2 / N)) ** 2 + 1e-5)
+            for N in (10, 20)
+            for e in eps
+        ]
+        assert extrapolate_eps_c(rows) == pytest.approx(0.943, abs=1e-12)
