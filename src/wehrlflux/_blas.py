@@ -6,10 +6,11 @@ result moves in its last digits with the thread count.  ``one_blas_thread``
 sets every OpenBLAS copy the process has loaded (numpy's and scipy's wheels
 each bundle their own) to one thread while the call runs, then gives each
 copy back the count it had.  The copies are found through /proc/self/maps
-on first use, never at import, and where none is loaded the call runs
-unchanged.  The count is process-wide: the package calls its pinned
-functions from one thread per process, and callers that run them from
-several threads at once may see each other's setting.
+at each call, never at import, so a copy loaded after the first call is
+pinned too; where none is loaded the call runs unchanged.  The count is
+process-wide: the package calls its pinned functions from one thread per
+process, and callers that run them from several threads at once may see
+each other's setting.
 """
 
 from __future__ import annotations
@@ -27,12 +28,12 @@ _SYMBOLS = (
 )
 
 
-@functools.cache
 def _libraries() -> tuple:
-    """(get, set) thread-count functions of every loaded OpenBLAS copy.
+    """(get, set) thread-count functions of every OpenBLAS copy loaded now.
 
-    Looked up once: numpy and scipy load their copies when they are
-    imported, which every module calling a pinned function does first.
+    The maps are read on every call, since a copy can be loaded after the
+    first pinned call: the Gaussian models import numpy alone, and scipy
+    loads its copy when a Kerr module is first imported.
     """
     try:
         with open("/proc/self/maps", encoding="utf-8") as fh:
@@ -41,18 +42,21 @@ def _libraries() -> tuple:
             })
     except OSError:
         return ()
-    found = []
-    for path in paths:
-        lib = ctypes.CDLL(path)
-        for get_name, set_name in _SYMBOLS:
-            get = getattr(lib, get_name, None)
-            set_ = getattr(lib, set_name, None)
-            if get is not None and set_ is not None:
-                get.argtypes, get.restype = [], ctypes.c_int
-                set_.argtypes, set_.restype = [ctypes.c_int], None
-                found.append((get, set_))
-                break
-    return tuple(found)
+    return tuple(filter(None, map(_thread_functions, paths)))
+
+
+@functools.cache
+def _thread_functions(path: str):
+    """(get, set) of the OpenBLAS at ``path``, or None if it has neither."""
+    lib = ctypes.CDLL(path)
+    for get_name, set_name in _SYMBOLS:
+        get = getattr(lib, get_name, None)
+        set_ = getattr(lib, set_name, None)
+        if get is not None and set_ is not None:
+            get.argtypes, get.restype = [], ctypes.c_int
+            set_.argtypes, set_.restype = [ctypes.c_int], None
+            return get, set_
+    return None
 
 
 def one_blas_thread(fn):

@@ -26,7 +26,6 @@ import time
 
 from . import __version__
 from .errors import ConfigError, WehrlFluxError
-from .phase_space import MIN_POINTS_PER_AXIS, POINTS_PER_AXIS
 
 SCHEMA_VERSION = 1
 
@@ -40,16 +39,9 @@ CSV_COLUMNS = [
     "n_max_used", "wall_time_s",
 ]
 
-# The numerics keys each model reads, with their defaults.
+# The numerics keys the Gaussian models read, with their defaults; the
+# Kerr keys are in ``_numerics_spec``.
 _NUMERICS_DEFAULTS = {
-    "kerr": {
-        # validated but ignored: the Kerr budget runs on the polar grid, and
-        # schema 2 retires the key
-        "points_per_axis": POINTS_PER_AXIS,
-        "certify_cutoff": True,  # ignored: each Kerr point checks its Fock tail
-        "compute_gap": True,
-        "timing": False,
-    },
     "dicke": {
         "mc_validate": False,
         # validated but ignored: the Dicke check is exact, and schema 2
@@ -60,6 +52,26 @@ _NUMERICS_DEFAULTS = {
     },
     "cavity": {"timing": False},
 }
+
+
+def _numerics_spec(model: str):
+    """(defaults, lowest): the numerics keys ``model`` reads with their
+    defaults, and the least value of each integer key."""
+    if model != "kerr":
+        return _NUMERICS_DEFAULTS[model], {"mc_samples": 1, "seed": 0}
+    # phase_space loads scipy, so only a Kerr config imports it
+    from .phase_space import MIN_POINTS_PER_AXIS, POINTS_PER_AXIS
+
+    defaults = {
+        # validated but ignored: the Kerr budget runs on the polar grid, and
+        # schema 2 retires the key
+        "points_per_axis": POINTS_PER_AXIS,
+        "certify_cutoff": True,  # ignored: each Kerr point checks its Fock tail
+        "compute_gap": True,
+        "timing": False,
+    }
+    return defaults, {"points_per_axis": MIN_POINTS_PER_AXIS}
+
 
 _SWEEP_KEYS = {
     "kerr": {"N_list", "eps"},
@@ -194,20 +206,17 @@ def validate_config(raw: dict, path: str = "<config>") -> dict:
     numerics_block = raw.get("numerics", {})
     if not isinstance(numerics_block, dict):
         raise ConfigError("numerics block must be an object")
-    _reject_unknown(numerics_block, set(_NUMERICS_DEFAULTS[model]), f"{model} numerics")
-    numerics = {**_NUMERICS_DEFAULTS[model], **numerics_block}
+    defaults, lowest_of = _numerics_spec(model)
+    _reject_unknown(numerics_block, set(defaults), f"{model} numerics")
+    numerics = {**defaults, **numerics_block}
     for key, val in numerics.items():
-        if key in ("certify_cutoff", "compute_gap", "mc_validate", "timing"):
+        if key not in lowest_of:
             if not isinstance(val, bool):
                 raise ConfigError(f"numerics.{key} must be a boolean")
-        else:
-            lowest = {
-                "points_per_axis": MIN_POINTS_PER_AXIS, "mc_samples": 1, "seed": 0
-            }[key]
-            if not _is_int(val, lowest):
-                raise ConfigError(
-                    f"numerics.{key} must be an integer >= {lowest}, got {val!r}"
-                )
+        elif not _is_int(val, lowest_of[key]):
+            raise ConfigError(
+                f"numerics.{key} must be an integer >= {lowest_of[key]}, got {val!r}"
+            )
 
     output = raw.get("output")
     if not isinstance(output, str) or not output:

@@ -56,9 +56,9 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 
 from ._blas import one_blas_thread
+from .budget import EntropyBudget
 from .errors import (
     DimensionError,
     InvalidCovarianceError,
@@ -66,7 +66,6 @@ from .errors import (
     SolverConvergenceError,
     UnstableSystemError,
 )
-from .phase_space import EntropyBudget
 
 log = logging.getLogger(__name__)
 
@@ -298,9 +297,13 @@ class CovarianceMatrix:
 def solve_lyapunov(A: np.ndarray, D: np.ndarray) -> CovarianceMatrix:
     """Direct solve of A sigma + sigma A^T + D = 0 for Hurwitz A.
 
-    The result must be a quadrature covariance: it is checked against the
-    quantum uncertainty bound (``CovarianceMatrix.validate_physical``),
-    which every (A, D) from ``drift_diffusion`` meets.
+    With row-major vec, vec(A sigma + sigma A^T) = (A (x) I + I (x) A)
+    vec(sigma), so sigma is one dense solve of that Kronecker sum, which is
+    (2m)^2 square: 16 x 16 for two modes.  A Hurwitz A keeps it regular,
+    since its eigenvalues are the pairwise sums of A's.  The result must be
+    a quadrature covariance: it is checked against the quantum uncertainty
+    bound (``CovarianceMatrix.validate_physical``), which every (A, D) from
+    ``drift_diffusion`` meets.
     """
     eigvals = np.linalg.eigvals(A)
     worst = eigvals[np.argmax(eigvals.real)]
@@ -309,7 +312,11 @@ def solve_lyapunov(A: np.ndarray, D: np.ndarray) -> CovarianceMatrix:
             f"drift is not Hurwitz: eigenvalue {worst:.6g} has Re >= {-HURWITZ_TOL}",
             eigenvalue=complex(worst),
         )
-    sigma = sla.solve_continuous_lyapunov(A, -np.asarray(D, dtype=float))
+    n = len(A)
+    eye = np.eye(n)
+    sigma = np.linalg.solve(
+        np.kron(A, eye) + np.kron(eye, A), -np.asarray(D, dtype=float).ravel()
+    ).reshape(n, n)
     sigma = 0.5 * (sigma + sigma.T)
     residual = float(np.linalg.norm(A @ sigma + sigma @ A.T + D)) / (
         2.0 * np.linalg.norm(A) * np.linalg.norm(sigma) + np.linalg.norm(D)
@@ -454,7 +461,7 @@ def _whitened_estimators(sigma: CovarianceMatrix, G: np.ndarray, losses):
     m = _mode_count(G, losses)
     Sigma = _husimi_covariance(sigma, m)
     L = np.linalg.cholesky(Sigma)
-    L_inv = sla.solve_triangular(L, np.eye(2 * m), lower=True)
+    L_inv = np.linalg.inv(L)
     w, V = np.linalg.eigh(L_inv @ unitary_diffusion(G) @ L_inv.T)
     # the columns of z @ lin are M r = (L - L^{-T}) z, r = L z and V^T z
     lin = np.hstack([(L - L_inv.T).T, L.T, V])
@@ -532,8 +539,8 @@ def mc_gaussian_budget(
     and with W = V diag(w) V^T (V orthogonal, so |z|^2 = |V^T z|^2) every
     estimator is a constant plus a weighted sum of squares of the columns
     of z @ [(L - L^{-T})^T, L^T, V]; ``estimator_means`` gives their exact
-    expectations.  The small matrices are built once from one triangular
-    solve against L; a batch is two narrow matrix products and two
+    expectations.  The small matrices are built once from L and its
+    inverse; a batch is two narrow matrix products and two
     row-wise sums.  The call runs on one BLAS thread (``one_blas_thread``):
     products this narrow gain nothing from a second thread, which only
     spins and doubles the CPU time.  ``MC_CHUNK`` = 2^13 rows keeps a
@@ -589,7 +596,10 @@ def fit_power_law(lams, values, lambda_c: float, window=DIVERGENCE_WINDOW):
     ``window`` bounds the relative distance |lambda/lambda_c - 1| used in
     the fit; points inside the lower bound sit in the gamma-rounded core
     and are excluded.  Returns ((slope, stderr, npts) left, same right).
+    A ``lambda_c`` that is not a finite number > 0 raises ``ValueError``.
     """
+    if not (math.isfinite(lambda_c) and lambda_c > 0):
+        raise ValueError(f"lambda_c must be a finite number > 0, got {lambda_c!r}")
     lams = np.asarray(lams, dtype=float)
     values = np.asarray(values, dtype=float)
     rel = lams / lambda_c - 1.0

@@ -353,9 +353,9 @@ class CollapseResult:
 
 
 def collapse_transform(points, eps_c: float) -> CollapseResult:
+    if not (math.isfinite(eps_c) and eps_c > 0):
+        raise ValueError(f"eps_c must be a finite number > 0, got {eps_c!r}")
     points = sorted(points, key=lambda r: (r.N, r.eps))
-    if eps_c <= 0:
-        raise ValueError("eps_c must be positive")
     rows = [
         (p.N * (p.eps / eps_c - 1.0), p.Pi_u, p.Pi_d / p.N, p.N) for p in points
     ]

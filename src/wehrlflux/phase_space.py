@@ -74,6 +74,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import gammaln
 
+from .budget import EntropyBudget
 from .errors import (
     DimensionError,
     MassDeficitError,
@@ -427,42 +428,8 @@ def pi_u_kerr(f: PhaseSpaceField, u: float, N: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Entropy budget
+# Entropy budget (the ``EntropyBudget`` record lives in ``budget``)
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class EntropyBudget:
-    """Entropy bookkeeping of one steady state.
-
-    All rates are in nats per unit time.  ``Pi_ext`` is by construction the
-    same number as ``Phi_ext`` (mean-field production flows straight to the
-    environment), so it is exposed as an alias of the stored value.  The
-    optional b-channel entries carry the stabilizer-mode contributions of
-    two-mode Gaussian budgets; they are None for single-mode states.
-    """
-
-    S: float
-    dSdt: float
-    Phi_ext: float
-    Phi_q: float
-    Pi_u: float
-    Pi_d: float
-    alpha: complex
-    N: int
-    balance_rel: float
-    mass: float = 1.0
-    Phi_q_b: float | None = None
-    Pi_d_b: float | None = None
-
-    @property
-    def Pi_ext(self) -> float:
-        return self.Phi_ext
-
-    @property
-    def Pi_total(self) -> float:
-        extra = (self.Pi_d_b or 0.0)
-        return self.Pi_ext + self.Pi_u + self.Pi_d + extra
-
 
 def entropy_budget(
     rho: DensityMatrix,

@@ -80,27 +80,119 @@ def test_solvers_run_on_one_thread(caller_at_two_threads, monkeypatch):
     assert blas_threads() == (2,) * len(blas_threads())
 
 
+LATE_LOAD = """
+import ctypes
+import json
+import sys
+
+from wehrlflux import _blas
+from wehrlflux.dicke_gaussian import DickeParams, dicke_point, hamiltonian_quadratic_form
+from wehrlflux.dicke_gaussian import mc_gaussian_budget
+
+
+def copies():
+    # each loaded OpenBLAS's (get, set), looked up here, not through _blas
+    with open("/proc/self/maps", encoding="utf-8") as fh:
+        paths = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
+    out = []
+    for path in paths:
+        lib = ctypes.CDLL(path)
+        get_name, set_name = next(n for n in _blas._SYMBOLS if hasattr(lib, n[0]))
+        get, set_ = getattr(lib, get_name), getattr(lib, set_name)
+        get.argtypes, get.restype = [], ctypes.c_int
+        set_.argtypes, set_.restype = [ctypes.c_int], None
+        out.append((get, set_))
+    return out
+
+
+def threads():
+    return [get() for get, _ in copies()]
+
+
+def set_all(count):
+    for _, set_ in copies():
+        set_(count)
+
+
+assert "scipy" not in sys.modules
+set_all(2)
+p = DickeParams(0.005, 0.01, 1.0, 0.3, 1e-3)
+_, sigma, hp, _ = dicke_point(p)
+mc_gaussian_budget(sigma, hamiltonian_quadratic_form(hp, p), (p.gamma, p.kappa), samples=10)
+
+from wehrlflux import kerr_model, liouvillian  # loads scipy's copy
+
+set_all(2)
+seen = []
+
+
+def recording(real):
+    def call(*args, **kwargs):
+        seen.append([real.__name__, threads()])
+        return real(*args, **kwargs)
+    return call
+
+
+liouvillian._bordered_lu = recording(liouvillian._bordered_lu)
+liouvillian.eigs = recording(liouvillian.eigs)
+params = liouvillian.KerrParams(-2.0, 1.0, 0.5, 0.9, 5)
+L = liouvillian.build_kerr_liouvillian(params, kerr_model.recommended_cutoff(params))
+liouvillian.steady_state(L)
+liouvillian.liouvillian_gap(L)
+print(json.dumps({"copies": len(copies()), "seen": seen, "after": threads()}))
+"""
+
+
+def test_pin_covers_copies_loaded_after_first_call():
+    # the Dicke call pins numpy's copy alone; scipy's copy, loaded later
+    # with the Kerr modules, must be pinned by the Kerr solves all the same
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", LATE_LOAD], env=env, capture_output=True,
+        text=True, timeout=300,
+    )
+    assert out.returncode == 0, out.stderr
+    report = json.loads(out.stdout.splitlines()[-1])
+    assert report["copies"] == 2
+    assert report["seen"] == [["_bordered_lu", [1, 1]], ["eigs", [1, 1]]]
+    assert report["after"] == [2, 2]
+
+
 def test_csv_independent_of_blas_threads(tmp_path):
     # near eps_c the LU result moves in its last digits with the BLAS
-    # thread count unless every solve pins it
-    config = tmp_path / "kerr.json"
-    config.write_text(json.dumps({
-        "schema_version": 1,
-        "model": "kerr",
-        "params": {"delta": -2.0, "u": 1.0, "kappa": 0.5},
-        "sweep": {"N_list": [5], "eps": {"min": 0.9, "max": 0.95, "count": 2}},
-        "numerics": {"certify_cutoff": False, "compute_gap": True,
-                     "points_per_axis": 64},
-        "output": str(tmp_path / "kerr.csv"),
-    }))
-    outputs = []
-    for count in ("1", "2"):
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=count)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-        subprocess.run(
-            [sys.executable, "-m", "wehrlflux.cli", "run", str(config)],
-            env=env, check=True, capture_output=True, timeout=300,
-        )
-        outputs.append(tmp_path / f"kerr_{count}.csv")
-        shutil.move(tmp_path / "kerr.csv", outputs[-1])
-    assert outputs[0].read_bytes() == outputs[1].read_bytes()
+    # thread count unless every solve pins it; the Dicke scan runs the
+    # whole Gaussian pipeline and its estimator check on numpy's BLAS
+    configs = {
+        "kerr": {
+            "schema_version": 1,
+            "model": "kerr",
+            "params": {"delta": -2.0, "u": 1.0, "kappa": 0.5},
+            "sweep": {"N_list": [5], "eps": {"min": 0.9, "max": 0.95, "count": 2}},
+            "numerics": {"certify_cutoff": False, "compute_gap": True,
+                         "points_per_axis": 64},
+        },
+        "dicke": {
+            "schema_version": 1,
+            "model": "dicke",
+            "params": {"omega0": 0.005, "omega": 0.01, "kappa": 1.0, "gamma": 0.001},
+            "sweep": {"lambda": {"min": 0.30, "max": 0.41, "count": 45}},
+            "numerics": {"mc_validate": True},
+        },
+    }
+    for model, cfg in configs.items():
+        config = tmp_path / f"{model}.json"
+        config.write_text(json.dumps({**cfg, "output": str(tmp_path / f"{model}.csv")}))
+        outputs = []
+        for count in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=count)
+            env["PYTHONPATH"] = os.pathsep.join(
+                filter(None, [str(SRC), env.get("PYTHONPATH")])
+            )
+            subprocess.run(
+                [sys.executable, "-m", "wehrlflux.cli", "run", str(config)],
+                env=env, check=True, capture_output=True, timeout=300,
+            )
+            outputs.append(tmp_path / f"{model}_{count}.csv")
+            shutil.move(tmp_path / f"{model}.csv", outputs[-1])
+        assert outputs[0].read_bytes() == outputs[1].read_bytes(), model

@@ -4,6 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 from hypothesis import assume, given, settings, strategies as st
 
 from wehrlflux import dicke_gaussian
@@ -260,6 +261,38 @@ class TestLyapunov:
         for ratio in (0.5, 0.99, 1.01, 2.0):
             _, sigma, *_ = dicke_point(fig3_params(ratio * LAMBDA_C))
             assert sigma.validate_physical() > -1e-9
+
+
+class TestLyapunovRoutes:
+    """The numpy Kronecker solve and the whitening against scipy's solvers,
+    which the package no longer imports: two routes to the same matrices."""
+
+    @pytest.mark.parametrize("ratio", [0.5, 0.99, 1.01, 1.5, None],
+                             ids=["0.5", "0.99", "1.01", "1.5", "cavity"])
+    def test_kronecker_solve_matches_bartels_stewart(self, ratio):
+        if ratio is None:
+            G, losses = np.zeros((2, 2)), (0.5,)
+        else:
+            _, G, losses = dicke_model(fig3_params(ratio * LAMBDA_C))
+        A, D = drift_diffusion(G, losses)
+        ours = solve_lyapunov(A, D).sigma
+        theirs = sla.solve_continuous_lyapunov(A, -D)
+        assert np.abs(ours - theirs).max() <= 1e-10 * np.abs(theirs).max()
+
+    @pytest.mark.parametrize("ratio", [0.5, 0.99, 1.01, 1.5, None])
+    def test_whitening_matches_triangular_solve(self, ratio):
+        sigma, G, losses = quadratic_model(ratio)
+        m = len(losses)
+        lin, weights, *_ = dicke_gaussian._whitened_estimators(sigma, G, losses)
+        L = np.linalg.cholesky(sigma.sigma + 0.5 * np.eye(2 * m))
+        L_inv = sla.solve_triangular(L, np.eye(2 * m), lower=True)
+        w = np.linalg.eigvalsh(L_inv @ unitary_diffusion(G) @ L_inv.T)
+        scale = np.abs(L).max() + np.abs(L_inv).max()
+        np.testing.assert_allclose(lin[:, :2 * m], (L - L_inv.T).T, rtol=0, atol=1e-14 * scale)
+        np.testing.assert_allclose(lin[:, 2 * m:4 * m], L.T, rtol=0, atol=0)
+        np.testing.assert_allclose(
+            weights[1, 4 * m:], 0.5 * w, rtol=0, atol=1e-14 * np.abs(w).max()
+        )
 
 
 class TestGaussianBudget:
@@ -587,6 +620,14 @@ class TestCriticalScans:
         lams = LAMBDA_C * np.array([0.90, 0.92, 1.05, 1.08])
         with pytest.raises(SolverConvergenceError):
             fit_power_law(lams, np.ones(4), LAMBDA_C)
+
+    @pytest.mark.parametrize("lambda_c", [-0.35, 0.0, math.nan, math.inf])
+    def test_bad_lambda_c_rejected(self, lambda_c):
+        lams = LAMBDA_C * np.concatenate(
+            [np.linspace(0.85, 0.96, 12), np.linspace(1.04, 1.15, 12)]
+        )
+        with pytest.raises(ValueError, match="lambda_c must be a finite number > 0"):
+            fit_power_law(lams, 3.0 / np.abs(LAMBDA_C - lams), lambda_c)
 
     def test_kink(self):
         grid = LAMBDA_C * np.linspace(0.97, 1.03, 25)

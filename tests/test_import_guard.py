@@ -1,0 +1,91 @@
+"""Only the Kerr layers load scipy.
+
+Each entry point runs in a fresh interpreter, which then reports whether
+scipy was imported: the CLI module and its parser, a Dicke run with the
+estimator check, a cavity run and fit-divergence.  The package's lazy
+exports are checked in this process.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import wehrlflux
+from wehrlflux.cli import main
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+DICKE = {
+    "schema_version": 1,
+    "model": "dicke",
+    "params": {"omega0": 0.005, "omega": 0.01, "kappa": 1.0, "gamma": 0.001},
+    "sweep": {"lambda": {"min": 0.30, "max": 0.41, "count": 45}},
+    "numerics": {"mc_validate": True},
+}
+CAVITY = {
+    "schema_version": 1,
+    "model": "cavity",
+    "params": {"E": 1.0, "kappa": 0.5},
+}
+
+
+def scipy_loaded_after(code: str) -> bool:
+    """Run ``code`` in a fresh interpreter; True if it left scipy imported."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", code + "\nimport sys; print('scipy' in sys.modules)"],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert out.returncode == 0, out.stderr
+    return out.stdout.splitlines()[-1] == "True"
+
+
+def run_cli(args) -> str:
+    return f"from wehrlflux.cli import main\nassert main({args!r}) == 0"
+
+
+def write_config(tmp_path, cfg, name):
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps({**cfg, "output": str(tmp_path / f"{name}.csv")}))
+    return str(path)
+
+
+def test_cli_import_and_parser():
+    assert not scipy_loaded_after("import wehrlflux.cli as c\nc.build_parser()")
+
+
+@pytest.mark.parametrize("cfg", [DICKE, CAVITY], ids=["dicke", "cavity"])
+def test_gaussian_run(tmp_path, cfg):
+    config = write_config(tmp_path, cfg, cfg["model"])
+    assert not scipy_loaded_after(run_cli(["run", config]))
+
+
+def test_fit_divergence(tmp_path):
+    assert main(["run", write_config(tmp_path, DICKE, "dicke")]) == 0
+    assert not scipy_loaded_after(
+        run_cli(["fit-divergence", str(tmp_path / "dicke.csv")])
+    )
+
+
+def test_kerr_modules_do_load_scipy():
+    # the guard above can fail: a Kerr module brings scipy in
+    assert scipy_loaded_after("import wehrlflux.liouvillian")
+
+
+def test_exports_resolve_and_are_listed():
+    listed = dir(wehrlflux)
+    for name in wehrlflux.__all__:
+        assert name in listed
+        value = getattr(wehrlflux, name)
+        assert value.__name__ == name
+        assert getattr(sys.modules[value.__module__], name) is value
+
+
+def test_unknown_attribute_raises():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        wehrlflux.no_such_name

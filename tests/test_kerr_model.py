@@ -232,6 +232,11 @@ class TestCollapse:
         res = collapse_transform(points, 1.0)
         assert res.metrics[(10, 20)] is None
 
+    @pytest.mark.parametrize("eps_c", [0.0, -1.0, math.nan, math.inf])
+    def test_bad_eps_c_rejected(self, eps_c):
+        with pytest.raises(ValueError, match="eps_c must be a finite number > 0"):
+            collapse_transform(self.synthetic_points(), eps_c)
+
     def test_extrapolate_eps_c_from_parabolas(self):
         # parabolic gap curves with vertices at 0.943 + b/N: refinement hits
         # each vertex, and the 1/N fit's intercept is 0.943
