@@ -39,59 +39,6 @@ CSV_COLUMNS = [
     "n_max_used", "wall_time_s",
 ]
 
-# The numerics keys the Gaussian models read, with their defaults; the
-# Kerr keys are in ``_numerics_spec``.
-_NUMERICS_DEFAULTS = {
-    "dicke": {
-        "mc_validate": False,
-        # validated but ignored: the Dicke check is exact, and schema 2
-        # retires the keys
-        "mc_samples": 10 ** 6,
-        "seed": 0,
-        "timing": False,
-    },
-    "cavity": {"timing": False},
-}
-
-
-def _numerics_spec(model: str):
-    """(defaults, lowest): the numerics keys ``model`` reads with their
-    defaults, and the least value of each integer key."""
-    if model != "kerr":
-        return _NUMERICS_DEFAULTS[model], {"mc_samples": 1, "seed": 0}
-    # phase_space loads scipy, so only a Kerr config imports it
-    from .phase_space import MIN_POINTS_PER_AXIS, POINTS_PER_AXIS
-
-    defaults = {
-        # validated but ignored: the Kerr budget runs on the polar grid, and
-        # schema 2 retires the key
-        "points_per_axis": POINTS_PER_AXIS,
-        "certify_cutoff": True,  # ignored: each Kerr point checks its Fock tail
-        "compute_gap": True,
-        "timing": False,
-    }
-    return defaults, {"points_per_axis": MIN_POINTS_PER_AXIS}
-
-
-_SWEEP_KEYS = {
-    "kerr": {"N_list", "eps"},
-    "dicke": {"lambda"},
-    "cavity": set(),
-}
-
-_PARAM_KEYS = {
-    "kerr": {"delta", "u", "kappa"},
-    "dicke": {"omega0", "omega", "kappa", "gamma", "N"},
-    "cavity": {"E", "kappa"},
-}
-
-_PARAM_REQUIRED = {
-    "kerr": {"delta", "u", "kappa"},
-    "dicke": {"omega0", "omega", "kappa"},
-    "cavity": {"E", "kappa"},
-}
-
-
 # ---------------------------------------------------------------------------
 # Config loading and validation
 # ---------------------------------------------------------------------------
@@ -150,6 +97,9 @@ def _grid_spec(block: dict, where: str):
 
 
 def validate_config(raw: dict, path: str = "<config>") -> dict:
+    """The config ``raw`` checked against its model's entry in ``MODELS``:
+    params with their defaults filled in, the sweep grids expanded, and
+    every numerics key with its value or default."""
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: top level must be an object")
     _reject_unknown(
@@ -161,62 +111,57 @@ def validate_config(raw: dict, path: str = "<config>") -> dict:
             f"schema_version must be {SCHEMA_VERSION}, got {raw.get('schema_version')!r}"
         )
     model = raw.get("model")
-    if model not in ("kerr", "dicke", "cavity"):
-        raise ConfigError(f"model must be one of kerr/dicke/cavity, got {model!r}")
-    params = raw.get("params")
-    if not isinstance(params, dict):
+    if not isinstance(model, str) or model not in MODELS:
+        raise ConfigError(f"model must be one of {'/'.join(MODELS)}, got {model!r}")
+    spec = MODELS[model]
+
+    block = raw.get("params")
+    if not isinstance(block, dict):
         raise ConfigError("params block must be an object")
-    _reject_unknown(params, _PARAM_KEYS[model], "params")
-    for key in _PARAM_REQUIRED[model]:
-        _require_number(params, key, "params", positive=key in ("u", "kappa", "E", "omega0", "omega"))
-    if model == "dicke":
-        if "gamma" in params:
-            _require_number(params, "gamma", "params", positive=True)
-        N = params.get("N", 1)
-        if not isinstance(N, int) or isinstance(N, bool) or N < 1:
-            raise ConfigError(f"params.N must be a positive integer, got {N!r}")
+    _reject_unknown(block, set(spec["params"]), "params")
+    params = dict(block)  # raw keeps the config as written, for its hash
+    for key, rule in spec["params"].items():
+        if key not in params and key in spec["defaults"]:
+            params[key] = spec["defaults"][key](params)
+        if rule != "size":
+            _require_number(params, key, "params", positive=rule == "positive")
+        elif not _is_int(params.get(key), 1):
+            raise ConfigError(
+                f"params.{key} must be a positive integer, got {params.get(key)!r}"
+            )
 
-    sweep_block = raw.get("sweep", {})
-    if not isinstance(sweep_block, dict):
+    block = raw.get("sweep", {})
+    if not isinstance(block, dict):
         raise ConfigError("sweep block must be an object")
-    _reject_unknown(sweep_block, _SWEEP_KEYS[model], "sweep")
+    _reject_unknown(block, set(spec["sweep"]), "sweep")
     sweep = {}
-    if model == "kerr":
-        n_list = sweep_block.get("N_list")
-        if (
-            not isinstance(n_list, list)
-            or not n_list
-            or not all(_is_int(n, 1) for n in n_list)
-        ):
-            raise ConfigError("sweep.N_list must be a non-empty list of positive integers")
-        eps_spec = sweep_block.get("eps")
-        if not isinstance(eps_spec, dict):
-            raise ConfigError("sweep.eps must be a min/max/count object")
-        sweep = {"N_list": n_list, "eps_grid": _grid_spec(eps_spec, "sweep.eps")}
-        if any(e < 0 for e in sweep["eps_grid"]):
-            raise ConfigError("sweep.eps values must be >= 0")
-    elif model == "dicke":
-        lam_spec = sweep_block.get("lambda")
-        if not isinstance(lam_spec, dict):
-            raise ConfigError("sweep.lambda must be a min/max/count object")
-        sweep = {"lambda_grid": _grid_spec(lam_spec, "sweep.lambda")}
-        if any(l < 0 for l in sweep["lambda_grid"]):
-            raise ConfigError("sweep.lambda values must be >= 0")
+    for key, kind in spec["sweep"].items():
+        where, value = f"sweep.{key}", block.get(key)
+        if kind == "sizes":
+            if not (isinstance(value, list) and value and all(_is_int(n, 1) for n in value)):
+                raise ConfigError(f"{where} must be a non-empty list of positive integers")
+            sweep[key] = value
+            continue
+        if not isinstance(value, dict):
+            raise ConfigError(f"{where} must be a min/max/count object")
+        grid = _grid_spec(value, where)
+        if any(v < 0 for v in grid):
+            raise ConfigError(f"{where} values must be >= 0")
+        sweep[f"{key}_grid"] = grid
 
-    numerics_block = raw.get("numerics", {})
-    if not isinstance(numerics_block, dict):
+    block = raw.get("numerics", {})
+    if not isinstance(block, dict):
         raise ConfigError("numerics block must be an object")
-    defaults, lowest_of = _numerics_spec(model)
-    _reject_unknown(numerics_block, set(defaults), f"{model} numerics")
-    numerics = {**defaults, **numerics_block}
-    for key, val in numerics.items():
-        if key not in lowest_of:
+    accepted = {**spec["ignored"], **spec["numerics"]}
+    _reject_unknown(block, set(accepted), f"{model} numerics")
+    numerics = {}
+    for key, (default, lowest) in accepted.items():
+        val = numerics[key] = block.get(key, default)
+        if lowest is None:
             if not isinstance(val, bool):
                 raise ConfigError(f"numerics.{key} must be a boolean")
-        elif not _is_int(val, lowest_of[key]):
-            raise ConfigError(
-                f"numerics.{key} must be an integer >= {lowest_of[key]}, got {val!r}"
-            )
+        elif not _is_int(val, lowest):
+            raise ConfigError(f"numerics.{key} must be an integer >= {lowest}, got {val!r}")
 
     output = raw.get("output")
     if not isinstance(output, str) or not output:
@@ -269,6 +214,7 @@ def _budget_row(model, N, drive, budget, gap, beta, residual, n_max_used, wall):
 
 
 def _run_kerr(cfg, keep_going, threads):
+    """The Kerr sweep, its points in ``threads`` worker processes."""
     from .kerr_model import sweep
     from .liouvillian import KerrParams
 
@@ -292,7 +238,7 @@ def _run_kerr(cfg, keep_going, threads):
         )
         for rec in result.records
     ]
-    return rows, result.failures
+    return rows, result.failures, []
 
 
 def _run_points(model, label, N, drives, keep_going, timing, solve):
@@ -321,7 +267,7 @@ def _run_points(model, label, N, drives, keep_going, timing, solve):
     return rows, failures
 
 
-def _run_cavity(cfg, keep_going):
+def _run_cavity(cfg, keep_going, threads):
     """The linear driven cavity: the one-mode Gaussian model G = 0, exact."""
     import numpy as np
 
@@ -334,10 +280,11 @@ def _run_cavity(cfg, keep_going):
         sigma = solve_lyapunov(*drift_diffusion(G, losses))
         return gaussian_budget(sigma, G, losses, E / kappa, 1), None
 
-    return _run_points(
+    rows, failures = _run_points(
         "cavity", "E", 1, [cfg["params"]["E"]], keep_going,
         cfg["numerics"]["timing"], solve,
     )
+    return rows, failures, []
 
 
 # Bound of the Dicke check, relative to |closed form| plus the row's gross
@@ -368,7 +315,8 @@ def _check_estimators(budget, means, losses):
         raise WehrlFluxError(f"estimator check failed for {', '.join(off)}")
 
 
-def _run_dicke(cfg, keep_going):
+def _run_dicke(cfg, keep_going, threads):
+    """The Dicke scan, serial; its header stamps ``# lambda_c=``."""
     from .dicke_gaussian import (
         DickeParams,
         critical_coupling,
@@ -378,28 +326,76 @@ def _run_dicke(cfg, keep_going):
     )
 
     p = cfg["params"]
-    numerics = cfg["numerics"]
-    gamma = p.get("gamma", 1e-3 * p["kappa"])
-    N = int(p.get("N", 1))
-    lambda_c = None
+    check = cfg["numerics"]["mc_validate"]
+
+    def params(lam):
+        return DickeParams(p["omega0"], p["omega"], p["kappa"], lam, p["gamma"])
 
     def solve(lam):
-        nonlocal lambda_c
-        params = DickeParams(p["omega0"], p["omega"], p["kappa"], lam, gamma)
-        if lambda_c is None:
-            lambda_c = critical_coupling(params)
-        budget, sigma, hp, mf = dicke_point(params, N=N)
-        if numerics["mc_validate"]:
-            losses = (params.gamma, params.kappa)
-            G = hamiltonian_quadratic_form(hp, params)
+        point = params(lam)
+        budget, sigma, hp, mf = dicke_point(point, N=p["N"])
+        if check:
+            losses = (point.gamma, point.kappa)
+            G = hamiltonian_quadratic_form(hp, point)
             _check_estimators(budget, estimator_means(sigma, G, losses), losses)
         return budget, mf.beta
 
     rows, failures = _run_points(
-        "dicke", "lambda", N, cfg["sweep"]["lambda_grid"], keep_going,
-        numerics["timing"], solve,
+        "dicke", "lambda", p["N"], cfg["sweep"]["lambda_grid"], keep_going,
+        cfg["numerics"]["timing"], solve,
     )
-    return rows, failures, lambda_c
+    # lambda_c does not depend on the coupling; a file with no rows has
+    # nothing to fit and carries no stamp
+    header = [f"# lambda_c={_fmt(critical_coupling(params(0.0)))}"] if rows else []
+    return rows, failures, header
+
+
+# What each model reads from a config, and the runner that reads it;
+# ``validate_config`` walks this table and nothing else.
+#   run       (cfg, keep_going, threads) -> (rows, failures, extra_header)
+#   params    key -> "number" (finite), "positive" (finite, > 0) or "size"
+#             (an integer >= 1); a key without a default is required
+#   defaults  key -> default(params), given the params before the key
+#   sweep     key -> "sizes", a list of integers >= 1, or "grid", a
+#             min/max/count object of values >= 0, loaded as "<key>_grid"
+#   numerics  key -> (default, least value), None for a boolean
+#   ignored   schema-1 numerics keys that are validated and change
+#             nothing; schema 2 deletes them here
+MODELS = {
+    "kerr": {
+        "run": _run_kerr,
+        "params": {"delta": "number", "u": "positive", "kappa": "positive"},
+        "defaults": {},
+        "sweep": {"N_list": "sizes", "eps": "grid"},
+        "numerics": {"compute_gap": (True, None), "timing": (False, None)},
+        "ignored": {
+            # the budget runs on the polar grid; 64 is the frozen schema-1
+            # bound of this key, not the setting of any grid
+            "points_per_axis": (128, 64),
+            "certify_cutoff": (True, None),  # every point checks its Fock tail
+        },
+    },
+    "dicke": {
+        "run": _run_dicke,
+        "params": {
+            "omega0": "positive", "omega": "positive", "kappa": "positive",
+            "gamma": "positive", "N": "size",
+        },
+        "defaults": {"gamma": lambda params: 1e-3 * params["kappa"], "N": lambda params: 1},
+        "sweep": {"lambda": "grid"},
+        "numerics": {"mc_validate": (False, None), "timing": (False, None)},
+        # the check is exact and draws no samples
+        "ignored": {"mc_samples": (10 ** 6, 1), "seed": (0, 0)},
+    },
+    "cavity": {
+        "run": _run_cavity,
+        "params": {"E": "positive", "kappa": "positive"},
+        "defaults": {},
+        "sweep": {},
+        "numerics": {"timing": (False, None)},
+        "ignored": {},
+    },
+}
 
 
 # ---------------------------------------------------------------------------
@@ -510,16 +506,9 @@ def cmd_run(args) -> int:
         print(f"config error: --threads must be a positive integer, got {args.threads}",
               file=sys.stderr)
         return EXIT_CONFIG
-    extra_header = []
+    run = MODELS[cfg["model"]]["run"]
     try:
-        if cfg["model"] == "kerr":
-            rows, failures = _run_kerr(cfg, args.keep_going, args.threads)
-        elif cfg["model"] == "cavity":
-            rows, failures = _run_cavity(cfg, args.keep_going)
-        else:
-            rows, failures, lambda_c = _run_dicke(cfg, args.keep_going)
-            if lambda_c is not None:
-                extra_header.append(f"# lambda_c={_fmt(lambda_c)}")
+        rows, failures, extra_header = run(cfg, args.keep_going, args.threads)
     except WehrlFluxError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

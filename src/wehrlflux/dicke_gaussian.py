@@ -84,7 +84,12 @@ LYAPUNOV_RESIDUAL_TOL = 1e-12
 # passing through -1; only at gamma ~ 1e-5 and below do the local slopes
 # themselves approach -1 as x -> 0.
 DIVERGENCE_WINDOW = (0.04, 0.12)
+# The eigenvalues of sigma + i Omega/2 carry roundoff on the scale of its
+# 2-norm, which reaches 1.9e13 near lam_c at gamma = 1e-7.  From gamma = 1e-3
+# to 1e-9, the most negative min eig measured was -0.59 eps ||sigma||_2, a
+# hundredth of PHYSICALITY_REL_TOL.
 PHYSICALITY_TOL = 1e-9
+PHYSICALITY_REL_TOL = 64 * np.finfo(float).eps
 HURWITZ_TOL = 1e-12
 # Monte-Carlo samples drawn per vectorized batch.
 MC_CHUNK = 2 ** 13
@@ -284,12 +289,16 @@ class CovarianceMatrix:
 
     def validate_physical(self):
         """Uncertainty check: sigma + (i/2) Omega must be positive
-        semidefinite, to within ``PHYSICALITY_TOL``."""
+        semidefinite, to within ``PHYSICALITY_TOL`` or ``PHYSICALITY_REL_TOL``
+        times its 2-norm, whichever is larger."""
         herm = self.sigma + 0.5j * symplectic_form(len(self.sigma) // 2)
-        lam_min = float(np.linalg.eigvalsh(herm).min())
-        if lam_min < -PHYSICALITY_TOL:
+        eigs = np.linalg.eigvalsh(herm)  # ascending
+        lam_min = float(eigs[0])
+        bound = max(PHYSICALITY_TOL, PHYSICALITY_REL_TOL * max(-lam_min, float(eigs[-1])))
+        if lam_min < -bound:
             raise InvalidCovarianceError(
-                f"uncertainty violation: min eig(sigma + i Omega/2) = {lam_min:.3e}"
+                f"uncertainty violation: min eig(sigma + i Omega/2) = {lam_min:.3e}, "
+                f"below -{bound:.1e}"
             )
         return lam_min
 

@@ -23,8 +23,10 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
+# scipy.special first: it loads scipy's OpenBLAS, so the start-up spin of its
+# idle pool threads ends during the later imports, not beside the first solve
 from scipy.special import gammaln
+import scipy.sparse as sp
 
 from .errors import DimensionError, StateValidationError
 

@@ -239,6 +239,13 @@ def _bordered_lu(L: Superoperator):
         ) from exc
 
 
+def _state(v: np.ndarray, n_max: int) -> DensityMatrix:
+    """The column-stacked vector ``v`` as a hermitized, unit-trace state."""
+    rho = unvectorize(v, n_max)
+    rho = 0.5 * (rho + rho.conj().T)
+    return DensityMatrix(n_max, rho / np.trace(rho).real)
+
+
 @one_blas_thread
 def steady_state(L: Superoperator) -> DensityMatrix:
     """Unit-trace solution of L(rho) = 0, hermitized.
@@ -248,10 +255,7 @@ def steady_state(L: Superoperator) -> DensityMatrix:
     """
     rhs = np.zeros(L.dim, dtype=complex)
     rhs[0] = 1.0
-    rho = unvectorize(L.bordered_lu.solve(rhs), L.n_max)
-    rho = 0.5 * (rho + rho.conj().T)
-    rho = rho / np.trace(rho).real
-    state = DensityMatrix(L.n_max, rho)
+    state = _state(L.bordered_lu.solve(rhs), L.n_max)
     res = L.residual(state)
     if res > NULL_RESIDUAL_TOL:
         raise SolverConvergenceError(
@@ -303,11 +307,7 @@ def evolve(
     n_steps = max(1, int(math.ceil(t_final / dt)))
     dt = t_final / n_steps  # land exactly on t_final, never above the bound
     v = vectorize(rho0.entries)
-    v = _rk4_steps(L.matrix, v, dt, n_steps, L.n_max)
-    rho = unvectorize(v, L.n_max)
-    rho = 0.5 * (rho + rho.conj().T)
-    rho = rho / np.trace(rho).real
-    return DensityMatrix(L.n_max, rho)
+    return _state(_rk4_steps(L.matrix, v, dt, n_steps, L.n_max), L.n_max)
 
 
 def _rk4_steps(mat, v, dt, n_steps, n_max):
@@ -351,10 +351,7 @@ def evolve_to_stationarity(
     while t < STATIONARITY_T_MAX:
         v = _rk4_steps(L.matrix, v, dt, steps_per_block, L.n_max)
         t += steps_per_block * dt
-        rho = unvectorize(v, L.n_max)
-        rho = 0.5 * (rho + rho.conj().T)
-        rho = rho / np.trace(rho).real
-        state = DensityMatrix(L.n_max, rho)
+        state = _state(v, L.n_max)
         if prev is not None and trace_distance(prev, state) < STATIONARITY_TOL:
             return state, t
         prev = state

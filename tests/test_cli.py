@@ -12,6 +12,7 @@ from wehrlflux.cli import (
     EXIT_CONFIG,
     EXIT_IO,
     EXIT_NUMERICAL,
+    MODELS,
     _run_points,
     load_config,
     main,
@@ -193,6 +194,19 @@ class TestConfigValidation:
         cfg["numerics"]["certify_cutoff"] = certify
         loaded = load_config(write_config(tmp_path / "c.json", cfg))
         assert loaded["numerics"]["certify_cutoff"] is certify
+
+    def test_readme_tables_the_numerics_keys(self):
+        # README holds one table per model, "| key | default | value | use |",
+        # whose use is "read" or "ignored: <why>"
+        text = README.read_text()
+        for model, spec in MODELS.items():
+            heading = rf"^`{model}`:\n\n\|.*\n\|[-|]+\|\n((?:\|.*\n)+)"
+            listed = {"read": {}, "ignored": {}}
+            for row in re.search(heading, text, re.M).group(1).splitlines():
+                key, default, value, use = (c.strip(" `") for c in row.strip("|").split("|"))
+                lowest = None if value == "boolean" else int(value.split(">=")[1])
+                listed[re.match(r"\w+", use).group()][key] = (json.loads(default), lowest)
+            assert listed == {"read": spec["numerics"], "ignored": spec["ignored"]}, model
 
     def test_readme_configs_validate(self):
         blocks = re.findall(r"```json\n(.*?)```", README.read_text(), re.S)

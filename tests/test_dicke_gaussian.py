@@ -262,6 +262,24 @@ class TestLyapunov:
             _, sigma, *_ = dicke_point(fig3_params(ratio * LAMBDA_C))
             assert sigma.validate_physical() > -1e-9
 
+    def test_physicality_bound_scales_with_sigma(self):
+        # at gamma = 1e-7, ||sigma||_2 reaches 1.9e13 near lam_c and the
+        # eigenvalue roundoff (about 4e-3) passes the absolute 1e-9: an
+        # absolute bound would reject lam_c itself (min eig -3.9e-4)
+        params = dict(FIG3, gamma=1e-7)
+        lam_c = critical_coupling(DickeParams(lam=0.0, **params))
+        ratios = [1.0] + [1.0 + s * 10.0 ** -k for k in range(1, 13) for s in (-1, 1)]
+        for ratio in ratios:
+            dicke_point(DickeParams(lam=ratio * lam_c, **params))
+
+    @pytest.mark.parametrize(
+        "diag", [(0.3,) * 4, (0.1, 0.1, 1e6, 1e6)], ids=["below-vacuum", "beside-large-mode"]
+    )
+    def test_uncertainty_violation_raises(self, diag):
+        # one mode below the vacuum 1/2 is caught even beside a large one
+        with pytest.raises(InvalidCovarianceError, match="uncertainty violation"):
+            CovarianceMatrix(np.diag(diag)).validate_physical()
+
 
 class TestLyapunovRoutes:
     """The numpy Kronecker solve and the whitening against scipy's solvers,

@@ -2,8 +2,8 @@
 
 Each entry point runs in a fresh interpreter, which then reports whether
 scipy was imported: the CLI module and its parser, a Dicke run with the
-estimator check, a cavity run and fit-divergence.  The package's lazy
-exports are checked in this process.
+estimator check, a cavity run, fit-divergence and a Kerr config that
+fails validation.  The package's lazy exports are checked in this process.
 """
 
 import json
@@ -26,6 +26,14 @@ DICKE = {
     "sweep": {"lambda": {"min": 0.30, "max": 0.41, "count": 45}},
     "numerics": {"mc_validate": True},
 }
+# points_per_axis below the schema-1 bound of 64: exit 2 before any Kerr work
+BAD_KERR = {
+    "schema_version": 1,
+    "model": "kerr",
+    "params": {"delta": -2.0, "u": 1.0, "kappa": 0.5},
+    "sweep": {"N_list": [10], "eps": {"min": 0.9, "max": 0.9, "count": 1}},
+    "numerics": {"points_per_axis": 10},
+}
 CAVITY = {
     "schema_version": 1,
     "model": "cavity",
@@ -45,8 +53,8 @@ def scipy_loaded_after(code: str) -> bool:
     return out.stdout.splitlines()[-1] == "True"
 
 
-def run_cli(args) -> str:
-    return f"from wehrlflux.cli import main\nassert main({args!r}) == 0"
+def run_cli(args, code=0) -> str:
+    return f"from wehrlflux.cli import main\nassert main({args!r}) == {code}"
 
 
 def write_config(tmp_path, cfg, name):
@@ -70,6 +78,11 @@ def test_fit_divergence(tmp_path):
     assert not scipy_loaded_after(
         run_cli(["fit-divergence", str(tmp_path / "dicke.csv")])
     )
+
+
+def test_rejected_kerr_config(tmp_path):
+    config = write_config(tmp_path, BAD_KERR, "kerr")
+    assert not scipy_loaded_after(run_cli(["run", config], code=2))
 
 
 def test_kerr_modules_do_load_scipy():
