@@ -55,6 +55,8 @@ def load_config(path: str) -> dict:
         raise ConfigError(
             f"{path}:{exc.lineno}:{exc.colno}: invalid JSON: {exc.msg}"
         ) from exc
+    except ValueError as exc:  # an integer literal past int()'s digit limit
+        raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
     return validate_config(raw, path)
 
 
@@ -68,7 +70,9 @@ def _require_number(block: dict, key: str, where: str, positive=False):
     if key not in block:
         raise ConfigError(f"missing required key '{key}' in {where}")
     val = block[key]
-    if isinstance(val, bool) or not isinstance(val, (int, float)) or not math.isfinite(val):
+    number = isinstance(val, (int, float)) and not isinstance(val, bool)
+    # compared, not converted: an int beyond the float range is not finite
+    if not (number and abs(val) <= sys.float_info.max):
         raise ConfigError(f"{where}.{key} must be a finite number, got {val!r}")
     if positive and val <= 0:
         raise ConfigError(f"{where}.{key} must be positive, got {val}")
@@ -92,7 +96,10 @@ def _grid_spec(block: dict, where: str):
         if hi != lo:
             raise ConfigError(f"{where}.count must be > 1 when max != min")
         return [lo]
-    step = (hi - lo) / (count - 1)
+    try:
+        step = (hi - lo) / (count - 1)
+    except OverflowError:
+        raise ConfigError(f"{where}.count is too large") from None
     return [lo + i * step for i in range(count)]
 
 

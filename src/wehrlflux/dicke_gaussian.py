@@ -397,25 +397,20 @@ def gaussian_budget(
     pi_u = 0.5 * float(np.trace(unitary_diffusion(G) @ P))
 
     phi_ext = 2.0 * k[-1] * N * abs(alpha) ** 2
-    # cavity mode first, then the rest
-    total_phi_q = phi_q[-1] + (phi_q_b or 0.0)
-    d_s = pi_u + pi_d[-1] + (pi_d_b or 0.0) - total_phi_q
-    balance_rel = abs(d_s) / max(total_phi_q, 1e-12)
-    if balance_rel > 1e-6:
-        log.warning("Gaussian fluctuation balance off by %.3e", balance_rel)
-    return EntropyBudget(
+    budget = EntropyBudget(
         S=float(S),
-        dSdt=float(d_s),
         Phi_ext=float(phi_ext),
         Phi_q=float(phi_q[-1]),
         Pi_u=pi_u,
         Pi_d=float(pi_d[-1]),
         alpha=complex(alpha),
         N=N,
-        balance_rel=float(balance_rel),
         Phi_q_b=phi_q_b,
         Pi_d_b=pi_d_b,
     )
+    if budget.balance_rel > 1e-6:
+        log.warning("Gaussian fluctuation balance off by %.3e", budget.balance_rel)
+    return budget
 
 
 def dicke_point(p: DickeParams, N: int = 1):

@@ -30,7 +30,7 @@ class DegenerateSteadyStateError(WehrlFluxError, RuntimeError):
 
 
 class StepSizeError(WehrlFluxError, ValueError):
-    """Fixed-step propagation is unstable or drifted beyond tolerance."""
+    """Fixed-step propagation drifted in trace beyond tolerance."""
 
 
 class MassDeficitError(WehrlFluxError, ValueError):

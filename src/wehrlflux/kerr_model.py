@@ -259,9 +259,11 @@ def sweep(
     point = functools.partial(_sweep_point, compute_gap=compute_gap, timing=timing)
     jobs = [(p_base, int(N), float(eps)) for N in N_list for eps in eps_grid]
     result = SweepResult()
+    # a fork-started pool launches all its workers at the first submit
+    workers = min(threads, len(jobs))
     with contextlib.ExitStack() as stack:
-        if threads > 1:
-            pool = stack.enter_context(ProcessPoolExecutor(max_workers=threads))
+        if workers > 1:
+            pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers))
             outcomes = [(job, pool.submit(point, *job).result) for job in jobs]
         else:
             outcomes = ((job, functools.partial(point, *job)) for job in jobs)

@@ -22,15 +22,16 @@ a threshold rather than always on the largest entry, so the ordering
 mostly survives the numerical factorization.  Both answers run on one
 BLAS thread and restore the caller's count afterwards, so every caller
 gets the same bits for any BLAS thread count.  A fixed-step RK4
-propagator provides an independent oracle: the null space of L is exactly
-a fixed point of the RK4 map, so long-time propagation converges to the
-same state without a step-size bias.
+propagator provides an independent oracle.  It steps at 2 / ||L||_1,
+where the fixed points of the RK4 map are exactly the null space of L, so
+long-time propagation converges to the same state without a step-size
+bias.
 
 Settings that every caller leaves alone are module constants:
 ``LU_ORDERING``, ``LU_PIVOT_THRESHOLD``, ``GAP_EIGENVALUES`` and
-``GAP_RITZ_TOL`` for the solvers, ``POWER_ITERATIONS``,
-``TRACE_DRIFT_TOL``, ``STATIONARITY_TOL`` and ``STATIONARITY_T_MAX`` for
-the RK4 oracle.
+``GAP_RITZ_TOL`` for the solvers, ``TRACE_DRIFT_TOL``,
+``STATIONARITY_BLOCK_TIME``, ``STATIONARITY_TOL`` and
+``STATIONARITY_T_MAX`` for the RK4 oracle.
 """
 
 from __future__ import annotations
@@ -57,6 +58,7 @@ from .errors import (
 from .fock_algebra import (
     DensityMatrix,
     annihilation,
+    trace_distance,
     unvectorize,
     vectorize,
 )
@@ -93,10 +95,10 @@ GAP_EIGENVALUES = 8
 # 1.6e-13 relative on 54 drives at N = 1-30; 1e-6 moves it by 2.7e-6 at
 # N = 15, eps 1.29.
 GAP_RITZ_TOL = 1e-8
-POWER_ITERATIONS = 30
 TRACE_DRIFT_TOL = 1e-9
-# Trace distance between consecutive RK4 checkpoints that ends the
-# propagation.
+# Propagation time between RK4 checkpoints, and the trace distance
+# between consecutive checkpoints that ends the propagation.
+STATIONARITY_BLOCK_TIME = 20.0
 STATIONARITY_TOL = 1e-11
 STATIONARITY_T_MAX = 1e5
 
@@ -208,11 +210,6 @@ def build_kerr_liouvillian(
 # Steady state and gap through the trace-bordered LU
 # ---------------------------------------------------------------------------
 
-def _start_vector(dim: int) -> np.ndarray:
-    # Deterministic Arnoldi start so repeated runs are bit-identical.
-    return np.ones(dim) / math.sqrt(dim)
-
-
 def _bordered_lu(L: Superoperator):
     """Sparse LU of B, which is L with row 0 replaced by vec(I)^T.
 
@@ -269,45 +266,35 @@ def steady_state(L: Superoperator) -> DensityMatrix:
 # Fixed-step RK4 oracle
 # ---------------------------------------------------------------------------
 
-def spectral_extent(L: Superoperator) -> float:
-    """Power-iteration estimate of max |eigenvalue|, with a safety factor."""
-    v = _start_vector(L.dim).astype(complex)
-    est = 0.0
-    for _ in range(POWER_ITERATIONS):
-        w = L.matrix @ v
-        nrm = np.linalg.norm(w)
-        if nrm == 0:
-            return 1.0
-        est = nrm
-        v = w / nrm
-    return 1.2 * float(est)
-
-
 def max_stable_dt(L: Superoperator) -> float:
-    """Conservative RK4 step bound, 0.1 / max|eigenvalue estimate|."""
-    return 0.1 / spectral_extent(L)
+    """RK4 step 2 / ||L||_1, at which the RK4 map fixes exactly ker L.
+
+    One step multiplies an eigenmode of L by P(z) = 1 + z + z^2/2 + z^3/6
+    + z^4/24 with z = dt lambda.  Every eigenvalue has |lambda| <= ||L||_1
+    and, for a Lindblad generator, Re lambda <= 0, so z lies in the left
+    half-disk |z| <= 2.  RK4's stability region |P(z)| <= 1 contains the
+    left half-disk |z| <= 2.616, so no mode grows.  P(z) - 1 = z Q(z),
+    and Q has no root inside |z| < 2.785 (its real root is -2.785), so
+    Q(dt L) is invertible and P(dt L) v = v exactly when L v = 0: the
+    fixed points carry no step-size bias.  The 2 keeps a margin to both
+    radii.
+    """
+    return 2.0 / float(spnorm(L.matrix, 1))
 
 
-def evolve(
-    rho0: DensityMatrix,
-    L: Superoperator,
-    t_final: float,
-    dt: float,
-) -> DensityMatrix:
+def evolve(rho0: DensityMatrix, L: Superoperator, t_final: float) -> DensityMatrix:
     """Propagate rho0 for t_final with fixed-step RK4.
 
-    dt must satisfy dt <= 0.1 / max|eig(L)| (estimated); trace drift beyond
-    ``TRACE_DRIFT_TOL`` aborts with a step-size error.
+    Takes the fewest equal steps of at most ``max_stable_dt(L)`` that land
+    exactly on t_final; trace drift beyond ``TRACE_DRIFT_TOL`` raises
+    ``StepSizeError``.
     """
     if rho0.dim != L.n_max:
         raise StateValidationError("state and generator dimensions differ")
-    bound = max_stable_dt(L)
-    if dt > bound:
-        raise StepSizeError(f"dt = {dt:.3e} exceeds stability bound {bound:.3e}")
-    n_steps = max(1, int(math.ceil(t_final / dt)))
-    dt = t_final / n_steps  # land exactly on t_final, never above the bound
+    n_steps = max(1, int(math.ceil(t_final / max_stable_dt(L))))
     v = vectorize(rho0.entries)
-    return _state(_rk4_steps(L.matrix, v, dt, n_steps, L.n_max), L.n_max)
+    v = _rk4_steps(L.matrix, v, t_final / n_steps, n_steps, L.n_max)
+    return _state(v, L.n_max)
 
 
 def _rk4_steps(mat, v, dt, n_steps, n_max):
@@ -324,27 +311,21 @@ def _rk4_steps(mat, v, dt, n_steps, n_max):
             if drift > TRACE_DRIFT_TOL:
                 raise StepSizeError(
                     f"trace drift {drift:.3e} beyond {TRACE_DRIFT_TOL} after "
-                    f"{step + 1} steps; reduce dt"
+                    f"{step + 1} steps"
                 )
     return v
 
 
-def evolve_to_stationarity(
-    rho0: DensityMatrix,
-    L: Superoperator,
-    block_time: float = 10.0,
-) -> tuple[DensityMatrix, float]:
-    """Propagate until consecutive checkpoints agree in trace distance to
-    ``STATIONARITY_TOL``.
+def evolve_to_stationarity(rho0: DensityMatrix, L: Superoperator) -> tuple[DensityMatrix, float]:
+    """Propagate until checkpoints ``STATIONARITY_BLOCK_TIME`` apart agree
+    in trace distance to ``STATIONARITY_TOL``.
 
     Fixed-step RK4 at ``max_stable_dt(L)`` throughout; only the total
     propagation time adapts, so the end state is reproducible.  Gives up
     after ``STATIONARITY_T_MAX``.  Returns (state, total time propagated).
     """
-    from .fock_algebra import trace_distance
-
     dt = max_stable_dt(L)
-    steps_per_block = max(1, int(math.ceil(block_time / dt)))
+    steps_per_block = max(1, int(math.ceil(STATIONARITY_BLOCK_TIME / dt)))
     v = vectorize(rho0.entries)
     t = 0.0
     prev = None
@@ -388,7 +369,8 @@ def liouvillian_gap(L: Superoperator) -> float:
         f[0] = 0.0
         return lu.solve(f)
 
-    v0 = _start_vector(dim).astype(complex)
+    # deterministic Arnoldi start, so repeated runs are bit-identical
+    v0 = np.full(dim, 1.0 / math.sqrt(dim), dtype=complex)
     trace_idx = np.arange(n) * (n + 1)
     v0[trace_idx] -= v0[trace_idx].sum() / n
     op = LinearOperator((dim, dim), matvec=matvec, dtype=complex)

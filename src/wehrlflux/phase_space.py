@@ -454,22 +454,20 @@ def entropy_budget(
     s_wehrl = wehrl_entropy(field_)
     piu = pi_u_kerr(field_, p.u, p.N)
     pid = pi_d(field_, p.kappa, alpha, p.N)
-    balance_rel = abs(piu + pid - phi_q) / max(phi_q, 1e-12)
-    if balance_rel > BALANCE_TOL:
-        log.info(
-            "fluctuation balance off by %.3e (Pi_u=%.3e, Pi_d=%.3e, Phi_q=%.3e); "
-            "consider refining the grid",
-            balance_rel, piu, pid, phi_q,
-        )
-    return EntropyBudget(
+    budget = EntropyBudget(
         S=s_wehrl,
-        dSdt=piu + pid - phi_q,
         Phi_ext=phi_ext,
         Phi_q=phi_q,
         Pi_u=piu,
         Pi_d=pid,
         alpha=alpha,
         N=p.N,
-        balance_rel=balance_rel,
         mass=field_.mass,
     )
+    if budget.balance_rel > BALANCE_TOL:
+        log.info(
+            "fluctuation balance off by %.3e (Pi_u=%.3e, Pi_d=%.3e, Phi_q=%.3e); "
+            "consider refining the grid",
+            budget.balance_rel, piu, pid, phi_q,
+        )
+    return budget

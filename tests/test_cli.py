@@ -78,6 +78,15 @@ class TestConfigValidation:
         err = capsys.readouterr().err
         assert "bad.json:3:" in err
 
+    def test_integer_past_digit_limit_is_a_config_error(self, tmp_path, capsys):
+        # json.loads raises a plain ValueError, not a JSONDecodeError, for
+        # an integer literal longer than int()'s 4300-digit limit
+        text = json.dumps(cavity_config(tmp_path)).replace('"E": 1.0', '"E": 1' + "0" * 5000)
+        path = tmp_path / "c.json"
+        path.write_text(text)
+        assert main(["run", str(path)]) == EXIT_CONFIG
+        assert "c.json: invalid JSON" in capsys.readouterr().err
+
     def test_unknown_keys_rejected(self, tmp_path):
         cfg = cavity_config(tmp_path)
         cfg["params"]["detuning"] = 1.0
@@ -152,6 +161,9 @@ class TestConfigValidation:
             ("kerr", "numerics.n_max", 60, [], "n_max"),
             ("kerr", "sweep.eps.count", 1, [], "sweep.eps.count"),
             ("dicke", "sweep.lambda.count", 1, [], "sweep.lambda.count"),
+            ("cavity", "params.E", 10 ** 400, [], "params.E"),
+            ("dicke", "sweep.lambda.max", 10 ** 400, [], "sweep.lambda.max"),
+            ("dicke", "sweep.lambda.count", 10 ** 400, [], "sweep.lambda.count"),
         ],
         ids=[
             "mc_samples-0", "seed-negative", "seed-fraction", "points_per_axis-10",
@@ -164,7 +176,8 @@ class TestConfigValidation:
             "kerr-reads-no-mc_samples", "dicke-reads-no-points_per_axis",
             "dicke-reads-no-compute_gap", "cavity-reads-no-compute_gap",
             "cavity-reads-no-seed", "kerr-reads-no-n_max", "eps-count-1-wide",
-            "lambda-count-1-wide",
+            "lambda-count-1-wide", "cavity-E-beyond-float", "lambda-max-beyond-float",
+            "lambda-count-beyond-float",
         ],
     )
     def test_invalid_run_inputs_exit_config(

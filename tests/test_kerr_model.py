@@ -2,6 +2,7 @@ import inspect
 import math
 import os
 import re
+from concurrent.futures import Future
 from pathlib import Path
 
 import numpy as np
@@ -181,6 +182,33 @@ class TestSweep:
         assert not result.records
         assert [(N, eps) for N, eps, _ in result.failures] == [(2, 0.9), (2, 0.95)]
         assert all("terminated abruptly" in msg for *_, msg in result.failures)
+
+    def test_pool_no_larger_than_the_sweep(self, monkeypatch):
+        # a fork-started pool forks all of its max_workers at the first
+        # submit: 64 threads on 2 points ask for 2 workers, on 1 point for
+        # no pool at all
+        sizes = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                future = Future()
+                future.set_result(fn(*args))
+                return future
+
+        monkeypatch.setattr(kerr_model, "ProcessPoolExecutor", InlinePool)
+        p = kerr_params(0.9, 2)
+        assert len(sweep(p, [2], [0.9, 0.95], compute_gap=False, threads=64).records) == 2
+        assert len(sweep(p, [2], [0.9], compute_gap=False, threads=64).records) == 1
+        assert sizes == [2]
 
     def test_unknown_option_is_a_type_error(self):
         with pytest.raises(TypeError, match="certfy"):

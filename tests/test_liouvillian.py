@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 import scipy.sparse as sp
+from scipy.sparse.linalg import norm as spnorm
 from scipy.sparse.linalg import splu
 
 from conftest import kerr_params, random_density_matrix
@@ -148,13 +149,16 @@ class TestSteadyState:
 class TestEvolve:
     def test_vacuum_fixed_point(self):
         L = build_kerr_liouvillian(undriven_params(), 8, enforce_cutoff=False)
-        rho = evolve(DensityMatrix.vacuum(8), L, 5.0, max_stable_dt(L))
+        rho = evolve(DensityMatrix.vacuum(8), L, 5.0)
         assert trace_distance(rho, DensityMatrix.vacuum(8)) < 1e-12
 
     def test_step_size_guard(self):
+        # a generator that leaks trace at rate 0.1: the propagation must
+        # stop on the drift rather than return a renormalized state
         L = build_kerr_liouvillian(undriven_params(), 8, enforce_cutoff=False)
-        with pytest.raises(StepSizeError):
-            evolve(DensityMatrix.vacuum(8), L, 1.0, 100.0)
+        leaky = Superoperator(8, (L.matrix - 0.1 * sp.identity(L.dim)).tocsr())
+        with pytest.raises(StepSizeError, match="trace drift"):
+            evolve(DensityMatrix.vacuum(8), leaky, 1.0)
 
     def test_oracle_matches_eigensolver_quick(self):
         # light version of the oracle-equivalence gate (full run in acceptance)
@@ -185,12 +189,10 @@ class TestEvolve:
 
         # finite differences of RK4-propagated moments; the one-sided
         # stencil has O(h) bias, removed by Richardson extrapolation
-        dt = max_stable_dt(L)
-
         def n_at(t):
             if t == 0:
                 return 0.0
-            rho = evolve(vac, L, t, dt)
+            rho = evolve(vac, L, t)
             return mean_photon_number(rho)
 
         def fd2(h):
@@ -243,6 +245,10 @@ class TestGap:
             L = build_kerr_liouvillian(p, recommended_cutoff(p))
             assert L.dim <= 1100
             vals = sla.eigvals(L.matrix.toarray())
+            # the RK4 oracle's step bound: every dt lambda is a stable step
+            assert np.abs(vals).max() <= spnorm(L.matrix, 1)
+            z = vals * max_stable_dt(L)
+            assert np.abs(1 + z + z ** 2 / 2 + z ** 3 / 6 + z ** 4 / 24).max() <= 1 + 1e-12
             vals = np.delete(vals, np.argmin(np.abs(vals)))
             dense = -vals.real.max()
             assert liouvillian_gap(L) == pytest.approx(dense, rel=1e-9)
