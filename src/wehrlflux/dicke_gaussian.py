@@ -43,8 +43,8 @@ counter-based Monte-Carlo quadrature of the defining integrals,
 in whitened coordinates z = L^{-1} r, Sigma = L L^T, and draws in
 batches of ``MC_CHUNK``.  Its estimators are quadratic in z, so
 ``estimator_means`` gives their exact expectations through the same
-whitened algebra; the CLI's Dicke check compares those with the closed
-forms at every point.  ``divergence_scan`` fits inside the fixed band
+whitened algebra, and every ``gaussian_budget`` checks its closed forms
+against them.  ``divergence_scan`` fits inside the fixed band
 ``DIVERGENCE_WINDOW``.
 """
 
@@ -65,6 +65,7 @@ from .errors import (
     SingularBranchError,
     SolverConvergenceError,
     UnstableSystemError,
+    WehrlFluxError,
 )
 
 log = logging.getLogger(__name__)
@@ -91,6 +92,12 @@ DIVERGENCE_WINDOW = (0.04, 0.12)
 PHYSICALITY_TOL = 1e-9
 PHYSICALITY_REL_TOL = 64 * np.finfo(float).eps
 HURWITZ_TOL = 1e-12
+# Bound of the check in ``gaussian_budget``, relative to |closed form| plus
+# the gross fluctuation flux sum_i k_i tr Sigma_i, which is never 0, so
+# terms that vanish far below lambda_c are held to roundoff on the scale of
+# the whole budget.  From lambda = 0 to 2 lambda_c at gamma = 1e-3 down to
+# 1e-7, the two routes agree to 4.4e-16 of that scale.
+ESTIMATOR_CHECK_TOL = 1e-10
 # Monte-Carlo samples drawn per vectorized batch.
 MC_CHUNK = 2 ** 13
 
@@ -341,17 +348,18 @@ def solve_lyapunov(A: np.ndarray, D: np.ndarray) -> CovarianceMatrix:
 # Closed-form Gaussian entropy budget
 # ---------------------------------------------------------------------------
 
-def _husimi_covariance(sigma: CovarianceMatrix, m: int) -> np.ndarray:
+def _husimi_covariance(sigma: CovarianceMatrix, m: int):
+    """Sigma = sigma + I/2 of an m-mode model and its Cholesky factor L."""
     if sigma.sigma.shape != (2 * m, 2 * m):
         raise DimensionError(
             f"covariance {sigma.sigma.shape} does not match a {m}-mode model"
         )
     Sigma = sigma.sigma + 0.5 * np.eye(2 * m)
     try:
-        np.linalg.cholesky(Sigma)
+        L = np.linalg.cholesky(Sigma)
     except np.linalg.LinAlgError as exc:
         raise InvalidCovarianceError("sigma + I/2 is not positive definite") from exc
-    return Sigma
+    return Sigma, L
 
 
 def gaussian_budget(
@@ -379,9 +387,15 @@ def gaussian_budget(
     At the Lyapunov fixed point these obey Pi_u + sum_i Pi_d,i =
     sum_i Phi_q,i identically.  The headline Phi_q / Pi_d are the last
     mode's; the other modes' sums are Phi_q_b / Pi_d_b (None for m = 1).
+
+    Each term is checked against its exact estimator mean
+    (``estimator_means``, built from the Cholesky factor of Sigma, not
+    from its inverse): |exact - closed| must stay within
+    ``ESTIMATOR_CHECK_TOL`` (|closed| + Phi_q + Phi_q_b + 2 sum_i k_i),
+    or ``WehrlFluxError`` names every term that is off.
     """
     m = _mode_count(G, losses)
-    Sigma = _husimi_covariance(sigma, m)
+    Sigma, L = _husimi_covariance(sigma, m)
     sign, logdet = np.linalg.slogdet(Sigma)
     if sign <= 0:
         raise InvalidCovarianceError("det(sigma + I/2) must be positive")
@@ -410,6 +424,17 @@ def gaussian_budget(
     )
     if budget.balance_rel > 1e-6:
         log.warning("Gaussian fluctuation balance off by %.3e", budget.balance_rel)
+    gross = budget.Phi_q + (budget.Phi_q_b or 0.0) + 2.0 * sum(losses)
+    off = []
+    for name, exact in _exact_means(L, G, losses).items():
+        closed = getattr(budget, name)
+        if not abs(exact - closed) <= ESTIMATOR_CHECK_TOL * (abs(closed) + gross):
+            off.append(
+                f"{name} (exact {exact:.6g}, closed form {closed:.6g}, "
+                f"off by {exact - closed:.3g})"
+            )
+    if off:
+        raise WehrlFluxError(f"estimator check failed for {', '.join(off)}")
     return budget
 
 
@@ -456,15 +481,14 @@ def _check_count(name: str, value, lowest: int):
         raise ValueError(f"{name} must be an integer >= {lowest}, got {value!r}")
 
 
-def _whitened_estimators(sigma: CovarianceMatrix, G: np.ndarray, losses):
-    """(lin, weights, offset, names) of one model's estimators.
+def _whitened_estimators(L: np.ndarray, G: np.ndarray, losses):
+    """(lin, weights, offset, names) of the estimators of the model
+    (G, losses) whose Husimi covariance has the Cholesky factor L.
 
     The estimators' values on the draws z are ``offset + weights @ y``,
     averaged over the rows of y = (z @ lin)^2, in the order of ``names``.
     """
-    m = _mode_count(G, losses)
-    Sigma = _husimi_covariance(sigma, m)
-    L = np.linalg.cholesky(Sigma)
+    m = len(losses)
     L_inv = np.linalg.inv(L)
     w, V = np.linalg.eigh(L_inv @ unitary_diffusion(G) @ L_inv.T)
     # the columns of z @ lin are M r = (L - L^{-T}) z, r = L z and V^T z
@@ -493,13 +517,19 @@ def estimator_means(sigma: CovarianceMatrix, G: np.ndarray, losses) -> dict:
     so its mean is ``offset + weights @ (lin^2).sum(axis=0)``: the value
     the sampled oracle converges to, without its noise.  It is built from
     the same whitened matrices (L - L^{-T} and L^{-1} D_u L^{-T}), not
-    from the inverse and traces of ``gaussian_budget``, so comparing the
-    two checks the closed forms through an independent route; they agree
-    to roundoff.  Keys are those of the model's ``MonteCarloBudget``
-    values: S, Pi_u, Pi_d and Phi_q, plus Pi_d_b and Phi_q_b for two or
-    more modes.
+    from the inverse and traces of ``gaussian_budget``, which checks its
+    closed forms against these means through that independent route;
+    they agree to roundoff.  Keys are those of the model's
+    ``MonteCarloBudget`` values: S, Pi_u, Pi_d and Phi_q, plus Pi_d_b and
+    Phi_q_b for two or more modes.
     """
-    lin, weights, offset, names = _whitened_estimators(sigma, G, losses)
+    _, L = _husimi_covariance(sigma, _mode_count(G, losses))
+    return _exact_means(L, G, losses)
+
+
+def _exact_means(L: np.ndarray, G: np.ndarray, losses) -> dict:
+    """``estimator_means`` from the Cholesky factor L of Sigma."""
+    lin, weights, offset, names = _whitened_estimators(L, G, losses)
     means = offset + weights @ (lin * lin).sum(axis=0)
     return dict(zip(names, means.tolist()))
 
@@ -555,7 +585,8 @@ def mc_gaussian_budget(
     """
     _check_count("samples", samples, 1)
     _check_count("seed", seed, 0)
-    lin, weights, offset, names = _whitened_estimators(sigma, G, losses)
+    _, L = _husimi_covariance(sigma, _mode_count(G, losses))
+    lin, weights, offset, names = _whitened_estimators(L, G, losses)
 
     rng = np.random.Generator(np.random.Philox(key=seed))
     tot = np.zeros(6)

@@ -1,7 +1,7 @@
-import dataclasses
 import json
 import math
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +20,7 @@ from wehrlflux.cli import (
     validate_config,
     write_results,
 )
-from wehrlflux import dicke_gaussian
+from wehrlflux import cli, dicke_gaussian
 from wehrlflux.errors import ConfigError, SolverConvergenceError, WehrlFluxError
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -68,6 +68,20 @@ def dicke_config(tmp_path, lo, hi, count, out_name="dicke.csv", **numerics):
 
 
 LAMBDA_C = 0.5 * math.sqrt((0.005 / 0.01) * (1.0 + 0.01 ** 2))
+
+# the smallest run of each model, with every numerics key at its default
+SMALL_CONFIGS = {
+    "kerr": lambda tmp_path: {
+        "schema_version": 1,
+        "model": "kerr",
+        "params": {"delta": -2.0, "u": 1.0, "kappa": 0.5},
+        "sweep": {"N_list": [1], "eps": {"min": 0.5, "max": 0.7, "count": 2}},
+        "numerics": {"compute_gap": False},
+        "output": str(tmp_path / "kerr.csv"),
+    },
+    "dicke": lambda tmp_path: dicke_config(tmp_path, 0.30, 0.34, 3),
+    "cavity": cavity_config,
+}
 
 
 class TestConfigValidation:
@@ -208,6 +222,43 @@ class TestConfigValidation:
         loaded = load_config(write_config(tmp_path / "c.json", cfg))
         assert loaded["numerics"]["certify_cutoff"] is certify
 
+    def test_grid_count_bounded_before_allocation(self, tmp_path, capsys, monkeypatch):
+        # one point past the bound exits 2 before the grid's list is built
+        def no_run(*args):
+            raise AssertionError("a grid past the bound reached its run")
+
+        monkeypatch.setitem(MODELS["dicke"], "run", no_run)
+        cfg = dicke_config(tmp_path, 0.0, 1.0, cli.MAX_GRID_COUNT + 1)
+        path = write_config(tmp_path / "c.json", cfg)
+        tracemalloc.start()
+        try:
+            code = main(["run", path])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"sweep.lambda.count must be <= {cli.MAX_GRID_COUNT}" in err
+        assert peak < 10 ** 6  # the list of 10^6 + 1 floats takes about 40 MB
+
+    @pytest.mark.parametrize(
+        "model, key",
+        [(model, key) for model, spec in MODELS.items() for key in spec["ignored"]],
+        ids=lambda value: value,
+    )
+    def test_ignored_key_changes_nothing(self, tmp_path, model, key):
+        # a valid value other than the default writes the same rows
+        default, lowest = MODELS[model]["ignored"][key]
+        value = (not default) if lowest is None else default + 1
+        files = []
+        for name, numerics in (("default", {}), ("set", {key: value})):
+            cfg = SMALL_CONFIGS[model](tmp_path / name)
+            cfg["numerics"].update(numerics)
+            assert main(["run", write_config(tmp_path / f"{name}.json", cfg)]) == 0
+            lines = Path(cfg["output"]).read_bytes().splitlines(keepends=True)
+            files.append([l for l in lines if not l.startswith(b"# config_sha256=")])
+        assert files[0] == files[1]
+
     def test_readme_tables_the_numerics_keys(self):
         # README holds one table per model, "| key | default | value | use |",
         # whose use is "read" or "ignored: <why>"
@@ -295,34 +346,54 @@ class TestRun:
             assert "OverflowError" in err
             assert not (tmp_path / "dicke.csv").exists()
 
+    def test_cavity_check_failure_exit_code(self, tmp_path, capsys, monkeypatch):
+        skew_means(monkeypatch, "S")
+        cfg = cavity_config(tmp_path)
+        assert main(["run", write_config(tmp_path / "c.json", cfg)]) == EXIT_NUMERICAL
+        assert "estimator check failed for S (" in capsys.readouterr().err
+        assert not Path(cfg["output"]).exists()
+
     def test_io_error_exit_code(self, tmp_path, capsys):
         cfg = cavity_config(tmp_path)
         cfg["output"] = "/dev/null/cannot/exist.csv"
         assert main(["run", write_config(tmp_path / "c.json", cfg)]) == EXIT_IO
 
 
-class InjectedFaults:
-    """Wraps the Dicke closed form.
+def skew_means(monkeypatch, term, skewed=lambda: True):
+    """Wraps the exact means that ``gaussian_budget`` checks its closed form
+    against: while ``skewed()`` holds, their ``term`` is 1e-6 relative off."""
+    real_means = dicke_gaussian._exact_means
 
-    It raises at the couplings in ``closed``; at those in ``skewed`` it
-    returns its ``term`` 1e-6 relative off.  Couplings are rounded to 6
-    digits.
+    def means(*args):
+        out = real_means(*args)
+        if skewed():
+            out[term] *= 1.0 + 1e-6
+        return out
+
+    monkeypatch.setattr(dicke_gaussian, "_exact_means", means)
+
+
+class InjectedFaults:
+    """Wraps the Dicke pipeline.
+
+    It raises at the couplings in ``closed``; at those in ``skewed`` the
+    check inside the point's budget sees its ``term`` 1e-6 relative off.
+    Couplings are rounded to 6 digits.
     """
 
     def __init__(self, monkeypatch, closed=(), skewed=(), term="Pi_u"):
         real_point = dicke_gaussian.dicke_point
+        current = []
 
         def point(p, N=1):
             lam = round(p.lam, 6)
             if lam in closed:
                 raise SolverConvergenceError(f"injected at {lam}")
-            budget, *rest = real_point(p, N=N)
-            if lam in skewed:
-                off = (1.0 + 1e-6) * getattr(budget, term)
-                budget = dataclasses.replace(budget, **{term: off})
-            return (budget, *rest)
+            current[:] = [lam]
+            return real_point(p, N=N)
 
         monkeypatch.setattr(dicke_gaussian, "dicke_point", point)
+        skew_means(monkeypatch, term, lambda: current[0] in skewed)
 
 
 def failed_drives(err):
@@ -334,8 +405,8 @@ def failed_drives(err):
 
 
 class TestDickeMonteCarloCheck:
-    """``mc_validate``: every point's closed form against the exact means
-    of the Monte-Carlo estimators, to roundoff."""
+    """Every point's closed form against the exact means of the
+    Monte-Carlo estimators, to roundoff, whatever ``mc_validate`` says."""
 
     @pytest.mark.parametrize(
         "term", [None, "S", "Pi_d", "Pi_u", "Phi_q", "Phi_q_b", "Pi_d_b"]
@@ -355,6 +426,19 @@ class TestDickeMonteCarloCheck:
             assert failed_drives(err) == pytest.approx([0.3, 0.4], abs=1e-12)
             named = re.findall(r"estimator check failed for (\w+) \(", err)
             assert named == [term, term]
+
+    @pytest.mark.parametrize(
+        "numerics", [{}, {"mc_validate": False}], ids=["absent", "false"]
+    )
+    def test_checked_without_mc_validate(self, tmp_path, capsys, monkeypatch, numerics):
+        cfg = dicke_config(tmp_path, 0.30, 0.32, 2, **numerics)
+        InjectedFaults(monkeypatch, skewed={0.32}, term="Pi_d")
+        argv = ["run", write_config(tmp_path / "c.json", cfg), "--keep-going"]
+        assert main(argv) == 0
+        err = capsys.readouterr().err
+        assert failed_drives(err) == pytest.approx([0.32], abs=1e-12)
+        assert re.findall(r"estimator check failed for (\w+) \(", err) == ["Pi_d"]
+        assert len(read_results(cfg["output"])[0]) == 1
 
     def test_weak_coupling_within_standard_errors(self, tmp_path):
         # far below lambda_c, Pi_u, Phi_q and Phi_q_b are about 2e-6 and at
@@ -402,8 +486,8 @@ class TestDickeMonteCarloCheck:
             assert not (tmp_path / "dicke.csv").exists()
 
     def test_check_leaves_rows_unchanged(self, tmp_path):
-        # the benchmark scan, checked and unchecked: the files differ only
-        # in the config hash
+        # the benchmark scan with mc_validate true and false: the files
+        # differ only in the config hash
         files = []
         for validate in (True, False):
             cfg = dicke_config(

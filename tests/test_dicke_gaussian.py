@@ -301,8 +301,8 @@ class TestLyapunovRoutes:
     def test_whitening_matches_triangular_solve(self, ratio):
         sigma, G, losses = quadratic_model(ratio)
         m = len(losses)
-        lin, weights, *_ = dicke_gaussian._whitened_estimators(sigma, G, losses)
         L = np.linalg.cholesky(sigma.sigma + 0.5 * np.eye(2 * m))
+        lin, weights, *_ = dicke_gaussian._whitened_estimators(L, G, losses)
         L_inv = sla.solve_triangular(L, np.eye(2 * m), lower=True)
         w = np.linalg.eigvalsh(L_inv @ unitary_diffusion(G) @ L_inv.T)
         scale = np.abs(L).max() + np.abs(L_inv).max()
@@ -557,8 +557,8 @@ class TestBatchedOracle:
 
 
 def within_check_bound(value, closed, b, losses):
-    """The CLI's Dicke check: |value - closed| within 1e-10 of |closed| plus
-    the gross fluctuation flux sum_i k_i tr Sigma_i."""
+    """The check in ``gaussian_budget``: |value - closed| within 1e-10 of
+    |closed| plus the gross fluctuation flux sum_i k_i tr Sigma_i."""
     gross = b.Phi_q + (b.Phi_q_b or 0.0) + 2.0 * sum(losses)
     return abs(value - closed) <= 1e-10 * (abs(closed) + gross)
 
