@@ -9,7 +9,7 @@ Results are CSV with '#' comment headers carrying the schema version, a
 hash of the config and the code version.  Floats are serialized with 17
 significant digits, so written rows read back bit-exactly.  Identical
 config produces byte-identical output for any thread count; per-point
-wall time is only recorded when the config opts in, since live timings
+wall time is only written when the config opts in, since live timings
 would break that reproducibility.
 """
 
@@ -38,6 +38,8 @@ CSV_COLUMNS = [
     "Pi_u", "Pi_d", "gap", "alpha_re", "alpha_im", "beta", "residual",
     "n_max_used", "wall_time_s",
 ]
+# the columns a results row may leave blank; every other field is required
+OPTIONAL_COLUMNS = ("gap", "beta", "n_max_used")
 
 # Most points a sweep grid may hold, checked before its list is built; a
 # grid of 10^6 takes about 40 MB, more than any config here needs.
@@ -47,10 +49,17 @@ MAX_GRID_COUNT = 10 ** 6
 # Config loading and validation
 # ---------------------------------------------------------------------------
 
+def _read_text(path: str) -> str:
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{path} is not UTF-8 text: {exc}") from None
+
+
 def load_config(path: str) -> dict:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        text = _read_text(path)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     try:
@@ -203,44 +212,26 @@ def _fmt(value) -> str:
 
 
 def _budget_row(model, N, drive, budget, gap, beta, residual, n_max_used, wall):
-    return {
-        "model": model,
-        "N": N,
-        "eps_or_lambda": drive,
-        "S": budget.S,
-        "Phi_ext": budget.Phi_ext,
-        "Phi_q": budget.Phi_q,
-        "Pi_ext": budget.Pi_ext,
-        "Pi_u": budget.Pi_u,
-        "Pi_d": budget.Pi_d,
-        "gap": gap,
-        "alpha_re": budget.alpha.real,
-        "alpha_im": budget.alpha.imag,
-        "beta": beta,
-        "residual": residual,
-        "n_max_used": n_max_used,
-        "wall_time_s": wall,
-    }
+    b = budget
+    return dict(zip(CSV_COLUMNS, (
+        model, N, drive, b.S, b.Phi_ext, b.Phi_q, b.Pi_ext, b.Pi_u, b.Pi_d, gap,
+        b.alpha.real, b.alpha.imag, beta, residual, n_max_used, wall,
+    )))
 
 
-def _run_kerr(cfg, keep_going, threads):
+def _run_kerr(cfg, threads):
     """The Kerr sweep, its points in ``threads`` worker processes."""
     from .kerr_model import sweep
     from .liouvillian import KerrParams
 
     p = cfg["params"]
-    numerics = cfg["numerics"]
     result = sweep(
         KerrParams(p["delta"], p["u"], p["kappa"], 0.0, 1),
         cfg["sweep"]["N_list"],
         cfg["sweep"]["eps_grid"],
-        compute_gap=numerics["compute_gap"],
+        compute_gap=cfg["numerics"]["compute_gap"],
         threads=threads,
-        timing=numerics["timing"],
     )
-    if result.failures and not keep_going:
-        n, eps, msg = result.failures[0]
-        raise WehrlFluxError(f"point N={n} eps={eps:.6g} failed: {msg}")
     rows = [
         _budget_row(
             "kerr", rec.N, rec.eps, rec.budget, rec.gap, None,
@@ -251,11 +242,10 @@ def _run_kerr(cfg, keep_going, threads):
     return rows, result.failures, []
 
 
-def _run_points(model, label, N, drives, keep_going, timing, solve):
-    """Rows of a Gaussian model, one ``solve(drive) -> (budget, beta)`` each.
-
-    A failure at one point, whatever its exception, is recorded with the
-    exception's class in its message; without ``keep_going`` it ends the run.
+def _run_points(model, N, drives, solve):
+    """Rows of a Gaussian model, one ``solve(drive) -> (budget, beta)`` each,
+    timed.  A failure at one point, whatever its exception, is recorded
+    with the exception's class in its message, and the next point runs.
     """
     rows, failures = [], []
     for drive in drives:
@@ -263,12 +253,9 @@ def _run_points(model, label, N, drives, keep_going, timing, solve):
         try:
             budget, beta = solve(drive)
         except Exception as exc:
-            msg = f"{type(exc).__name__}: {exc}"
-            failures.append((N, drive, msg))
-            if not keep_going:
-                raise WehrlFluxError(f"point {label}={drive:.6g} failed: {msg}") from exc
+            failures.append((N, drive, f"{type(exc).__name__}: {exc}"))
             continue
-        wall = (time.perf_counter() - start) if timing else 0.0
+        wall = time.perf_counter() - start
         rows.append(
             _budget_row(
                 model, N, drive, budget, None, beta, budget.balance_rel, None, wall
@@ -277,7 +264,7 @@ def _run_points(model, label, N, drives, keep_going, timing, solve):
     return rows, failures
 
 
-def _run_cavity(cfg, keep_going, threads):
+def _run_cavity(cfg, threads):
     """The linear driven cavity: the one-mode Gaussian model G = 0, exact."""
     import numpy as np
 
@@ -290,14 +277,11 @@ def _run_cavity(cfg, keep_going, threads):
         sigma = solve_lyapunov(*drift_diffusion(G, losses))
         return gaussian_budget(sigma, G, losses, E / kappa, 1), None
 
-    rows, failures = _run_points(
-        "cavity", "E", 1, [cfg["params"]["E"]], keep_going,
-        cfg["numerics"]["timing"], solve,
-    )
+    rows, failures = _run_points("cavity", 1, [cfg["params"]["E"]], solve)
     return rows, failures, []
 
 
-def _run_dicke(cfg, keep_going, threads):
+def _run_dicke(cfg, threads):
     """The Dicke scan, serial; its header stamps ``# lambda_c=``."""
     from .dicke_gaussian import DickeParams, critical_coupling, dicke_point
 
@@ -310,10 +294,7 @@ def _run_dicke(cfg, keep_going, threads):
         budget, _, _, mf = dicke_point(params(lam), N=p["N"])
         return budget, mf.beta
 
-    rows, failures = _run_points(
-        "dicke", "lambda", p["N"], cfg["sweep"]["lambda_grid"], keep_going,
-        cfg["numerics"]["timing"], solve,
-    )
+    rows, failures = _run_points("dicke", p["N"], cfg["sweep"]["lambda_grid"], solve)
     # lambda_c does not depend on the coupling; a file with no rows has
     # nothing to fit and carries no stamp
     header = [f"# lambda_c={_fmt(critical_coupling(params(0.0)))}"] if rows else []
@@ -322,7 +303,10 @@ def _run_dicke(cfg, keep_going, threads):
 
 # What each model reads from a config, and the runner that reads it;
 # ``validate_config`` walks this table and nothing else.
-#   run       (cfg, keep_going, threads) -> (rows, failures, extra_header)
+#   run       (cfg, threads) -> (rows, failures, extra_header): a row per
+#             solved point with its measured wall time and (N, drive, message)
+#             per failed point, in (N, drive) order; ``cmd_run`` applies the flags
+#   drive     the name of the swept drive in a failure's message
 #   params    key -> "number" (finite), "positive" (finite, > 0) or "size"
 #             (an integer >= 1); a key without a default is required
 #   defaults  key -> default(params), given the params before the key
@@ -334,6 +318,7 @@ def _run_dicke(cfg, keep_going, threads):
 MODELS = {
     "kerr": {
         "run": _run_kerr,
+        "drive": "eps",
         "params": {"delta": "number", "u": "positive", "kappa": "positive"},
         "defaults": {},
         "sweep": {"N_list": "sizes", "eps": "grid"},
@@ -347,6 +332,7 @@ MODELS = {
     },
     "dicke": {
         "run": _run_dicke,
+        "drive": "lambda",
         "params": {
             "omega0": "positive", "omega": "positive", "kappa": "positive",
             "gamma": "positive", "N": "size",
@@ -363,6 +349,7 @@ MODELS = {
     },
     "cavity": {
         "run": _run_cavity,
+        "drive": "E",
         "params": {"E": "positive", "kappa": "positive"},
         "defaults": {},
         "sweep": {},
@@ -404,66 +391,66 @@ def write_results(path: str, rows, config_raw: dict, extra_header=()):
 
 
 def read_results(path: str):
-    """Returns (rows as dicts with floats where possible, header comments).
+    """Returns (rows as dicts of the model name and numbers, header comments).
 
-    A row with the wrong number of fields, a numeric field that does not
-    parse or a stamped ``# lambda_c=`` that is not a finite number > 0
-    raises ``ConfigError`` naming ``path:line``.
+    A row with the wrong number of fields, a blank field other than
+    ``OPTIONAL_COLUMNS``, a number that does not parse or is not finite,
+    an ``N`` below 1 or a stamped ``# lambda_c=`` that is not a finite
+    number > 0 raises ``ConfigError`` naming ``path:line``; so does a file
+    that is not UTF-8, naming the file.
     """
     header_comments = []
     rows = []
     columns = None
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            if line.startswith("#"):
-                key, _, value = line[2:].partition("=")
-                if key == "lambda_c" and not _positive_finite(value):
-                    raise ConfigError(
-                        f"{path}:{lineno}: lambda_c must be a finite number > 0, "
-                        f"got {value!r}"
-                    )
-                header_comments.append(line)
-                continue
-            if columns is None:
-                columns = line.split(",")
-                if columns != CSV_COLUMNS:
-                    raise ConfigError(
-                        f"unexpected CSV schema in {path}: {columns}"
-                    )
-                continue
-            parts = line.split(",")
-            if len(parts) != len(columns):
+    for lineno, line in enumerate(_read_text(path).split("\n"), 1):
+        if not line:
+            continue
+        if line.startswith("#"):
+            key, _, value = line[2:].partition("=")
+            if key == "lambda_c" and not _positive_finite(value):
                 raise ConfigError(
-                    f"{path}:{lineno}: {len(parts)} fields, expected {len(columns)}"
+                    f"{path}:{lineno}: lambda_c must be a finite number > 0, "
+                    f"got {value!r}"
                 )
-            row = {}
-            for key, val in zip(columns, parts):
-                if val == "":
-                    row[key] = None
-                elif key == "model":
-                    row[key] = val
-                else:
-                    try:
-                        row[key] = int(val) if key in ("N", "n_max_used") else float(val)
-                    except ValueError:
-                        raise ConfigError(
-                            f"{path}:{lineno}: {key} = {val!r} is not a number"
-                        ) from None
-            rows.append(row)
+            header_comments.append(line)
+            continue
+        if columns is None:
+            columns = line.split(",")
+            if columns != CSV_COLUMNS:
+                raise ConfigError(
+                    f"unexpected CSV schema in {path}: {columns}"
+                )
+            continue
+        parts = line.split(",")
+        if len(parts) != len(columns):
+            raise ConfigError(
+                f"{path}:{lineno}: {len(parts)} fields, expected {len(columns)}"
+            )
+        row = {}
+        for key, val in zip(columns, parts):
+            if val == "":
+                if key not in OPTIONAL_COLUMNS:
+                    raise ConfigError(f"{path}:{lineno}: {key} is blank")
+                row[key] = None
+                continue
+            if key == "model":
+                row[key] = val
+                continue
+            try:
+                number = float(val)  # inf for an integer past the float range
+                row[key] = int(val) if key in ("N", "n_max_used") else number
+            except ValueError:
+                raise ConfigError(
+                    f"{path}:{lineno}: {key} = {val!r} is not a number"
+                ) from None
+            if not math.isfinite(number):
+                raise ConfigError(f"{path}:{lineno}: {key} = {val!r} is not finite")
+        if row["N"] < 1:
+            raise ConfigError(f"{path}:{lineno}: N = {row['N']} must be >= 1")
+        rows.append(row)
     if columns is None:
         raise ConfigError(f"{path} contains no data header")
     return rows, header_comments
-
-
-def _header_value(header_comments, key):
-    prefix = f"# {key}="
-    for line in header_comments:
-        if line.startswith(prefix):
-            return line[len(prefix):]
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -471,6 +458,10 @@ def _header_value(header_comments, key):
 # ---------------------------------------------------------------------------
 
 def cmd_run(args) -> int:
+    """Runs the config's model and writes its CSV, the one place that applies
+    the run flags: without ``--keep-going`` a failed point exits 3 naming the
+    first failure and writes no CSV, and without ``numerics.timing`` every
+    ``wall_time_s`` is written as 0."""
     try:
         cfg = load_config(args.config)
     except ConfigError as exc:
@@ -480,15 +471,20 @@ def cmd_run(args) -> int:
         print(f"config error: --threads must be a positive integer, got {args.threads}",
               file=sys.stderr)
         return EXIT_CONFIG
-    run = MODELS[cfg["model"]]["run"]
+    spec = MODELS[cfg["model"]]
     try:
-        rows, failures, extra_header = run(cfg, args.keep_going, args.threads)
-    except WehrlFluxError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+        rows, failures, extra_header = spec["run"](cfg, args.threads)
     except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
         return EXIT_IO
+    if failures and not args.keep_going:
+        n, drive, msg = failures[0]
+        print(f"numerical failure: point {spec['drive']}={drive:.6g} failed at N={n}: {msg}",
+              file=sys.stderr)
+        return EXIT_NUMERICAL
+    if not cfg["numerics"]["timing"]:
+        for row in rows:
+            row["wall_time_s"] = 0.0
     try:
         write_results(cfg["output"], rows, cfg["raw"], extra_header)
     except OSError as exc:
@@ -500,8 +496,6 @@ def cmd_run(args) -> int:
     )
     for n, drive, msg in failures:
         print(f"  failed: N={n} drive={drive:.6g}: {msg}", file=sys.stderr)
-    if failures and not args.keep_going:
-        return EXIT_NUMERICAL
     return 0
 
 
@@ -552,11 +546,11 @@ def cmd_fit_divergence(args) -> int:
         return EXIT_CONFIG
     lambda_c = args.lambda_c
     if lambda_c is None:
-        stamped = _header_value(header, "lambda_c")
-        if stamped is None:
+        stamped = [line for line in header if line.startswith("# lambda_c=")]
+        if not stamped:
             print("results carry no lambda_c; pass --lambda-c", file=sys.stderr)
             return EXIT_CONFIG
-        lambda_c = float(stamped)
+        lambda_c = float(stamped[0].partition("=")[2])
     window = args.window if args.window is not None else DIVERGENCE_WINDOW
     lams = [r["eps_or_lambda"] for r in rows]
     pids = [r["Pi_d"] for r in rows]

@@ -631,12 +631,15 @@ def fit_power_law(lams, values, lambda_c: float, window=DIVERGENCE_WINDOW):
     ``window`` bounds the relative distance |lambda/lambda_c - 1| used in
     the fit; points inside the lower bound sit in the gamma-rounded core
     and are excluded.  Returns ((slope, stderr, npts) left, same right).
-    A ``lambda_c`` that is not a finite number > 0 raises ``ValueError``.
+    A ``lambda_c`` that is not a finite number > 0, or a coupling or value
+    that is not finite, raises ``ValueError``.
     """
     if not (math.isfinite(lambda_c) and lambda_c > 0):
         raise ValueError(f"lambda_c must be a finite number > 0, got {lambda_c!r}")
     lams = np.asarray(lams, dtype=float)
     values = np.asarray(values, dtype=float)
+    if not (np.isfinite(lams).all() and np.isfinite(values).all()):
+        raise ValueError("couplings and values must be finite")
     rel = lams / lambda_c - 1.0
     out = []
     for side in (-1, 1):

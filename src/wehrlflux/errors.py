@@ -12,10 +12,6 @@ class DimensionError(WehrlFluxError, ValueError):
 class CutoffError(WehrlFluxError, ValueError):
     """Fock cutoff below the recommended value for the given parameters."""
 
-    def __init__(self, msg, recommended=None):
-        super().__init__(msg)
-        self.recommended = recommended
-
 
 class StateValidationError(WehrlFluxError, ValueError):
     """A density matrix violates hermiticity, trace or positivity bounds."""

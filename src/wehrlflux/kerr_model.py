@@ -21,8 +21,8 @@ resulting curves onto the finite-size coordinate x = N (eps/eps_c - 1).
 The cutoff rule and its Fock-tail check (``steady_state_certified``, on
 every sweep point) are fixed by the module constants ``CUTOFF_C1``,
 ``CUTOFF_C2``, ``CUTOFF_FLOOR``, ``CUTOFF_TAIL_TOL`` and
-``CUTOFF_MAX_ESCALATIONS``.  ``sweep`` takes three keyword-only options:
-``threads``, ``compute_gap`` and ``timing``.  The quadrature
+``CUTOFF_MAX_ESCALATIONS``.  ``sweep`` takes two keyword-only options,
+``threads`` and ``compute_gap``.  The quadrature
 tolerances are ``phase_space``'s constants ``MASS_TOL`` and
 ``Q_FLOOR_RATIO``, which no sweep option overrides.
 """
@@ -203,7 +203,7 @@ class SweepRecord:
     n_mean: float
     n_max_used: int
     ness_residual: float
-    wall_time_s: float = 0.0
+    wall_time_s: float = field(compare=False)  # measured; equality ignores it
 
 
 @dataclass
@@ -213,8 +213,9 @@ class SweepResult:
 
 
 @one_blas_thread
-def _sweep_point(p_base, N, eps, *, compute_gap, timing) -> SweepRecord:
-    """One point of ``sweep``, which documents the options."""
+def _sweep_point(p_base, N, eps, *, compute_gap) -> SweepRecord:
+    """One point of ``sweep``, which documents the option, timed from its
+    parameters to its budget."""
     start = time.perf_counter()
     p = p_base.with_drive(eps, N)
     rho, L, n_used = steady_state_certified(p)
@@ -232,7 +233,7 @@ def _sweep_point(p_base, N, eps, *, compute_gap, timing) -> SweepRecord:
         n_mean=mean_photon_number(rho) / N,
         n_max_used=n_used,
         ness_residual=ness_residual,
-        wall_time_s=(time.perf_counter() - start) if timing else 0.0,
+        wall_time_s=time.perf_counter() - start,
     )
 
 
@@ -243,20 +244,22 @@ def sweep(
     *,
     threads: int = 1,
     compute_gap: bool = True,
-    timing: bool = False,
 ) -> SweepResult:
-    """Steady-state budgets over a (N, eps) product grid.
+    """Steady-state budgets over a (N, eps) product grid, the points in
+    ``threads`` worker processes (an integer >= 1, else ``ValueError``).
 
     Points are independent jobs; failures are recorded and the sweep
     continues.  Records come back sorted by (N, eps) regardless of the
-    executor, so output is deterministic for any thread count (per-point
-    wall time is only recorded when ``timing`` is set).  Each point solves
+    executor, so they are equal for any thread count; each carries its
+    measured ``wall_time_s``, which equality ignores.  Each point solves
     ``steady_state_certified``, and its record's ``n_max_used`` shows
     whether it escalated past ``recommended_cutoff``.  A failure is
     recorded as the exception's class and message, e.g.
     ``SolverConvergenceError: Fock tail ...``.
     """
-    point = functools.partial(_sweep_point, compute_gap=compute_gap, timing=timing)
+    if isinstance(threads, bool) or not isinstance(threads, int) or threads < 1:
+        raise ValueError(f"threads must be an integer >= 1, got {threads!r}")
+    point = functools.partial(_sweep_point, compute_gap=compute_gap)
     jobs = [(p_base, int(N), float(eps)) for N in N_list for eps in eps_grid]
     result = SweepResult()
     # a fork-started pool launches all its workers at the first submit
@@ -355,9 +358,14 @@ class CollapseResult:
 
 
 def collapse_transform(points, eps_c: float) -> CollapseResult:
+    """Points with a size ``N`` >= 1 and finite ``eps``, ``Pi_u`` and
+    ``Pi_d``, rescaled at ``eps_c``; any other input raises ``ValueError``."""
     if not (math.isfinite(eps_c) and eps_c > 0):
         raise ValueError(f"eps_c must be a finite number > 0, got {eps_c!r}")
     points = sorted(points, key=lambda r: (r.N, r.eps))
+    for p in points:
+        if not (p.N >= 1 and all(map(math.isfinite, (p.eps, p.Pi_u, p.Pi_d)))):
+            raise ValueError(f"collapse point needs N >= 1 and finite values, got {p}")
     rows = [
         (p.N * (p.eps / eps_c - 1.0), p.Pi_u, p.Pi_d / p.N, p.N) for p in points
     ]

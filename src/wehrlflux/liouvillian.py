@@ -185,10 +185,7 @@ def build_kerr_liouvillian(
 
         rec = recommended_cutoff(p)
         if n_max < rec:
-            raise CutoffError(
-                f"n_max = {n_max} below recommended cutoff {rec} for {p}",
-                recommended=rec,
-            )
+            raise CutoffError(f"n_max = {n_max} below recommended cutoff {rec} for {p}")
     a = annihilation(n_max)
     ad = a.conj().T.tocsr()
     n_op = (ad @ a).tocsr()

@@ -20,8 +20,8 @@ from wehrlflux.cli import (
     validate_config,
     write_results,
 )
-from wehrlflux import cli, dicke_gaussian
-from wehrlflux.errors import ConfigError, SolverConvergenceError, WehrlFluxError
+from wehrlflux import cli, dicke_gaussian, kerr_model
+from wehrlflux.errors import ConfigError, SolverConvergenceError
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -353,6 +353,72 @@ class TestRun:
         assert "estimator check failed for S (" in capsys.readouterr().err
         assert not Path(cfg["output"]).exists()
 
+    @pytest.mark.parametrize("keep_going", [False, True])
+    def test_kerr_failures_applied_by_the_command(
+        self, tmp_path, capsys, monkeypatch, keep_going
+    ):
+        # (3, 0.5) fails before (2, 0.7) in sweep order, after it in (N, eps)
+        # order; either way every point is attempted
+        attempted = fail_kerr_points(monkeypatch, {(3, 0.5), (2, 0.7)})
+        cfg = kerr_config(tmp_path)
+        argv = ["run", write_config(tmp_path / "c.json", cfg)]
+        code = main(argv + ["--keep-going"] * keep_going)
+        err = capsys.readouterr().err
+        assert sorted(attempted) == [(2, 0.5), (2, 0.7), (3, 0.5), (3, 0.7)]
+        if keep_going:
+            assert code == 0
+            assert failed_drives(err) == [0.7, 0.5]
+            assert "failed: N=2 drive=0.7: SolverConvergenceError: injected" in err
+            rows = read_results(cfg["output"])[0]
+            assert [(r["N"], r["eps_or_lambda"]) for r in rows] == [(2, 0.5), (3, 0.7)]
+        else:
+            assert code == EXIT_NUMERICAL
+            assert ("numerical failure: point eps=0.7 failed at N=2: "
+                    "SolverConvergenceError: injected at N=2 eps=0.7") in err
+            assert not Path(cfg["output"]).exists()
+
+    def test_dicke_points_after_a_failure_attempted(self, tmp_path, capsys, monkeypatch):
+        attempted = []
+        real_point = dicke_gaussian.dicke_point
+
+        def point(p, N=1):
+            attempted.append(round(p.lam, 6))
+            return real_point(p, N=N)
+
+        monkeypatch.setattr(dicke_gaussian, "dicke_point", point)
+        skew_means(monkeypatch, "Pi_d", lambda: attempted[-1] == 0.31)
+        cfg = dicke_config(tmp_path, 0.30, 0.34, 5)
+        assert main(["run", write_config(tmp_path / "c.json", cfg)]) == EXIT_NUMERICAL
+        assert "point lambda=0.31 failed at N=1: WehrlFluxError: " in capsys.readouterr().err
+        assert attempted == [0.30, 0.31, 0.32, 0.33, 0.34]
+        assert not Path(cfg["output"]).exists()
+
+    @pytest.mark.parametrize("timing", [False, True])
+    def test_wall_times_written_only_with_timing(self, tmp_path, monkeypatch, timing):
+        # the sweep always measures; the command writes the times or zeros
+        records = []
+        real_sweep = kerr_model.sweep
+
+        def spy(*args, **kwargs):
+            result = real_sweep(*args, **kwargs)
+            records.extend(result.records)
+            return result
+
+        monkeypatch.setattr(kerr_model, "sweep", spy)
+        cfg = kerr_config(tmp_path)
+        cfg["numerics"]["timing"] = timing
+        assert main(["run", write_config(tmp_path / "c.json", cfg)]) == 0
+        walls = [r["wall_time_s"] for r in read_results(cfg["output"])[0]]
+        assert len(records) == 4 and all(rec.wall_time_s > 0 for rec in records)
+        assert walls == ([rec.wall_time_s for rec in records] if timing else [0.0] * 4)
+
+    @pytest.mark.parametrize("model", ["dicke", "cavity"])
+    def test_gaussian_wall_times_written_with_timing(self, tmp_path, model):
+        cfg = SMALL_CONFIGS[model](tmp_path)
+        cfg["numerics"]["timing"] = True
+        assert main(["run", write_config(tmp_path / "c.json", cfg)]) == 0
+        assert all(r["wall_time_s"] > 0 for r in read_results(cfg["output"])[0])
+
     def test_io_error_exit_code(self, tmp_path, capsys):
         cfg = cavity_config(tmp_path)
         cfg["output"] = "/dev/null/cannot/exist.csv"
@@ -371,6 +437,23 @@ def skew_means(monkeypatch, term, skewed=lambda: True):
         return out
 
     monkeypatch.setattr(dicke_gaussian, "_exact_means", means)
+
+
+def fail_kerr_points(monkeypatch, points):
+    """Makes each Kerr sweep point (N, eps) in ``points`` raise; returns the
+    list of points the sweep attempts, eps rounded to 6 digits."""
+    real = kerr_model.steady_state_certified
+    attempted = []
+
+    def certified(p):
+        point = (p.N, round(p.eps, 6))
+        attempted.append(point)
+        if point in points:
+            raise SolverConvergenceError(f"injected at N={p.N} eps={p.eps:g}")
+        return real(p)
+
+    monkeypatch.setattr(kerr_model, "steady_state_certified", certified)
+    return attempted
 
 
 class InjectedFaults:
@@ -448,14 +531,17 @@ class TestDickeMonteCarloCheck:
         lams = [r["eps_or_lambda"] for r in read_results(cfg["output"])[0]]
         assert lams == pytest.approx([0.0, 0.001, 0.002], abs=1e-15)
 
-    def test_first_failure_chains_its_exception(self):
+    def test_failed_point_recorded_and_next_runs(self):
+        # the runner reports every failure; only the command ends a run
         def solve(drive):
             raise ValueError(f"injected at {drive}")
 
-        with pytest.raises(WehrlFluxError) as info:
-            _run_points("dicke", "lambda", 1, [0.1, 0.2], False, False, solve)
-        assert "point lambda=0.1 failed: ValueError: injected" in str(info.value)
-        assert isinstance(info.value.__cause__, ValueError)
+        rows, failures = _run_points("dicke", 1, [0.1, 0.2], solve)
+        assert rows == []
+        assert failures == [
+            (1, 0.1, "ValueError: injected at 0.1"),
+            (1, 0.2, "ValueError: injected at 0.2"),
+        ]
 
     @pytest.mark.parametrize(
         "closed, skewed, first",
@@ -563,6 +649,15 @@ def write_collapse_rows(path, sizes, eps_c):
     return str(path)
 
 
+def set_field(name, value):
+    """An edit of a results row that sets its field ``name`` to ``value``."""
+    def edit(line):
+        parts = line.split(",")
+        parts[CSV_COLUMNS.index(name)] = value
+        return ",".join(parts)
+    return edit
+
+
 class TestCollapseCommand:
     def test_single_size_metric_undefined(self, tmp_path, capsys):
         path = write_collapse_rows(tmp_path / "sweep.csv", (10,), 0.94)
@@ -668,8 +763,17 @@ class TestResultsInput:
              ":4: lambda_c must be a finite number > 0, got 'abc'"),
             (4, lambda line: "# lambda_c=nan",
              ":4: lambda_c must be a finite number > 0, got 'nan'"),
+            (6, set_field("N", "0"), ":6: N = 0 must be >= 1"),
+            (7, set_field("Pi_u", ""), ":7: Pi_u is blank"),
+            (8, set_field("eps_or_lambda", "nan"), ":8: eps_or_lambda = 'nan' is not finite"),
+            (9, set_field("Pi_d", "inf"), ":9: Pi_d = 'inf' is not finite"),
+            (10, set_field("model", ""), ":10: model is blank"),
+            (11, set_field("N", "1" + "0" * 400), ":11: N = '1000"),
         ],
-        ids=["short-row", "eps-text", "N-text", "lambda_c-text", "lambda_c-nan"],
+        ids=[
+            "short-row", "eps-text", "N-text", "lambda_c-text", "lambda_c-nan",
+            "N-zero", "Pi_u-blank", "eps-nan", "Pi_d-inf", "model-blank", "N-past-float",
+        ],
     )
     @pytest.mark.parametrize(
         "argv", [["collapse", "--eps-c", "0.94"], ["fit-divergence"]],
@@ -684,6 +788,26 @@ class TestResultsInput:
         Path(path).write_text("\n".join(lines) + "\n")
         assert main([argv[0], path, *argv[1:]]) == EXIT_CONFIG
         assert f"sweep.csv{named}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv", [["run"], ["collapse", "--eps-c", "0.94"], ["fit-divergence"]],
+        ids=["run", "collapse", "fit-divergence"],
+    )
+    def test_not_utf8_exits_config(self, tmp_path, capsys, argv):
+        path = tmp_path / "latin1.txt"
+        path.write_bytes(b"\xff# caf\xe9\n")
+        assert main([argv[0], str(path), *argv[1:]]) == EXIT_CONFIG
+        assert f"{path} is not UTF-8 text" in capsys.readouterr().err
+
+    def test_optional_columns_may_be_blank(self, tmp_path, capsys):
+        path = write_collapse_rows(tmp_path / "sweep.csv", (10,), 0.94)
+        lines = Path(path).read_text().splitlines()
+        for name in ("gap", "beta", "n_max_used"):
+            lines[5] = set_field(name, "")(lines[5])
+        Path(path).write_text("\n".join(lines) + "\n")
+        row = read_results(path)[0][0]
+        assert row["gap"] is row["beta"] is row["n_max_used"] is None
+        assert main(["collapse", path, "--eps-c", "0.94"]) == 0
 
     @pytest.mark.parametrize(
         "command, option", [("collapse", "--eps-c"), ("fit-divergence", "--lambda-c")]

@@ -647,6 +647,18 @@ class TestCriticalScans:
         with pytest.raises(ValueError, match="lambda_c must be a finite number > 0"):
             fit_power_law(lams, 3.0 / np.abs(LAMBDA_C - lams), lambda_c)
 
+    @pytest.mark.parametrize("where", ["lams", "values"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_input_rejected(self, where, bad):
+        # an infinite value once gave slope nan; a nan value was dropped
+        lams = LAMBDA_C * np.concatenate(
+            [np.linspace(0.85, 0.96, 12), np.linspace(1.04, 1.15, 12)]
+        )
+        vals = 3.0 / np.abs(LAMBDA_C - lams)
+        (lams if where == "lams" else vals)[3] = bad
+        with pytest.raises(ValueError, match="couplings and values must be finite"):
+            fit_power_law(lams, vals, LAMBDA_C)
+
     def test_kink(self):
         grid = LAMBDA_C * np.linspace(0.97, 1.03, 25)
         report = kink_detector(fig3_params(0.0), grid)

@@ -1,3 +1,4 @@
+import dataclasses
 import inspect
 import math
 import os
@@ -132,9 +133,8 @@ class TestCutoffRule:
         # but gives <a^dag a> = 31.97 against 36.25 at the rule's 148
         p = kerr_params(0.94, 30)
         assert recommended_cutoff(p) == 148
-        with pytest.raises(CutoffError, match="n_max = 116 below") as info:
+        with pytest.raises(CutoffError, match="n_max = 116 below recommended cutoff 148 "):
             build_kerr_liouvillian(p, 116)
-        assert info.value.recommended == 148
 
     def test_exhausted_escalation_names_the_tail(self, monkeypatch):
         monkeypatch.setattr(kerr_model, "CUTOFF_MAX_ESCALATIONS", 0)
@@ -218,6 +218,17 @@ class TestSweep:
         with pytest.raises(TypeError, match="n_max"):
             sweep(kerr_params(0.9, 2), [2], [0.9], n_max=60)
 
+    @pytest.mark.parametrize("threads", [0, -3, 1.5, True, "2"])
+    def test_threads_must_be_a_positive_integer(self, threads):
+        with pytest.raises(ValueError, match="threads must be an integer >= 1"):
+            sweep(kerr_params(0.9, 2), [2], [0.9], threads=threads)
+
+    def test_record_carries_its_wall_time_outside_equality(self):
+        p = kerr_params(0.9, 2)
+        (rec,) = sweep(p, [2], [0.9], compute_gap=False).records
+        assert rec.wall_time_s > 0
+        assert dataclasses.replace(rec, wall_time_s=0.0) == rec
+
     def test_readme_names_the_sweep_options(self):
         signature = r"`sweep\(p, N_list, eps_grid, \*, ([^)]*)\)`"
         (named,) = re.findall(signature, README.read_text())
@@ -264,6 +275,21 @@ class TestCollapse:
     def test_bad_eps_c_rejected(self, eps_c):
         with pytest.raises(ValueError, match="eps_c must be a finite number > 0"):
             collapse_transform(self.synthetic_points(), eps_c)
+
+    @pytest.mark.parametrize(
+        "point",
+        [
+            CollapsePoint(0, 1.0, 0.5, 1.0),
+            CollapsePoint(-1, 1.0, 0.5, 1.0),
+            CollapsePoint(10, math.nan, 0.5, 1.0),
+            CollapsePoint(10, 1.0, math.nan, 1.0),
+            CollapsePoint(10, 1.0, 0.5, math.inf),
+        ],
+        ids=["N-zero", "N-negative", "eps-nan", "Pi_u-nan", "Pi_d-inf"],
+    )
+    def test_bad_point_rejected(self, point):
+        with pytest.raises(ValueError, match="needs N >= 1 and finite values"):
+            collapse_transform(self.synthetic_points() + [point], 1.0)
 
     def test_extrapolate_eps_c_from_parabolas(self):
         # parabolic gap curves with vertices at 0.943 + b/N: refinement hits
