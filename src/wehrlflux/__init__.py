@@ -18,9 +18,9 @@ _EXPORTS = {
         "DickeParams",
         "critical_coupling",
         "dicke_point",
-        "divergence_scan",
         "drift_diffusion",
         "estimator_means",
+        "fit_power_law",
         "gaussian_budget",
         "hamiltonian_quadratic_form",
         "hp_coefficients",

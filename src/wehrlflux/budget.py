@@ -29,7 +29,6 @@ class EntropyBudget:
     Pi_u: float
     Pi_d: float
     alpha: complex
-    N: int
     mass: float = 1.0
     Phi_q_b: float | None = None
     Pi_d_b: float | None = None

@@ -297,15 +297,20 @@ def _run_dicke(cfg, threads):
     rows, failures = _run_points("dicke", p["N"], cfg["sweep"]["lambda_grid"], solve)
     # lambda_c does not depend on the coupling; a file with no rows has
     # nothing to fit and carries no stamp
-    header = [f"# lambda_c={_fmt(critical_coupling(params(0.0)))}"] if rows else []
-    return rows, failures, header
+    if not rows:
+        return rows, failures, []
+    lambda_c = critical_coupling(params(0.0))
+    if not (math.isfinite(lambda_c) and lambda_c > 0):
+        raise WehrlFluxError(f"lambda_c = {lambda_c!r} is not a finite number > 0")
+    return rows, failures, [f"# lambda_c={_fmt(lambda_c)}"]
 
 
 # What each model reads from a config, and the runner that reads it;
 # ``validate_config`` walks this table and nothing else.
 #   run       (cfg, threads) -> (rows, failures, extra_header): a row per
 #             solved point with its measured wall time and (N, drive, message)
-#             per failed point, in (N, drive) order; ``cmd_run`` applies the flags
+#             per failed point, in (N, drive) order; ``cmd_run`` applies the flags.
+#             A ``WehrlFluxError`` it raises fails the whole run
 #   drive     the name of the swept drive in a failure's message
 #   params    key -> "number" (finite), "positive" (finite, > 0) or "size"
 #             (an integer >= 1); a key without a default is required
@@ -457,11 +462,31 @@ def read_results(path: str):
 # Commands
 # ---------------------------------------------------------------------------
 
+def _fail_non_finite(rows, failures):
+    """Moves each row with a number that is not finite outside
+    ``OPTIONAL_COLUMNS``, which ``read_results`` would reject, to
+    ``failures`` with a message naming the columns; returns the rows kept."""
+    kept = []
+    for row in rows:
+        bad = [
+            f"{key}={row[key]!r}" for key in CSV_COLUMNS[2:]
+            if key not in OPTIONAL_COLUMNS and not math.isfinite(row[key])
+        ]
+        if bad:
+            failures.append((row["N"], row["eps_or_lambda"], f"not finite: {', '.join(bad)}"))
+        else:
+            kept.append(row)
+    failures.sort(key=lambda failure: failure[:2])
+    return kept
+
+
 def cmd_run(args) -> int:
     """Runs the config's model and writes its CSV, the one place that applies
     the run flags: without ``--keep-going`` a failed point exits 3 naming the
     first failure and writes no CSV, and without ``numerics.timing`` every
-    ``wall_time_s`` is written as 0."""
+    ``wall_time_s`` is written as 0.  A row with a number that is not finite
+    outside ``OPTIONAL_COLUMNS`` is a failed point, for every model; a
+    ``WehrlFluxError`` from the runner exits 3 and writes no CSV."""
     try:
         cfg = load_config(args.config)
     except ConfigError as exc:
@@ -477,6 +502,10 @@ def cmd_run(args) -> int:
     except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
         return EXIT_IO
+    except WehrlFluxError as exc:
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
+    rows = _fail_non_finite(rows, failures)
     if failures and not args.keep_going:
         n, drive, msg = failures[0]
         print(f"numerical failure: point {spec['drive']}={drive:.6g} failed at N={n}: {msg}",

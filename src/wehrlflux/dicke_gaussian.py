@@ -44,8 +44,8 @@ in whitened coordinates z = L^{-1} r, Sigma = L L^T, and draws in
 batches of ``MC_CHUNK``.  Its estimators are quadratic in z, so
 ``estimator_means`` gives their exact expectations through the same
 whitened algebra, and every ``gaussian_budget`` checks its closed forms
-against them.  ``divergence_scan`` fits inside the fixed band
-``DIVERGENCE_WINDOW``.
+against them.  ``fit_power_law`` fits the divergence of Pi_d inside
+the fixed band ``DIVERGENCE_WINDOW``.
 """
 
 from __future__ import annotations
@@ -418,7 +418,6 @@ def gaussian_budget(
         Pi_u=pi_u,
         Pi_d=float(pi_d[-1]),
         alpha=complex(alpha),
-        N=N,
         Phi_q_b=phi_q_b,
         Pi_d_b=pi_d_b,
     )
@@ -615,16 +614,6 @@ def mc_gaussian_budget(
 # Critical scans
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class DivergenceFit:
-    left_slope: float
-    right_slope: float
-    left_stderr: float
-    right_stderr: float
-    n_left: int
-    n_right: int
-
-
 def fit_power_law(lams, values, lambda_c: float, window=DIVERGENCE_WINDOW):
     """Per-side log-log slopes of ``values`` against |lambda_c - lambda|.
 
@@ -658,23 +647,6 @@ def fit_power_law(lams, values, lambda_c: float, window=DIVERGENCE_WINDOW):
         coeffs, cov = np.polyfit(x, y, 1, cov=True)
         out.append((float(coeffs[0]), float(math.sqrt(cov[0, 0])), int(mask.sum())))
     return out[0], out[1]
-
-
-def divergence_scan(p_base: DickeParams, lambda_grid) -> DivergenceFit:
-    """Power-law exponent of the dissipative production around lam_c.
-
-    Solves the Gaussian pipeline on the grid and fits log10 Pi_d against
-    log10 |lam_c - lam| on each side inside ``DIVERGENCE_WINDOW``.
-    """
-    lc = critical_coupling(p_base)
-    lams, pids = [], []
-    for lam in lambda_grid:
-        p = DickeParams(p_base.omega0, p_base.omega, p_base.kappa, float(lam), p_base.gamma)
-        budget, *_ = dicke_point(p)
-        lams.append(float(lam))
-        pids.append(budget.Pi_d)
-    (ls, le, nl), (rs, re, nr) = fit_power_law(lams, pids, lc)
-    return DivergenceFit(ls, rs, le, re, nl, nr)
 
 
 @dataclass(frozen=True)

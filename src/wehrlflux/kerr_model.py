@@ -41,7 +41,6 @@ import numpy as np
 
 from ._blas import one_blas_thread
 from .errors import SolverConvergenceError
-from .fock_algebra import mean_photon_number
 from .liouvillian import (
     KerrParams,
     build_kerr_liouvillian,
@@ -200,7 +199,6 @@ class SweepRecord:
     eps: float
     budget: EntropyBudget
     gap: float
-    n_mean: float
     n_max_used: int
     ness_residual: float
     wall_time_s: float = field(compare=False)  # measured; equality ignores it
@@ -230,7 +228,6 @@ def _sweep_point(p_base, N, eps, *, compute_gap) -> SweepRecord:
         eps=eps,
         budget=budget,
         gap=gap,
-        n_mean=mean_photon_number(rho) / N,
         n_max_used=n_used,
         ness_residual=ness_residual,
         wall_time_s=time.perf_counter() - start,
@@ -352,7 +349,6 @@ class CollapseResult:
     vertical spread per quantity, or None when x-ranges do not overlap.
     """
 
-    eps_c: float
     rows: list
     metrics: dict
 
@@ -376,7 +372,7 @@ def collapse_transform(points, eps_c: float) -> CollapseResult:
     metrics = {}
     for n1, n2 in zip(sizes, sizes[1:]):
         metrics[(n1, n2)] = _pair_spread(by_n[n1], by_n[n2])
-    return CollapseResult(eps_c=eps_c, rows=rows, metrics=metrics)
+    return CollapseResult(rows=rows, metrics=metrics)
 
 
 def _pair_spread(curve1, curve2, samples: int = 201):

@@ -28,10 +28,10 @@ long-time propagation converges to the same state without a step-size
 bias.
 
 Settings that every caller leaves alone are module constants:
-``LU_ORDERING``, ``LU_PIVOT_THRESHOLD``, ``GAP_EIGENVALUES`` and
-``GAP_RITZ_TOL`` for the solvers, ``TRACE_DRIFT_TOL``,
-``STATIONARITY_BLOCK_TIME``, ``STATIONARITY_TOL`` and
-``STATIONARITY_T_MAX`` for the RK4 oracle.
+``MAX_CUTOFF`` for the generator, ``LU_ORDERING``,
+``LU_PIVOT_THRESHOLD``, ``GAP_EIGENVALUES`` and ``GAP_RITZ_TOL`` for the
+solvers, ``TRACE_DRIFT_TOL``, ``STATIONARITY_BLOCK_TIME``,
+``STATIONARITY_TOL`` and ``STATIONARITY_T_MAX`` for the RK4 oracle.
 """
 
 from __future__ import annotations
@@ -66,6 +66,14 @@ from .fock_algebra import (
 log = logging.getLogger(__name__)
 
 NULL_RESIDUAL_TOL = 1e-10
+# Largest Fock cutoff a generator is built at, checked before any
+# allocation.  Building the generator and its bordered LU near eps_c
+# (eps 0.94, N = 40-120 at the recommended cutoff, one BLAS thread) peaked
+# at 148 / 240 / 367 / 532 / 764 MB RSS at 190 / 272 / 352 / 430 / 508
+# levels, with 2.5M to 24.9M LU nonzeros, so the bound keeps a point's
+# factorization under about 0.8 GB.  The largest cutoff the tests build
+# is 190.
+MAX_CUTOFF = 512
 # Column ordering and pivot threshold of the bordered LU.  Every term of
 # the generator except the jump term conj(a) kron a has a symmetric
 # pattern, so minimum degree on B^T + B gives far less fill than scipy's
@@ -177,9 +185,14 @@ class Superoperator:
 def build_kerr_liouvillian(
     p: KerrParams, n_max: int, enforce_cutoff: bool = True
 ) -> Superoperator:
-    """Assemble the sparse Lindblad generator for the driven Kerr mode."""
+    """Assemble the sparse Lindblad generator for the driven Kerr mode.
+
+    A cutoff below 2 or above ``MAX_CUTOFF`` raises ``CutoffError``, with
+    or without ``enforce_cutoff``."""
     if n_max < 2:
         raise CutoffError(f"n_max must be >= 2, got {n_max}")
+    if n_max > MAX_CUTOFF:
+        raise CutoffError(f"n_max = {n_max} above MAX_CUTOFF = {MAX_CUTOFF} for {p}")
     if enforce_cutoff:
         from .kerr_model import recommended_cutoff  # deferred: avoids module cycle
 

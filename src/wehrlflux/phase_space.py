@@ -461,7 +461,6 @@ def entropy_budget(
         Pi_u=piu,
         Pi_d=pid,
         alpha=alpha,
-        N=p.N,
         mass=field_.mass,
     )
     if budget.balance_rel > BALANCE_TOL:

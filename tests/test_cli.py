@@ -278,6 +278,11 @@ class TestConfigValidation:
         for block in blocks:
             validate_config(json.loads(block), "README.md")
 
+    def test_readme_python_example_runs(self, capsys):
+        (block,) = re.findall(r"```python\n(.*?)```", README.read_text(), re.S)
+        exec(compile(block, "README.md", "exec"), {})
+        assert capsys.readouterr().out.splitlines()[-1] == "4.0"  # as its comment says
+
 
 class TestRun:
     def test_cavity_pipeline(self, tmp_path, capsys):
@@ -345,6 +350,34 @@ class TestRun:
             assert code == EXIT_NUMERICAL
             assert "OverflowError" in err
             assert not (tmp_path / "dicke.csv").exists()
+
+    @pytest.mark.parametrize("keep_going", [False, True])
+    def test_non_finite_row_fails_its_point(self, tmp_path, capsys, keep_going):
+        # E / kappa overflows, so alpha, Phi_ext and Pi_ext are inf
+        cfg = cavity_config(tmp_path)
+        cfg["params"] = {"E": 1e300, "kappa": 1e-10}
+        argv = ["run", write_config(tmp_path / "c.json", cfg)]
+        code = main(argv + ["--keep-going"] * keep_going)
+        err = capsys.readouterr().err
+        assert "not finite: Phi_ext=inf, Pi_ext=inf, alpha_re=inf" in err
+        if keep_going:
+            assert code == 0
+            assert read_results(cfg["output"])[0] == []
+        else:
+            assert code == EXIT_NUMERICAL
+            assert "numerical failure: point E=1e+300 failed at N=1: not finite: " in err
+            assert not Path(cfg["output"]).exists()
+
+    @pytest.mark.parametrize("keep_going", [False, True])
+    def test_non_finite_lambda_c_fails_the_run(self, tmp_path, capsys, keep_going):
+        # omega0 / omega overflows in lambda_c, while every point solves
+        cfg = dicke_config(tmp_path, 0.30, 0.32, 2)
+        cfg["params"].update(omega0=1e10, omega=1e-300)
+        argv = ["run", write_config(tmp_path / "c.json", cfg)]
+        assert main(argv + ["--keep-going"] * keep_going) == EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        assert "numerical failure: lambda_c = inf is not a finite number > 0" in err
+        assert not Path(cfg["output"]).exists()
 
     def test_cavity_check_failure_exit_code(self, tmp_path, capsys, monkeypatch):
         skew_means(monkeypatch, "S")

@@ -3,6 +3,7 @@ import inspect
 import math
 import os
 import re
+import tracemalloc
 from concurrent.futures import Future
 from pathlib import Path
 
@@ -126,7 +127,9 @@ class TestCutoffRule:
         assert rec.n_max_used > recommended_cutoff(p)
         L_ref = build_kerr_liouvillian(p, rec.n_max_used + 30, enforce_cutoff=False)
         n_ref = mean_photon_number(steady_state(L_ref))
-        assert rec.n_mean * N == pytest.approx(n_ref, rel=1e-9)
+        # the flux 2 kappa <a^dag a> splits into Phi_ext + Phi_q
+        n_mean = (rec.budget.Phi_ext + rec.budget.Phi_q) / (2.0 * p.kappa)
+        assert n_mean == pytest.approx(n_ref, rel=1e-9)
 
     def test_cutoff_below_rule_fails_the_point(self):
         # at N=30, eps 0.94 a cutoff of 116 passes the tail check (4.2e-11)
@@ -135,6 +138,21 @@ class TestCutoffRule:
         assert recommended_cutoff(p) == 148
         with pytest.raises(CutoffError, match="n_max = 116 below recommended cutoff 148 "):
             build_kerr_liouvillian(p, 116)
+
+    def test_cutoff_bounded_before_allocation(self):
+        # the rule asks for 349785 levels, a generator of dimension 1.2e11
+        p = kerr_params(0.9, 100000)
+        assert recommended_cutoff(p) == 349785
+        tracemalloc.start()
+        try:
+            result = sweep(p, [100000], [0.9], compute_gap=False)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        ((N, eps, msg),) = result.failures
+        assert (N, eps) == (100000, 0.9) and not result.records
+        assert msg.startswith("CutoffError: n_max = 349785 above MAX_CUTOFF = ")
+        assert peak < 10 ** 6  # its ladder operator alone takes 17 MB
 
     def test_exhausted_escalation_names_the_tail(self, monkeypatch):
         monkeypatch.setattr(kerr_model, "CUTOFF_MAX_ESCALATIONS", 0)

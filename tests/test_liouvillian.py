@@ -86,6 +86,13 @@ class TestBuild:
         with pytest.raises(CutoffError):
             build_kerr_liouvillian(p, 10)
 
+    @pytest.mark.parametrize("enforce", [True, False])
+    def test_cutoff_above_bound_rejected(self, enforce):
+        p = kerr_params(0.9, 10)
+        n_max = liouvillian.MAX_CUTOFF + 1
+        with pytest.raises(CutoffError, match=f"n_max = {n_max} above MAX_CUTOFF = "):
+            build_kerr_liouvillian(p, n_max, enforce_cutoff=enforce)
+
     def test_vectorization_convention(self):
         # L matches -i(I x H - H^T x I) + 2k(conj(a) x a - ...) explicitly
         import scipy.sparse as sp
