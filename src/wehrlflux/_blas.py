@@ -37,8 +37,10 @@ def _libraries() -> tuple:
     """
     try:
         with open("/proc/self/maps", encoding="utf-8") as fh:
+            # the path is the sixth field and may itself hold spaces
             paths = sorted({
-                line.split()[-1] for line in fh if "openblas" in line.lower()
+                line.split(maxsplit=5)[5].rstrip("\n")
+                for line in fh if "openblas" in line.lower()
             })
     except OSError:
         return ()

@@ -96,6 +96,11 @@ def _is_int(val, lowest: int) -> bool:
     return isinstance(val, int) and not isinstance(val, bool) and val >= lowest
 
 
+def _is_size(val) -> bool:
+    # each point takes N as a float, so N must lie in the float range
+    return _is_int(val, 1) and val <= sys.float_info.max
+
+
 def _grid_spec(block: dict, where: str):
     _reject_unknown(block, {"min", "max", "count"}, where)
     lo = _require_number(block, "min", where)
@@ -144,9 +149,10 @@ def validate_config(raw: dict, path: str = "<config>") -> dict:
             params[key] = spec["defaults"][key](params)
         if rule != "size":
             _require_number(params, key, "params", positive=rule == "positive")
-        elif not _is_int(params.get(key), 1):
+        elif not _is_size(params.get(key)):
             raise ConfigError(
-                f"params.{key} must be a positive integer, got {params.get(key)!r}"
+                f"params.{key} must be a positive integer in the float range, "
+                f"got {params.get(key)!r}"
             )
 
     block = raw.get("sweep", {})
@@ -157,8 +163,11 @@ def validate_config(raw: dict, path: str = "<config>") -> dict:
     for key, kind in spec["sweep"].items():
         where, value = f"sweep.{key}", block.get(key)
         if kind == "sizes":
-            if not (isinstance(value, list) and value and all(_is_int(n, 1) for n in value)):
-                raise ConfigError(f"{where} must be a non-empty list of positive integers")
+            if not (isinstance(value, list) and value and all(map(_is_size, value))):
+                raise ConfigError(
+                    f"{where} must be a non-empty list of positive integers "
+                    "in the float range"
+                )
             sweep[key] = value
             continue
         if not isinstance(value, dict):
@@ -313,9 +322,10 @@ def _run_dicke(cfg, threads):
 #             A ``WehrlFluxError`` it raises fails the whole run
 #   drive     the name of the swept drive in a failure's message
 #   params    key -> "number" (finite), "positive" (finite, > 0) or "size"
-#             (an integer >= 1); a key without a default is required
+#             (an integer >= 1 in the float range); a key without a default
+#             is required
 #   defaults  key -> default(params), given the params before the key
-#   sweep     key -> "sizes", a list of integers >= 1, or "grid", a
+#   sweep     key -> "sizes", a list of "size" values, or "grid", a
 #             min/max/count object of values >= 0, loaded as "<key>_grid"
 #   numerics  key -> (default, least value), None for a boolean
 #   ignored   schema-1 numerics keys that are validated and change

@@ -655,7 +655,6 @@ class KinkReport:
     right_slope: float
     left_noise: float
     right_noise: float
-    pi_u_at_critical: float
     jump_estimate: float
     jump_bound: float
 
@@ -704,4 +703,4 @@ def kink_detector(p_base: DickeParams, lambda_grid) -> KinkReport:
     h = max(abs(pts_l[0] - lc), abs(pts_r[0] - lc))
     jump = abs(extrap_l - extrap_r)
     bound = (abs(sl) + abs(sr)) * h + 2.0 * (nl + nr) * h
-    return KinkReport(sl, sr, nl, nr, pi_c, jump, bound)
+    return KinkReport(sl, sr, nl, nr, jump, bound)

@@ -33,10 +33,6 @@ class MassDeficitError(WehrlFluxError, ValueError):
     """Quadrature grid does not capture the state's phase-space mass."""
 
 
-class QuadratureError(WehrlFluxError, RuntimeError):
-    """A phase-space integral failed an internal consistency check."""
-
-
 class UnstableSystemError(WehrlFluxError, ValueError):
     """Drift matrix is not Hurwitz; carries the offending eigenvalue."""
 

@@ -32,7 +32,10 @@ def caller_at_two_threads():
     """Every loaded OpenBLAS set to 2 threads, as a caller might leave it;
     the counts found are put back afterwards."""
     with open("/proc/self/maps", encoding="utf-8") as fh:
-        loaded = {line.split()[-1] for line in fh if "openblas" in line.lower()}
+        loaded = {
+            line.split(maxsplit=5)[5].rstrip("\n")
+            for line in fh if "openblas" in line.lower()
+        }
     libs = _blas._libraries()
     assert loaded and len(libs) == len(loaded)
     saved = blas_threads()
@@ -93,7 +96,10 @@ from wehrlflux.dicke_gaussian import mc_gaussian_budget
 def copies():
     # each loaded OpenBLAS's (get, set), looked up here, not through _blas
     with open("/proc/self/maps", encoding="utf-8") as fh:
-        paths = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
+        paths = sorted({
+            line.split(maxsplit=5)[5].rstrip("\\n")
+            for line in fh if "openblas" in line.lower()
+        })
     out = []
     for path in paths:
         lib = ctypes.CDLL(path)
@@ -157,6 +163,72 @@ def test_pin_covers_copies_loaded_after_first_call():
     assert report["copies"] == 2
     assert report["seen"] == [["_bordered_lu", [1, 1]], ["eigs", [1, 1]]]
     assert report["after"] == [2, 2]
+
+
+SPACED_COPY = """
+import ctypes
+import json
+import shutil
+import sys
+from pathlib import Path
+
+from wehrlflux import _blas, kerr_model, liouvillian
+
+
+def loaded():
+    with open("/proc/self/maps", encoding="utf-8") as fh:
+        return sorted({
+            line.split(maxsplit=5)[5].rstrip("\\n")
+            for line in fh if "openblas" in line.lower()
+        })
+
+
+original = loaded()[0]
+copy = str(Path(sys.argv[1]) / Path(original).name)
+shutil.copy(original, copy)
+ctypes.CDLL(copy)
+assert copy in loaded()
+
+libs = _blas._libraries()
+for _, set_ in libs:
+    set_(2)
+seen = []
+real = liouvillian._bordered_lu
+
+
+def recording(*args, **kwargs):
+    seen.append([get() for get, _ in libs])
+    return real(*args, **kwargs)
+
+
+liouvillian._bordered_lu = recording
+params = liouvillian.KerrParams(-2.0, 1.0, 0.5, 0.9, 2)
+L = liouvillian.build_kerr_liouvillian(params, kerr_model.recommended_cutoff(params))
+liouvillian.steady_state(L)
+print(json.dumps({
+    "copies": len(loaded()), "libs": len(libs), "seen": seen,
+    "after": [get() for get, _ in libs],
+}))
+"""
+
+
+def test_pin_reads_library_paths_with_spaces(tmp_path):
+    # a maps line ends in a path that may hold spaces; a copy of the
+    # loaded OpenBLAS under such a path must be found and pinned
+    spaced = tmp_path / "blas copy"
+    spaced.mkdir()
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", SPACED_COPY, str(spaced)], env=env,
+        capture_output=True, text=True, timeout=300,
+    )
+    assert out.returncode == 0, out.stderr
+    report = json.loads(out.stdout.splitlines()[-1])
+    n = report["copies"]
+    assert n >= 2 and report["libs"] == n
+    assert report["seen"] == [[1] * n]
+    assert report["after"] == [2] * n
 
 
 def test_csv_independent_of_blas_threads(tmp_path):

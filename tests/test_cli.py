@@ -178,6 +178,15 @@ class TestConfigValidation:
             ("cavity", "params.E", 10 ** 400, [], "params.E"),
             ("dicke", "sweep.lambda.max", 10 ** 400, [], "sweep.lambda.max"),
             ("dicke", "sweep.lambda.count", 10 ** 400, [], "sweep.lambda.count"),
+            ("dicke", "params.N", 10 ** 400, [], "params.N"),
+            ("kerr", "sweep.N_list", [2, 10 ** 400], [], "sweep.N_list"),
+            ("kerr", "model", "spin", [], "model must be one of"),
+            ("kerr", "params", "x", [], "params block"),
+            ("kerr", "sweep", "x", [], "sweep block"),
+            ("kerr", "numerics", "x", [], "numerics block"),
+            ("kerr", "sweep.eps", [0.5, 0.7], [], "sweep.eps must be a min/max/count"),
+            ("kerr", "sweep.eps.max", 0.4, [], "sweep.eps: max < min"),
+            ("dicke", "sweep.lambda.min", -0.1, [], "sweep.lambda values must be >= 0"),
         ],
         ids=[
             "mc_samples-0", "seed-negative", "seed-fraction", "points_per_axis-10",
@@ -191,7 +200,9 @@ class TestConfigValidation:
             "dicke-reads-no-compute_gap", "cavity-reads-no-compute_gap",
             "cavity-reads-no-seed", "kerr-reads-no-n_max", "eps-count-1-wide",
             "lambda-count-1-wide", "cavity-E-beyond-float", "lambda-max-beyond-float",
-            "lambda-count-beyond-float",
+            "lambda-count-beyond-float", "dicke-N-beyond-float", "N_list-beyond-float",
+            "model-unknown", "params-not-object", "sweep-not-object",
+            "numerics-not-object", "eps-not-grid", "eps-max-below-min", "lambda-negative",
         ],
     )
     def test_invalid_run_inputs_exit_config(
@@ -212,6 +223,22 @@ class TestConfigValidation:
         assert code == EXIT_CONFIG
         assert named in capsys.readouterr().err
         assert not Path(cfg["output"]).exists()
+
+    @pytest.mark.parametrize(
+        "text, named",
+        [
+            ("[]", "top level must be an object"),
+            (json.dumps({"schema_version": 1, "model": "cavity",
+                         "params": {"E": 1.0, "kappa": 0.5}, "output": ""}),
+             "output must be a non-empty path"),
+        ],
+        ids=["top-level-list", "output-empty"],
+    )
+    def test_config_shape_exits_config(self, tmp_path, capsys, text, named):
+        path = tmp_path / "c.json"
+        path.write_text(text)
+        assert main(["run", str(path)]) == EXIT_CONFIG
+        assert named in capsys.readouterr().err
 
     @pytest.mark.parametrize("certify", [True, False])
     def test_certify_cutoff_still_accepted(self, tmp_path, certify):
@@ -778,6 +805,35 @@ class TestFitDivergenceCommand:
         write_results(str(path), rows, {})
         assert main(["fit-divergence", str(path)]) == EXIT_CONFIG
 
+    def test_kerr_rows_rejected(self, tmp_path, capsys):
+        path = write_collapse_rows(tmp_path / "sweep.csv", (10,), 0.94)
+        assert main(["fit-divergence", path]) == EXIT_CONFIG
+        assert "no dicke rows in results file" in capsys.readouterr().err
+
+    def test_too_few_points_exits_numerical(self, tmp_path, capsys):
+        # the synthetic scan steps 0.005 in lambda / lambda_c - 1, so this
+        # window holds two points a side
+        path = self._write_synthetic(tmp_path)
+        assert main(["fit-divergence", path, "--window", "0.001,0.012"]) == EXIT_NUMERICAL
+        assert "fit failed: only 2 usable points" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "window, named",
+        [
+            ("0.01,0.001", "window must satisfy 0 <= lo < hi"),
+            ("0.01,0.01", "window must satisfy 0 <= lo < hi"),
+            ("0.01", "window must be 'lo,hi'"),
+            ("lo,hi", "window must be 'lo,hi'"),
+        ],
+        ids=["lo-above-hi", "lo-equals-hi", "one-value", "text"],
+    )
+    def test_window_checked_when_parsed(self, tmp_path, capsys, window, named):
+        path = self._write_synthetic(tmp_path)
+        with pytest.raises(SystemExit) as info:
+            main(["fit-divergence", path, "--window", window])
+        assert info.value.code == EXIT_CONFIG
+        assert f"argument --window: {named}" in capsys.readouterr().err
+
 
 class TestResultsInput:
     """Malformed results files and critical values exit 2 and name the
@@ -802,10 +858,12 @@ class TestResultsInput:
             (9, set_field("Pi_d", "inf"), ":9: Pi_d = 'inf' is not finite"),
             (10, set_field("model", ""), ":10: model is blank"),
             (11, set_field("N", "1" + "0" * 400), ":11: N = '1000"),
+            (5, lambda line: line.replace("model,", "kind,", 1), ": ['kind', 'N',"),
         ],
         ids=[
             "short-row", "eps-text", "N-text", "lambda_c-text", "lambda_c-nan",
             "N-zero", "Pi_u-blank", "eps-nan", "Pi_d-inf", "model-blank", "N-past-float",
+            "header-columns",
         ],
     )
     @pytest.mark.parametrize(
@@ -831,6 +889,16 @@ class TestResultsInput:
         path.write_bytes(b"\xff# caf\xe9\n")
         assert main([argv[0], str(path), *argv[1:]]) == EXIT_CONFIG
         assert f"{path} is not UTF-8 text" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv", [["collapse", "--eps-c", "0.94"], ["fit-divergence"]],
+        ids=["collapse", "fit-divergence"],
+    )
+    def test_no_data_header_exits_config(self, tmp_path, capsys, argv):
+        path = tmp_path / "sweep.csv"
+        path.write_text("# wehrlflux results\n# schema_version=1\n")
+        assert main([argv[0], str(path), *argv[1:]]) == EXIT_CONFIG
+        assert f"{path} contains no data header" in capsys.readouterr().err
 
     def test_optional_columns_may_be_blank(self, tmp_path, capsys):
         path = write_collapse_rows(tmp_path / "sweep.csv", (10,), 0.94)
