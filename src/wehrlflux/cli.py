@@ -660,6 +660,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # numpy loads with the first subcommand, after this line; its OpenBLAS
+    # would otherwise start a pool of threads that every solve leaves idle
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     args = build_parser().parse_args(argv)
     return args.func(args)
 

@@ -19,7 +19,6 @@ amplitudes stay finite well past n = 170.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -46,23 +45,36 @@ def annihilation(n_max: int) -> sp.csr_matrix:
 # Coherent states
 # ---------------------------------------------------------------------------
 
-def coherent_components(mu: complex, dim: int) -> np.ndarray:
+def coherent_components(mu: complex | np.ndarray, dim: int) -> np.ndarray:
     """Truncated coherent-state amplitudes c_n = e^{-|mu|^2/2} mu^n / sqrt(n!).
 
-    Stable for arbitrary |mu|: magnitudes go through logs, so components
-    simply underflow to zero far from the Poisson peak.
+    ``mu`` is a number or an array of nodes; the result has shape
+    (dim,) + shape(mu), one column of components per node.  The magnitude
+    is summed in log space, n ln|mu| - ln(n!)/2 - |mu|^2/2, so only
+    components below ~1e-308 underflow (exp(-|mu|^2/2) alone underflows
+    beyond |mu| ~ 38, and |mu|^n overflows long before n! does).  The
+    phase e^{i n arg mu} is the n-th power of e^{i arg mu}, taken row by
+    row: n roundoffs of an ulp each, at a tenth of the cost of a complex
+    exponential per entry.  It is exactly 1 on the positive real axis, and
+    mu = 0 gives the vacuum column exactly.
     """
     if dim < 2:
         raise DimensionError(f"dim must be >= 2, got {dim}")
-    mu = complex(mu)
-    if mu == 0:
-        c = np.zeros(dim, dtype=complex)
-        c[0] = 1.0
-        return c
-    n = np.arange(dim)
-    log_mag = -0.5 * abs(mu) ** 2 + n * math.log(abs(mu)) - 0.5 * gammaln(n + 1.0)
-    phase = np.angle(mu)
-    return np.exp(log_mag) * np.exp(1j * n * phase)
+    mu = np.asarray(mu, dtype=complex)
+    r = np.abs(mu)
+    n = np.arange(dim).reshape((dim,) + (1,) * mu.ndim)
+    # at mu = 0, ln 0 = -inf empties every row but the first, where 0 * -inf
+    # is nan; that row is exp(-|mu|^2/2), bit for bit the sum's value elsewhere
+    with np.errstate(divide="ignore", invalid="ignore"):
+        mag = np.exp(np.log(r) * n - 0.5 * gammaln(n + 1.0) - 0.5 * r ** 2)
+    mag[0] = np.exp(-0.5 * r ** 2)
+    c = np.empty(mag.shape, dtype=complex)
+    c[0] = 1.0
+    c[1:] = np.exp(1j * np.angle(mu))
+    for k in range(2, dim):
+        c[k] *= c[k - 1]
+    c *= mag
+    return c
 
 
 # ---------------------------------------------------------------------------

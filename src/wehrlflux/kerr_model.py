@@ -33,9 +33,10 @@ import contextlib
 import functools
 import logging
 import math
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -215,7 +216,7 @@ def _sweep_point(p_base, N, eps, *, compute_gap) -> SweepRecord:
     """One point of ``sweep``, which documents the option, timed from its
     parameters to its budget."""
     start = time.perf_counter()
-    p = p_base.with_drive(eps, N)
+    p = replace(p_base, eps=eps, N=N)
     rho, L, n_used = steady_state_certified(p)
     # L holds the LU its steady state was solved with, and the gap reuses
     # it; drop L before the Husimi stage so the two never share memory.
@@ -243,7 +244,8 @@ def sweep(
     compute_gap: bool = True,
 ) -> SweepResult:
     """Steady-state budgets over a (N, eps) product grid, the points in
-    ``threads`` worker processes (an integer >= 1, else ``ValueError``).
+    ``threads`` worker processes (an integer >= 1, else ``ValueError``),
+    capped at the number of points and at ``os.cpu_count()``.
 
     Points are independent jobs; failures are recorded and the sweep
     continues.  Records come back sorted by (N, eps) regardless of the
@@ -259,8 +261,9 @@ def sweep(
     point = functools.partial(_sweep_point, compute_gap=compute_gap)
     jobs = [(p_base, int(N), float(eps)) for N in N_list for eps in eps_grid]
     result = SweepResult()
-    # a fork-started pool launches all its workers at the first submit
-    workers = min(threads, len(jobs))
+    # a fork-started pool launches all its workers at the first submit, and
+    # each point runs on one core, so more workers than cores gain nothing
+    workers = min(threads, len(jobs), os.cpu_count() or 1)
     with contextlib.ExitStack() as stack:
         if workers > 1:
             pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers))
@@ -375,14 +378,14 @@ def collapse_transform(points, eps_c: float) -> CollapseResult:
     return CollapseResult(rows=rows, metrics=metrics)
 
 
-def _pair_spread(curve1, curve2, samples: int = 201):
+def _pair_spread(curve1, curve2):
     c1 = np.array(sorted(curve1))
     c2 = np.array(sorted(curve2))
     lo = max(c1[0, 0], c2[0, 0])
     hi = min(c1[-1, 0], c2[-1, 0])
     if hi <= lo:
         return None
-    xs = np.linspace(lo, hi, samples)
+    xs = np.linspace(lo, hi, 201)
     out = {}
     for col, name in ((1, "Pi_u"), (2, "Pi_d_over_N")):
         y1 = np.interp(xs, c1[:, 0], c1[:, col])

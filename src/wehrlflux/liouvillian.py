@@ -40,7 +40,7 @@ import functools
 import logging
 import math
 import numbers
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -143,9 +143,6 @@ class KerrParams:
         if isinstance(N, bool) or not integral or N < 1:
             raise ValueError(f"N must be a positive integer, got {N!r}")
         object.__setattr__(self, "N", int(N))
-
-    def with_drive(self, eps: float, N: int | None = None) -> "KerrParams":
-        return replace(self, eps=eps, N=self.N if N is None else N)
 
     @property
     def pump(self) -> float:

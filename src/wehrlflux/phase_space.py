@@ -32,8 +32,8 @@ oracle: a uniform grid of any center and width, with Q and
 whose columns are the coherent components c(mu) and R = rho C,
 Q = conj(c)^T R / pi column by column, and the matrix (a rho) C is R
 shifted up one row with row n scaled by sqrt(n+1), so no operator is
-ever built.  C itself comes from the rescaled recurrence
-c_n = c_{n-1} mu / sqrt(n).
+ever built.  Both paths take their components from
+``fock_algebra.coherent_components``.
 
 On top of Q the module computes:
 
@@ -72,7 +72,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gammaln
 
 from .budget import EntropyBudget
 from .errors import (
@@ -82,6 +81,7 @@ from .errors import (
 )
 from .fock_algebra import (
     DensityMatrix,
+    coherent_components,
     mean_amplitude,
     mean_photon_number,
 )
@@ -243,7 +243,7 @@ def husimi_field(rho: DensityMatrix, grid: PhaseSpaceGrid) -> PhaseSpaceField:
     E = np.empty(nodes.size, dtype=complex)
     for start in range(0, nodes.size, _NODE_CHUNK):
         sl = slice(start, min(start + _NODE_CHUNK, nodes.size))
-        C = _coherent_matrix(nodes[sl], dim)
+        C = coherent_components(nodes[sl], dim)
         R = rho.entries @ C
         np.conjugate(C, out=C)
         Q[sl] = np.einsum("nk,nk->k", C, R).real / math.pi
@@ -265,7 +265,8 @@ def polar_husimi_field(rho: DensityMatrix, grid: PolarGrid) -> PhaseSpaceField:
         raise DimensionError(
             f"{grid.angles} angles alias the {2 * dim - 1} Fourier modes of Q"
         )
-    amp = _radial_amplitudes(grid.radii, dim)
+    # a_m(r) for real r > 0: the phase is exactly 1
+    amp = coherent_components(grid.radii, dim).real.T
     entries = rho.entries.astype(complex, copy=False)
     a_rho = np.zeros_like(entries)
     a_rho[:-1] = np.sqrt(np.arange(1, dim))[:, None] * entries[1:]
@@ -305,38 +306,6 @@ def _checked_field(grid, Q, E) -> PhaseSpaceField:
             "enlarge or re-center the grid"
         )
     return PhaseSpaceField(grid, Q, dQ_dmubar, mass)
-
-
-def _radial_amplitudes(radii: np.ndarray, dim: int) -> np.ndarray:
-    """a_n(r) = exp(-r^2/2) r^n / sqrt(n!), one row per radius r > 0 and
-    one column per n < dim.
-
-    Summed in log space, -r^2/2 + n ln r - ln(n!)/2, so only amplitudes
-    below ~1e-308 underflow; exp(-r^2/2) alone underflows beyond r ~ 38,
-    and r^n overflows long before n! does.
-    """
-    n = np.arange(dim)
-    r = radii[:, None]
-    return np.exp(np.log(r) * n - 0.5 * gammaln(n + 1.0) - 0.5 * r ** 2)
-
-
-def _coherent_matrix(nodes: np.ndarray, dim: int) -> np.ndarray:
-    """Columns of coherent-state components c_n(mu) for each node.
-
-    By the recurrence c_0 = exp(-|mu|^2/2), c_n = c_{n-1} mu / sqrt(n), run
-    on columns scaled by exp(s), s = |mu|^2/2 - 600 clipped to [0, 700]:
-    c_0 stays at or above exp(-600), so no entry above ~1e-290 underflows
-    where |mu| is large, and no scaled entry exceeds exp(700).
-    """
-    half_abs2 = 0.5 * np.abs(nodes) ** 2
-    s = np.clip(half_abs2 - 600.0, 0.0, 700.0)
-    C = np.empty((dim, nodes.size), dtype=complex)
-    C[0] = np.exp(s - half_abs2)
-    C[1:] = nodes / np.sqrt(np.arange(1, dim))[:, None]
-    for n in range(1, dim):
-        C[n] *= C[n - 1]
-    C *= np.exp(-s)
-    return C
 
 
 # ---------------------------------------------------------------------------

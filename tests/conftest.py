@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,19 @@ def kerr_params(eps, N, **overrides):
     base = dict(FIG2)
     base.update(overrides)
     return KerrParams(base["delta"], base["u"], base["kappa"], eps, N)
+
+
+@pytest.fixture(autouse=True)
+def blas_environment_restored():
+    """``cli.main`` sets OPENBLAS_NUM_THREADS for its process when unset;
+    a test calling it in-process gets the caller's value back afterwards,
+    so later subprocesses start with the environment the suite began with."""
+    saved = os.environ.get("OPENBLAS_NUM_THREADS")
+    yield
+    if saved is None:
+        os.environ.pop("OPENBLAS_NUM_THREADS", None)
+    else:
+        os.environ["OPENBLAS_NUM_THREADS"] = saved
 
 
 @pytest.fixture(scope="session")

@@ -268,3 +268,42 @@ def test_csv_independent_of_blas_threads(tmp_path):
             outputs.append(tmp_path / f"{model}_{count}.csv")
             shutil.move(tmp_path / f"{model}.csv", outputs[-1])
         assert outputs[0].read_bytes() == outputs[1].read_bytes(), model
+
+
+TASKS_AFTER_RUN = """
+import os
+import sys
+
+from wehrlflux.cli import main
+
+assert "numpy" not in sys.modules
+code = main(["run", sys.argv[1]])
+print(code, os.environ.get("OPENBLAS_NUM_THREADS"), len(os.listdir("/proc/self/task")))
+"""
+
+
+def test_cli_run_starts_no_idle_blas_threads(tmp_path):
+    # cli.main sets OPENBLAS_NUM_THREADS=1 before numpy loads, so a Dicke
+    # run ends with its main thread alone; a caller's own value is kept
+    config = tmp_path / "dicke.json"
+    config.write_text(json.dumps({
+        "schema_version": 1,
+        "model": "dicke",
+        "params": {"omega0": 0.005, "omega": 0.01, "kappa": 1.0, "gamma": 0.001},
+        "sweep": {"lambda": {"min": 0.30, "max": 0.41, "count": 5}},
+        "output": str(tmp_path / "dicke.csv"),
+    }))
+    for caller, expected in ((None, "1"), ("2", "2")):
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+        if caller is not None:
+            env["OPENBLAS_NUM_THREADS"] = caller
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+        out = subprocess.run(
+            [sys.executable, "-c", TASKS_AFTER_RUN, str(config)], env=env,
+            capture_output=True, text=True, timeout=300,
+        )
+        assert out.returncode == 0, out.stderr
+        code, value, tasks = out.stdout.split()[-3:]
+        assert (code, value) == ("0", expected)
+        if caller is None:
+            assert tasks == "1"

@@ -135,6 +135,18 @@ class TestMeanField:
         bent = dataclasses.replace(mf, w=mf.w + 1e-6)
         assert max(bent.residuals(p)) > 1e-12
 
+    def test_strong_coupling_point(self):
+        # lam = 200 lam_c puts |alpha| near 100: the alpha equation's terms
+        # are ~kappa |alpha| = 1e5, so its residual is ~1e-11 of roundoff
+        # alone, while the budget still closes and passes every check
+        p = DickeParams(1.0, 1.0, 1000.0, 1e5, 1e-3)
+        budget, _, _, mf = dicke_point(p)
+        assert p.lam == pytest.approx(200.0 * critical_coupling(p), rel=1e-6)
+        assert abs(mf.alpha) == pytest.approx(100.0, rel=1e-6)
+        r_alpha = mf.residuals(p)[0]
+        assert 1e-12 < r_alpha < 1e-15 * p.kappa * abs(mf.alpha)
+        assert budget.balance_rel < 1e-8
+
     def test_order_parameter_slope_jump(self):
         # beta is continuous at lam_c but d(beta^2)/d lam jumps to 1/lam_c
         h = 1e-7

@@ -61,6 +61,24 @@ class TestCoherentStates:
         assert c[0] == 1.0
         assert np.allclose(c[1:], 0.0)
 
+    def test_array_of_nodes(self):
+        # shape (dim,) + shape(mu), each column the node's own vector (to
+        # roundoff: the phase's powers may round differently for one node
+        # and for many), and mu = 0 the vacuum column exactly, without a
+        # floating-point warning
+        mu = np.array([[0.0, 0.7 - 0.4j, 2.5j], [-1.0, 3.0, 1e-3 + 1e-3j]])
+        C = coherent_components(mu, 12)
+        assert C.shape == (12, 2, 3)
+        for idx in np.ndindex(mu.shape):
+            column = C[(slice(None),) + idx]
+            single = coherent_components(mu[idx], 12)
+            assert np.all(np.abs(column - single) <= 1e-14 * np.abs(single))
+        vacuum = np.zeros(12, dtype=complex)
+        vacuum[0] = 1.0
+        assert np.array_equal(C[:, 0, 0], vacuum)
+        assert np.array_equal(coherent_components(0.0, 12), vacuum)
+        assert coherent_components(0.7 - 0.4j, 12).shape == (12,)
+
     def test_components_match_direct_formula(self):
         mu = 0.7 - 0.4j
         c = coherent_components(mu, 12)

@@ -193,7 +193,8 @@ class TestSweep:
 
     def test_crashed_worker_recorded_as_failure(self, monkeypatch):
         # pool workers are forked (the default on Linux) after the patch, so
-        # they run the stand-in and die
+        # they run the stand-in and die; two cores let the sweep start them
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
         monkeypatch.setattr(kerr_model, "steady_state", exit_in_worker)
         p = kerr_params(0.9, 2)
         result = sweep(p, [2], [0.9, 0.95], compute_gap=False, threads=2)
@@ -201,10 +202,10 @@ class TestSweep:
         assert [(N, eps) for N, eps, _ in result.failures] == [(2, 0.9), (2, 0.95)]
         assert all("terminated abruptly" in msg for *_, msg in result.failures)
 
-    def test_pool_no_larger_than_the_sweep(self, monkeypatch):
-        # a fork-started pool forks all of its max_workers at the first
-        # submit: 64 threads on 2 points ask for 2 workers, on 1 point for
-        # no pool at all
+    @pytest.fixture
+    def pool_sizes(self, monkeypatch):
+        """The max_workers of every pool the sweep opens, the pool replaced
+        by one that runs each point inline, so no process is started."""
         sizes = []
 
         class InlinePool:
@@ -223,10 +224,28 @@ class TestSweep:
                 return future
 
         monkeypatch.setattr(kerr_model, "ProcessPoolExecutor", InlinePool)
+        return sizes
+
+    def test_pool_no_larger_than_the_sweep(self, monkeypatch, pool_sizes):
+        # a fork-started pool forks all of its max_workers at the first
+        # submit: 64 threads on 2 points ask for 2 workers, on 1 point for
+        # no pool at all
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
         p = kerr_params(0.9, 2)
         assert len(sweep(p, [2], [0.9, 0.95], compute_gap=False, threads=64).records) == 2
         assert len(sweep(p, [2], [0.9], compute_gap=False, threads=64).records) == 1
-        assert sizes == [2]
+        assert pool_sizes == [2]
+
+    def test_pool_no_larger_than_the_machine(self, monkeypatch, pool_sizes):
+        # 10^4 threads on 4 points ask for one worker per core, and on a
+        # single core (or one os.cpu_count cannot read) for no pool at all
+        p = kerr_params(0.9, 2)
+        eps = [0.9, 0.92, 0.94, 0.96]
+        for cores, expected in ((3, [3]), (1, [3]), (None, [3])):
+            monkeypatch.setattr(os, "cpu_count", lambda: cores)
+            result = sweep(p, [2], eps, compute_gap=False, threads=10 ** 4)
+            assert len(result.records) == 4 and not result.failures
+            assert pool_sizes == expected
 
     def test_unknown_option_is_a_type_error(self):
         with pytest.raises(TypeError, match="certfy"):

@@ -18,8 +18,6 @@ from wehrlflux.fock_algebra import (
 )
 from wehrlflux.liouvillian import KerrParams, evolve, build_kerr_liouvillian
 from wehrlflux.phase_space import (
-    _coherent_matrix,
-    _radial_amplitudes,
     auto_grid,
     build_grid,
     entropy_budget,
@@ -95,17 +93,26 @@ class TestHusimiField:
 
     @pytest.mark.parametrize("dim", [60, 149, 400])
     def test_coherent_matrix_matches_components(self, dim):
-        # the rescaled recurrence against the log-magnitude oracle, entry
-        # by entry, out to |mu| = 45 where exp(-|mu|^2/2) alone underflows
+        # the tensor path's matrix of coherent columns, from one call over
+        # all nodes: every entry above 1e-290 matches mpmath's recurrence
+        # out to |mu| = 45, where exp(-|mu|^2/2) alone underflows
+        import mpmath
+
         rng = np.random.default_rng(dim)
         radii = np.concatenate([[0.0], rng.uniform(0.0, 45.0, 199), [45.0]])
         mu = radii * np.exp(2j * np.pi * rng.uniform(size=radii.size))
-        C = _coherent_matrix(mu, dim)
+        C = coherent_components(mu, dim)
         assert np.all(np.isfinite(C))
-        for k, m in enumerate(mu):
-            ref = coherent_components(m, dim)
-            big = np.abs(ref) > 1e-290
-            assert np.all(np.abs(C[big, k] - ref[big]) <= 1e-12 * np.abs(ref[big]))
+        with mpmath.workdps(30):
+            roots = [mpmath.sqrt(n) for n in range(1, dim)]
+            for k, m in enumerate(mu):
+                z = mpmath.mpc(m)
+                exact = [mpmath.exp(-abs(z) ** 2 / 2)]
+                for root in roots:
+                    exact.append(exact[-1] * z / root)
+                ref = np.array([complex(v) for v in exact])
+                big = np.abs(ref) > 1e-290
+                assert np.all(np.abs(C[big, k] - ref[big]) <= 1e-12 * np.abs(ref[big]))
 
     def test_coherent_values_and_derivative_identity(self):
         alpha = 1.2 - 0.8j
@@ -143,9 +150,10 @@ class TestHusimiField:
     def test_derivative_matches_explicit_ladder_product(self, dim):
         # dQ/dmubar = -mu Q + conj(c)^T (a rho) c / pi with a built explicitly;
         # at dim 90 half the weight sits in the top Fock level, where the
-        # row shift runs out of rows.  The components come from the field's
-        # own coherent matrix: at n ~ 90 the roundoff of two independent
-        # component evaluations already differs by ~5e-13 of max|dQ|.
+        # row shift runs out of rows.  The components are the field's own,
+        # from ``coherent_components``: at n ~ 90 the roundoff of two
+        # independent component evaluations already differs by ~5e-13 of
+        # max|dQ|.
         rng = np.random.default_rng(dim)
         rho = random_density_matrix(dim, rng).entries
         if dim == 90:
@@ -155,7 +163,7 @@ class TestHusimiField:
         f = husimi_field(rho, build_grid(0.0, 16.0, 192))
         idx = rng.choice(f.grid.nodes.size, size=200, replace=False)
         mu = f.grid.nodes[idx]
-        C = _coherent_matrix(mu, dim)
+        C = coherent_components(mu, dim)
         a_rho = annihilation(dim).toarray() @ rho.entries
         explicit = np.einsum("nk,nk->k", C.conj(), a_rho @ C) / math.pi
         expected = -mu * f.Q[idx] + explicit
@@ -193,7 +201,10 @@ class TestPolarField:
         with np.errstate(all="ignore"):
             naive = np.exp(-0.5 * r * r) * r ** n / np.sqrt(scipy.special.factorial(n))
         assert not np.isclose(np.sum(naive ** 2), 1.0)
-        amp = _radial_amplitudes(np.array([r]), dim)[0]
+        c = coherent_components(np.array([r]), dim)[:, 0]
+        # on the positive real axis the components are the real a_n(r)
+        assert not c.imag.any()
+        amp = c.real
         assert np.sum(amp ** 2) == pytest.approx(1.0, rel=1e-12)
         import mpmath
 
@@ -206,11 +217,11 @@ class TestPolarField:
     @pytest.mark.parametrize("dim", [12, 60])
     def test_values_match_coherent_matrix_product(self, dim):
         # Q = conj(c)^T rho c / pi and dQ/dmubar = -mu Q + conj(c)^T (a rho) c / pi
-        # at every node, c from the tensor path's coherent matrix
+        # at every node, c the node's column of the coherent matrix
         rng = np.random.default_rng(dim)
         rho = random_density_matrix(dim, rng)
         f = polar_husimi_field(rho, polar_grid(rho))
-        C = _coherent_matrix(f.grid.nodes, dim)
+        C = coherent_components(f.grid.nodes, dim)
         Q = np.einsum("nk,nk->k", C.conj(), rho.entries @ C).real / math.pi
         a_rho = annihilation(dim).toarray() @ rho.entries
         dQ = -f.grid.nodes * Q + np.einsum("nk,nk->k", C.conj(), a_rho @ C) / math.pi
