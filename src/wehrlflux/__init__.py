@@ -5,8 +5,8 @@ Husimi-function entropy rates) and a Gaussianized pipeline for the
 driven-dissipative Dicke model, with a batch CLI front end.
 
 The names below are imported from their submodule on first use (PEP 562),
-so ``from wehrlflux import dicke_point`` loads numpy but not scipy, which
-only the Kerr modules need.
+so ``from wehrlflux import dicke_point`` or ``collapse_transform`` loads
+numpy but not scipy, which only the Kerr solvers need.
 """
 
 import importlib
@@ -14,6 +14,7 @@ import importlib
 __version__ = "0.1.0"
 
 _EXPORTS = {
+    "collapse": ("collapse_transform",),
     "dicke_gaussian": (
         "DickeParams",
         "critical_coupling",
@@ -38,7 +39,6 @@ _EXPORTS = {
         "BistabilityWindow",
         "SweepRecord",
         "bistability_window",
-        "collapse_transform",
         "extrapolate_eps_c",
         "mean_field_curve",
         "recommended_cutoff",

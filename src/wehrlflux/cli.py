@@ -539,7 +539,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_collapse(args) -> int:
-    from .kerr_model import CollapsePoint, collapse_transform
+    from .collapse import CollapsePoint, collapse_transform
 
     try:
         rows, _ = read_results(args.results)

@@ -13,18 +13,16 @@ an operator.  The moments the pipeline needs are read off rho's
 diagonals instead: <a^dag a> = sum_n n rho_nn and
 <a> = sum_n sqrt(n) rho_{n,n-1}.
 
-All factorials are evaluated through cumulative log-gamma so coherent
-amplitudes stay finite well past n = 170.
+All factorials are evaluated as a table of ``math.lgamma(n + 1)`` over
+the ``dim`` levels, so coherent amplitudes stay finite well past n = 170.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
-# scipy.special first: it loads scipy's OpenBLAS, so the start-up spin of its
-# idle pool threads ends during the later imports, not beside the first solve
-from scipy.special import gammaln
 import scipy.sparse as sp
 
 from .errors import DimensionError, StateValidationError
@@ -63,10 +61,11 @@ def coherent_components(mu: complex | np.ndarray, dim: int) -> np.ndarray:
     mu = np.asarray(mu, dtype=complex)
     r = np.abs(mu)
     n = np.arange(dim).reshape((dim,) + (1,) * mu.ndim)
+    log_factorial = np.reshape([math.lgamma(k + 1.0) for k in range(dim)], n.shape)
     # at mu = 0, ln 0 = -inf empties every row but the first, where 0 * -inf
     # is nan; that row is exp(-|mu|^2/2), bit for bit the sum's value elsewhere
     with np.errstate(divide="ignore", invalid="ignore"):
-        mag = np.exp(np.log(r) * n - 0.5 * gammaln(n + 1.0) - 0.5 * r ** 2)
+        mag = np.exp(np.log(r) * n - 0.5 * log_factorial - 0.5 * r ** 2)
     mag[0] = np.exp(-0.5 * r ** 2)
     c = np.empty(mag.shape, dtype=complex)
     c[0] = 1.0

@@ -1,4 +1,4 @@
-"""Kerr bistability: mean-field branches, drive sweeps and data collapse.
+"""Kerr bistability: mean-field branches, drive sweeps and the critical drive.
 
 The mean-field photon number n = |alpha|^2 of the driven Kerr mode solves
 
@@ -15,8 +15,10 @@ upper turning point carries the lower drive: eps(n_minus) > eps(n_plus).
 ``sweep`` computes one steady-state entropy budget per (N, eps) point,
 with the Fock cutoff auto-selected per point, the Husimi integrals on
 ``phase_space.polar_grid`` and BLAS on one thread (in the serial path and
-in every pool worker alike), and ``collapse_transform`` rescales the
-resulting curves onto the finite-size coordinate x = N (eps/eps_c - 1).
+in every pool worker alike), and ``extrapolate_eps_c`` estimates the
+transition drive from the gap minima of its records.  The finite-size
+rescaling of the resulting curves, ``collapse_transform``, lives in the
+numpy-only ``collapse`` module.
 
 The cutoff rule and its Fock-tail check (``steady_state_certified``, on
 every sweep point) are fixed by the module constants ``CUTOFF_C1``,
@@ -35,7 +37,6 @@ import logging
 import math
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -266,6 +267,9 @@ def sweep(
     workers = min(threads, len(jobs), os.cpu_count() or 1)
     with contextlib.ExitStack() as stack:
         if workers > 1:
+            # imported here: a serial sweep never loads the process-pool stack
+            from concurrent.futures import ProcessPoolExecutor
+
             pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers))
             outcomes = [(job, pool.submit(point, *job).result) for job in jobs]
         else:
@@ -283,7 +287,7 @@ def sweep(
 
 
 # ---------------------------------------------------------------------------
-# Critical-drive estimate and data collapse
+# Critical-drive estimate
 # ---------------------------------------------------------------------------
 
 def extrapolate_eps_c(records) -> float:
@@ -327,69 +331,3 @@ def _refine_extremum(x: np.ndarray, y: np.ndarray) -> float:
         return float(x1)
     vertex = -b / (2 * a)
     return float(np.clip(vertex, x0, x2))
-
-
-@dataclass(frozen=True)
-class CollapsePoint:
-    N: int
-    eps: float
-    Pi_u: float
-    Pi_d: float
-
-
-def to_collapse_points(records) -> list[CollapsePoint]:
-    return [
-        CollapsePoint(r.N, r.eps, r.budget.Pi_u, r.budget.Pi_d) for r in records
-    ]
-
-
-@dataclass(frozen=True)
-class CollapseResult:
-    """Rescaled sweep curves and their pairwise collapse quality.
-
-    ``rows`` hold (x, Pi_u, Pi_d/N, N) with x = N (eps/eps_c - 1).
-    ``metrics`` maps consecutive size pairs to the peak-normalized maximum
-    vertical spread per quantity, or None when x-ranges do not overlap.
-    """
-
-    rows: list
-    metrics: dict
-
-
-def collapse_transform(points, eps_c: float) -> CollapseResult:
-    """Points with a size ``N`` >= 1 and finite ``eps``, ``Pi_u`` and
-    ``Pi_d``, rescaled at ``eps_c``; any other input raises ``ValueError``."""
-    if not (math.isfinite(eps_c) and eps_c > 0):
-        raise ValueError(f"eps_c must be a finite number > 0, got {eps_c!r}")
-    points = sorted(points, key=lambda r: (r.N, r.eps))
-    for p in points:
-        if not (p.N >= 1 and all(map(math.isfinite, (p.eps, p.Pi_u, p.Pi_d)))):
-            raise ValueError(f"collapse point needs N >= 1 and finite values, got {p}")
-    rows = [
-        (p.N * (p.eps / eps_c - 1.0), p.Pi_u, p.Pi_d / p.N, p.N) for p in points
-    ]
-    by_n = {}
-    for x, piu, pidn, n in rows:
-        by_n.setdefault(n, []).append((x, piu, pidn))
-    sizes = sorted(by_n)
-    metrics = {}
-    for n1, n2 in zip(sizes, sizes[1:]):
-        metrics[(n1, n2)] = _pair_spread(by_n[n1], by_n[n2])
-    return CollapseResult(rows=rows, metrics=metrics)
-
-
-def _pair_spread(curve1, curve2):
-    c1 = np.array(sorted(curve1))
-    c2 = np.array(sorted(curve2))
-    lo = max(c1[0, 0], c2[0, 0])
-    hi = min(c1[-1, 0], c2[-1, 0])
-    if hi <= lo:
-        return None
-    xs = np.linspace(lo, hi, 201)
-    out = {}
-    for col, name in ((1, "Pi_u"), (2, "Pi_d_over_N")):
-        y1 = np.interp(xs, c1[:, 0], c1[:, col])
-        y2 = np.interp(xs, c2[:, 0], c2[:, col])
-        peak = max(np.max(np.abs(y1)), np.max(np.abs(y2)), 1e-300)
-        out[name] = float(np.max(np.abs(y1 - y2)) / peak)
-    return out

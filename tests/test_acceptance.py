@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from conftest import BALANCE_DRIVES, kerr_params
+from wehrlflux.collapse import collapse_transform, to_collapse_points
 from wehrlflux.dicke_gaussian import (
     DickeParams,
     critical_coupling,
@@ -32,11 +33,9 @@ from wehrlflux.fock_algebra import (
 )
 from wehrlflux.kerr_model import (
     bistability_window,
-    collapse_transform,
     extrapolate_eps_c,
     steady_state_certified,
     sweep,
-    to_collapse_points,
 )
 from wehrlflux.kerr_model import recommended_cutoff
 from wehrlflux.liouvillian import (

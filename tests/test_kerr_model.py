@@ -1,3 +1,4 @@
+import concurrent.futures
 import dataclasses
 import inspect
 import math
@@ -12,13 +13,12 @@ import pytest
 
 from conftest import kerr_params
 from wehrlflux import kerr_model, phase_space
+from wehrlflux.collapse import CollapsePoint, collapse_transform
 from wehrlflux.errors import CutoffError, SolverConvergenceError
 from wehrlflux.fock_algebra import mean_photon_number
 from wehrlflux.liouvillian import KerrParams, build_kerr_liouvillian, steady_state
 from wehrlflux.kerr_model import (
-    CollapsePoint,
     bistability_window,
-    collapse_transform,
     drive_at,
     extrapolate_eps_c,
     mean_field_curve,
@@ -223,7 +223,7 @@ class TestSweep:
                 future.set_result(fn(*args))
                 return future
 
-        monkeypatch.setattr(kerr_model, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
         return sizes
 
     def test_pool_no_larger_than_the_sweep(self, monkeypatch, pool_sizes):

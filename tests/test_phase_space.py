@@ -16,7 +16,7 @@ from wehrlflux.fock_algebra import (
     mean_photon_number,
     von_neumann_entropy,
 )
-from wehrlflux.liouvillian import KerrParams, evolve, build_kerr_liouvillian
+from wehrlflux.liouvillian import MAX_CUTOFF, KerrParams, evolve, build_kerr_liouvillian
 from wehrlflux.phase_space import (
     auto_grid,
     build_grid,
@@ -91,11 +91,12 @@ class TestHusimiField:
             expected = np.exp(-np.abs(g.nodes) ** 2) / math.pi
             assert np.max(np.abs(f.Q - expected)) < 1e-12
 
-    @pytest.mark.parametrize("dim", [60, 149, 400])
+    @pytest.mark.parametrize("dim", [60, 149, 400, MAX_CUTOFF])
     def test_coherent_matrix_matches_components(self, dim):
         # the tensor path's matrix of coherent columns, from one call over
         # all nodes: every entry above 1e-290 matches mpmath's recurrence
-        # out to |mu| = 45, where exp(-|mu|^2/2) alone underflows
+        # out to |mu| = 45, where exp(-|mu|^2/2) alone underflows, and up
+        # to the largest cutoff a generator may have
         import mpmath
 
         rng = np.random.default_rng(dim)
