@@ -664,7 +664,15 @@ def main(argv=None) -> int:
     # would otherwise start a pool of threads that every solve leaves idle
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    status = args.func(args)
+    if argv is None:
+        # the program exits next, and the interpreter's shutdown skips the
+        # collections of frozen objects; imported here, not at module top,
+        # so the import path stays as it is
+        import gc
+
+        gc.freeze()
+    return status
 
 
 if __name__ == "__main__":

@@ -1,6 +1,8 @@
+import gc
 import json
 import math
 import re
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -688,6 +690,23 @@ class TestDeterminism:
         first = (tmp_path / "x.csv").read_bytes()
         assert main(["run", p]) == 0
         assert (tmp_path / "x.csv").read_bytes() == first
+
+
+class TestProgramExit:
+    def test_library_call_keeps_collection(self, tmp_path):
+        before = gc.get_freeze_count()
+        assert main(["run", write_config(tmp_path / "c.json", cavity_config(tmp_path))]) == 0
+        assert gc.get_freeze_count() == before
+
+    def test_program_freezes_after_the_command(self, tmp_path, monkeypatch):
+        cfg = write_config(tmp_path / "c.json", cavity_config(tmp_path))
+        monkeypatch.setattr(sys, "argv", ["wehrlflux", "run", cfg])
+        before = gc.get_freeze_count()
+        try:
+            assert main() == 0
+            assert gc.get_freeze_count() > before
+        finally:
+            gc.unfreeze()
 
 
 def write_collapse_rows(path, sizes, eps_c):

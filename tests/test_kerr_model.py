@@ -3,8 +3,11 @@ import dataclasses
 import inspect
 import math
 import os
+import platform
 import re
+import sys
 import tracemalloc
+import weakref
 from concurrent.futures import Future
 from pathlib import Path
 
@@ -271,6 +274,58 @@ class TestSweep:
         (named,) = re.findall(signature, README.read_text())
         params = inspect.signature(sweep).parameters.values()
         assert named.split(", ") == [q.name for q in params if q.kind is q.KEYWORD_ONLY]
+
+
+class TestMallocTrim:
+    EPS = [0.9, 0.93, 0.96]
+
+    @pytest.fixture
+    def events(self, monkeypatch):
+        """What each point of a sweep does, in order: "state" when its
+        generator is built, ("trim", pad, generator freed) when the trim hook
+        is called, and "budget" when its Husimi stage starts."""
+        events, generators = [], []
+        certified = kerr_model.steady_state_certified
+        budget = kerr_model.entropy_budget
+
+        def state(p):
+            rho, L, n_used = certified(p)
+            generators.append(weakref.ref(L))
+            events.append("state")
+            return rho, L, n_used
+
+        def trim(pad):
+            events.append(("trim", pad, generators[-1]() is None))
+            return 1
+
+        def husimi(*args):
+            events.append("budget")
+            return budget(*args)
+
+        monkeypatch.setattr(kerr_model, "steady_state_certified", state)
+        monkeypatch.setattr(kerr_model, "_malloc_trim", trim)
+        monkeypatch.setattr(kerr_model, "entropy_budget", husimi)
+        return events
+
+    def test_once_per_point_after_the_generator_is_freed(self, events):
+        # with the gap, each generator holds the LU both solves used
+        result = sweep(kerr_params(0.9, 5), [5], self.EPS)
+        assert len(result.records) == 3 and not result.failures
+        assert events == ["state", ("trim", 0, True), "budget"] * 3
+
+    def test_records_do_not_depend_on_the_hook(self, monkeypatch):
+        p = kerr_params(0.9, 5)
+        trimmed = sweep(p, [5], self.EPS).records
+        monkeypatch.setattr(kerr_model, "_malloc_trim", None)
+        assert sweep(p, [5], self.EPS).records == trimmed
+
+    @pytest.mark.skipif(
+        not sys.platform.startswith("linux") or platform.libc_ver()[0] != "glibc",
+        reason="malloc_trim is a glibc function",
+    )
+    def test_binding_resolves_on_glibc(self):
+        assert kerr_model._malloc_trim is not None
+        assert kerr_model._malloc_trim(0) in (0, 1)
 
 
 class TestCollapse:
