@@ -117,7 +117,12 @@ def _grid_spec(block: dict, where: str):
             raise ConfigError(f"{where}.count must be > 1 when max != min")
         return [lo]
     step = (hi - lo) / (count - 1)
-    return [lo + i * step for i in range(count)]
+    grid = [lo + i * step for i in range(count)]
+    # max == min, or a step below the values' resolution, would run a
+    # point twice and write its row twice
+    if any(b <= a for a, b in zip(grid, grid[1:])):
+        raise ConfigError(f"{where}: {count} points from min to max repeat a value")
+    return grid
 
 
 def validate_config(raw: dict, path: str = "<config>") -> dict:
@@ -168,6 +173,8 @@ def validate_config(raw: dict, path: str = "<config>") -> dict:
                     f"{where} must be a non-empty list of positive integers "
                     "in the float range"
                 )
+            if len(set(value)) < len(value):
+                raise ConfigError(f"{where} repeats a size")
             sweep[key] = value
             continue
         if not isinstance(value, dict):

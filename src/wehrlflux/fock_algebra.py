@@ -7,11 +7,11 @@ column-stacking vectorization helpers used by the superoperator solvers.
 Conventions:
     a |n> = sqrt(n) |n-1>,   coherent components c_n = e^{-|mu|^2/2} mu^n / sqrt(n!).
 
-``annihilation`` is the one representation of a: a CSR matrix with the
-single superdiagonal sqrt(1), ..., sqrt(n_max - 1).  Nothing else builds
-an operator.  The moments the pipeline needs are read off rho's
-diagonals instead: <a^dag a> = sum_n n rho_nn and
-<a> = sum_n sqrt(n) rho_{n,n-1}.
+``annihilation``, a CSR matrix with the single superdiagonal sqrt(1),
+..., sqrt(n_max - 1), is the tests' reference ladder operator; nothing in
+the package builds an operator.  The Liouvillian is assembled from its
+closed-form bands, and the moments the pipeline needs are read off rho's
+diagonals: <a^dag a> = sum_n n rho_nn and <a> = sum_n sqrt(n) rho_{n,n-1}.
 
 All factorials are evaluated as a table of ``math.lgamma(n + 1)`` over
 the ``dim`` levels, so coherent amplitudes stay finite well past n = 170.

@@ -189,6 +189,15 @@ class TestConfigValidation:
             ("kerr", "sweep.eps", [0.5, 0.7], [], "sweep.eps must be a min/max/count"),
             ("kerr", "sweep.eps.max", 0.4, [], "sweep.eps: max < min"),
             ("dicke", "sweep.lambda.min", -0.1, [], "sweep.lambda values must be >= 0"),
+            ("kerr", "sweep.eps", {"min": 0.9, "max": 0.9, "count": 4}, [],
+             "sweep.eps: 4 points from min to max repeat a value"),
+            ("dicke", "sweep.lambda.max", 0.3, [],
+             "sweep.lambda: 2 points from min to max repeat a value"),
+            # max one ulp above min: the three points round to two values
+            ("kerr", "sweep.eps", {"min": 0.9, "max": 0.9000000000000001, "count": 3}, [],
+             "sweep.eps: 3 points from min to max repeat a value"),
+            ("kerr", "sweep.N_list", [2, 2], [], "sweep.N_list repeats a size"),
+            ("kerr", "sweep.N_list", [2, 3, 2], [], "sweep.N_list repeats a size"),
         ],
         ids=[
             "mc_samples-0", "seed-negative", "seed-fraction", "points_per_axis-10",
@@ -205,6 +214,8 @@ class TestConfigValidation:
             "lambda-count-beyond-float", "dicke-N-beyond-float", "N_list-beyond-float",
             "model-unknown", "params-not-object", "sweep-not-object",
             "numerics-not-object", "eps-not-grid", "eps-max-below-min", "lambda-negative",
+            "eps-max-equals-min", "lambda-max-equals-min", "eps-step-below-resolution",
+            "N_list-repeated", "N_list-repeated-apart",
         ],
     )
     def test_invalid_run_inputs_exit_config(

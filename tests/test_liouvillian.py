@@ -12,7 +12,6 @@ from wehrlflux import kerr_model, liouvillian
 from wehrlflux.errors import CutoffError, SolverConvergenceError, StepSizeError
 from wehrlflux.fock_algebra import (
     DensityMatrix,
-    annihilation,
     mean_amplitude,
     mean_photon_number,
     trace_distance,
@@ -94,26 +93,38 @@ class TestBuild:
             build_kerr_liouvillian(p, n_max, enforce_cutoff=enforce)
 
     def test_vectorization_convention(self):
-        # L matches -i(I x H - H^T x I) + 2k(conj(a) x a - ...) explicitly
-        import scipy.sparse as sp
-
-        p = kerr_params(0.4, 2)
-        n = 6
-        a = annihilation(n).toarray()
-        H = (
-            p.delta * a.conj().T @ a
-            + p.u / (2 * p.N) * a.conj().T @ a.conj().T @ a @ a
-            + 1j * p.eps * math.sqrt(p.N) * (a.conj().T - a)
-        )
-        eye = np.eye(n)
-        n_op = a.conj().T @ a
-        expected = -1j * (np.kron(eye, H) - np.kron(H.T, eye)) + 2 * p.kappa * (
-            np.kron(a.conj(), a)
-            - 0.5 * np.kron(eye, n_op)
-            - 0.5 * np.kron(n_op.T, eye)
-        )
-        L = build_kerr_liouvillian(p, n, enforce_cutoff=False)
-        assert np.max(np.abs(L.matrix.toarray() - expected)) < 1e-12
+        # the band build equals -i(I x H - H^T x I) + 2k(conj(a) x a - ...)
+        # from dense operator products, entry by entry and in its stored
+        # pattern: eps = 0, delta = 0 and > 0, N > 1, the smallest cutoff
+        # and a dozen levels
+        cases = [
+            (kerr_params(0.0, 2), 6),
+            (kerr_params(0.4, 2, delta=0.0), 6),
+            (kerr_params(0.4, 3, delta=1.5), 8),
+            (kerr_params(0.9, 1), 2),
+            (kerr_params(0.94, 10), 12),
+        ]
+        for p, n in cases:
+            a = np.diag(np.sqrt(np.arange(1.0, n)), 1)
+            ad = a.T
+            n_op = ad @ a
+            H = (
+                p.delta * n_op
+                + p.u / (2 * p.N) * ad @ ad @ a @ a
+                + 1j * p.eps * math.sqrt(p.N) * (ad - a)
+            )
+            eye = np.eye(n)
+            expected = -1j * (np.kron(eye, H) - np.kron(H.T, eye)) + 2 * p.kappa * (
+                np.kron(a.conj(), a)
+                - 0.5 * np.kron(eye, n_op)
+                - 0.5 * np.kron(n_op.T, eye)
+            )
+            L = build_kerr_liouvillian(p, n, enforce_cutoff=False).matrix
+            assert np.max(np.abs(L.toarray() - expected)) < 1e-12, (p, n)
+            stored = np.zeros(expected.shape, dtype=bool)
+            coo = L.tocoo()
+            stored[coo.row, coo.col] = True  # explicit zeros included
+            np.testing.assert_array_equal(stored, expected != 0, err_msg=f"{p}, {n}")
 
 
 class TestSteadyState:
