@@ -6,7 +6,8 @@ driven-dissipative Dicke model, with a batch CLI front end.
 
 The names below are imported from their submodule on first use (PEP 562),
 so ``from wehrlflux import dicke_point`` or ``collapse_transform`` loads
-numpy but not scipy, which only the Kerr solvers need.
+numpy but not scipy, which only the Kerr solvers need, and
+``fit_power_law`` (module ``divergence``) loads neither.
 """
 
 import importlib
@@ -21,7 +22,6 @@ _EXPORTS = {
         "dicke_point",
         "drift_diffusion",
         "estimator_means",
-        "fit_power_law",
         "gaussian_budget",
         "hamiltonian_quadratic_form",
         "hp_coefficients",
@@ -30,6 +30,7 @@ _EXPORTS = {
         "mean_field_fixed_point",
         "solve_lyapunov",
     ),
+    "divergence": ("fit_power_law",),
     "fock_algebra": (
         "DensityMatrix",
         "annihilation",

@@ -579,7 +579,7 @@ def cmd_collapse(args) -> int:
 
 
 def cmd_fit_divergence(args) -> int:
-    from .dicke_gaussian import DIVERGENCE_WINDOW, fit_power_law
+    from .divergence import DIVERGENCE_WINDOW, fit_power_law
 
     try:
         rows, header = read_results(args.results)

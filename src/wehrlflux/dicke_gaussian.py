@@ -44,8 +44,7 @@ in whitened coordinates z = L^{-1} r, Sigma = L L^T, and draws in
 batches of ``MC_CHUNK``.  Its estimators are quadratic in z, so
 ``estimator_means`` gives their exact expectations through the same
 whitened algebra, and every ``gaussian_budget`` checks its closed forms
-against them.  ``fit_power_law`` fits the divergence of Pi_d inside
-the fixed band ``DIVERGENCE_WINDOW``.
+against them.
 """
 
 from __future__ import annotations
@@ -59,6 +58,11 @@ import numpy as np
 
 from ._blas import one_blas_thread
 from .budget import EntropyBudget
+# The fit lives in ``divergence``.  The benchmark's tracer wraps it under
+# this module's name (``perfbench/tracing.py`` TARGETS), and it wraps every
+# reference in a module that is loaded when it installs, so the fit must be
+# imported here, not resolved on first use.
+from .divergence import fit_power_law  # noqa: F401
 from .errors import (
     DimensionError,
     InvalidCovarianceError,
@@ -73,18 +77,6 @@ log = logging.getLogger(__name__)
 # Bound on ||A sigma + sigma A^T + D|| relative to 2 ||A|| ||sigma|| + ||D||.
 LYAPUNOV_RESIDUAL_TOL = 1e-12
 
-# Relative coupling distances x = |lam/lam_c - 1| used for the power-law fit.
-# The stabilizer gamma rounds the divergence over a core whose width is set
-# by gamma against the soft-mode scale omega0 (not against kappa).  At the
-# reference parameters (omega0 = 0.005, omega = 0.01, kappa = 1) and
-# gamma = 1e-3 this band lies inside that gamma-rounded crossover, not in
-# the asymptotic law Pi_d ~ A / x: below lam_c, x Pi_d is 9.8 at x = 0.01
-# against the gamma -> 0 limit A = kappa (kappa^2 + omega^2) / (8 omega^2)
-# = 1250, and the local log-log slope runs from about -1.3 at x = 0.12 to
-# -0.8 at x = 0.04.  The slope near -1 fitted here is that crossover
-# passing through -1; only at gamma ~ 1e-5 and below do the local slopes
-# themselves approach -1 as x -> 0.
-DIVERGENCE_WINDOW = (0.04, 0.12)
 # The eigenvalues of sigma + i Omega/2 carry roundoff on the scale of its
 # 2-norm, which reaches 1.9e13 near lam_c at gamma = 1e-7.  From gamma = 1e-3
 # to 1e-9, the most negative min eig measured was -0.59 eps ||sigma||_2, a
@@ -608,41 +600,6 @@ def mc_gaussian_budget(
 # ---------------------------------------------------------------------------
 # Critical scans
 # ---------------------------------------------------------------------------
-
-def fit_power_law(lams, values, lambda_c: float, window=DIVERGENCE_WINDOW):
-    """Per-side log-log slopes of ``values`` against |lambda_c - lambda|.
-
-    ``window`` bounds the relative distance |lambda/lambda_c - 1| used in
-    the fit; points inside the lower bound sit in the gamma-rounded core
-    and are excluded.  Returns ((slope, stderr, npts) left, same right).
-    A ``lambda_c`` that is not a finite number > 0, or a coupling or value
-    that is not finite, raises ``ValueError``.
-    """
-    if not (math.isfinite(lambda_c) and lambda_c > 0):
-        raise ValueError(f"lambda_c must be a finite number > 0, got {lambda_c!r}")
-    lams = np.asarray(lams, dtype=float)
-    values = np.asarray(values, dtype=float)
-    if not (np.isfinite(lams).all() and np.isfinite(values).all()):
-        raise ValueError("couplings and values must be finite")
-    rel = lams / lambda_c - 1.0
-    out = []
-    for side in (-1, 1):
-        mask = (
-            (np.sign(rel) == side)
-            & (np.abs(rel) >= window[0])
-            & (np.abs(rel) <= window[1])
-            & (values > 0)
-        )
-        if mask.sum() < 5:
-            raise SolverConvergenceError(
-                f"only {int(mask.sum())} usable points on side {side}; need >= 5"
-            )
-        x = np.log10(np.abs(lambda_c - lams[mask]))
-        y = np.log10(values[mask])
-        coeffs, cov = np.polyfit(x, y, 1, cov=True)
-        out.append((float(coeffs[0]), float(math.sqrt(cov[0, 0])), int(mask.sum())))
-    return out[0], out[1]
-
 
 @dataclass(frozen=True)
 class KinkReport:

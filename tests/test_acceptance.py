@@ -20,12 +20,12 @@ from wehrlflux.dicke_gaussian import (
     DickeParams,
     critical_coupling,
     dicke_point,
-    fit_power_law,
     hamiltonian_quadratic_form,
     kink_detector,
     mc_gaussian_budget,
     mean_field_fixed_point,
 )
+from wehrlflux.divergence import fit_power_law
 from wehrlflux.fock_algebra import (
     DensityMatrix,
     trace_distance,

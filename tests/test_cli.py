@@ -847,6 +847,18 @@ class TestFitDivergenceCommand:
         assert main(["fit-divergence", path, "--window", "0.001,0.012"]) == EXIT_NUMERICAL
         assert "fit failed: only 2 usable points" in capsys.readouterr().err
 
+    def test_side_on_one_coupling_exits_numerical(self, tmp_path, capsys):
+        # six copies of one left-window row: numpy's line fit once raised a
+        # broadcast ValueError here and the command exited 1
+        rows, _ = read_results(self._write_synthetic(tmp_path))
+        left = [r for r in rows if -0.12 <= r["eps_or_lambda"] / LAMBDA_C - 1 <= -0.04]
+        rows = [r for r in rows if r not in left] + [left[0]] * 6
+        path = tmp_path / "one_coupling.csv"
+        write_results(str(path), rows, {}, [f"# lambda_c={LAMBDA_C!r}"])
+        assert main(["fit-divergence", str(path)]) == EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        assert "fit failed: all 6 usable points on side -1 share one coupling" in err
+
     @pytest.mark.parametrize(
         "window, named",
         [

@@ -8,6 +8,7 @@ import scipy.linalg as sla
 from hypothesis import assume, given, settings, strategies as st
 
 from wehrlflux import dicke_gaussian
+from wehrlflux.divergence import fit_power_law
 from wehrlflux.errors import (
     DimensionError,
     InvalidCovarianceError,
@@ -24,7 +25,6 @@ from wehrlflux.dicke_gaussian import (
     dicke_point,
     drift_diffusion,
     estimator_means,
-    fit_power_law,
     gaussian_budget,
     hamiltonian_quadratic_form,
     hp_coefficients,
@@ -677,6 +677,56 @@ class TestCriticalScans:
         (lams if where == "lams" else vals)[3] = bad
         with pytest.raises(ValueError, match="couplings and values must be finite"):
             fit_power_law(lams, vals, LAMBDA_C)
+
+    @pytest.mark.parametrize("n_values", [1, 23, 25], ids=["one", "short", "long"])
+    def test_length_mismatch_rejected(self, n_values):
+        # numpy once raised a broadcast ValueError, or an IndexError for one
+        # value; a zip over both would silently drop the unpaired points
+        lams = LAMBDA_C * np.concatenate(
+            [np.linspace(0.85, 0.96, 12), np.linspace(1.04, 1.15, 12)]
+        )
+        vals = np.ones(n_values)
+        with pytest.raises(ValueError, match=f"24 couplings but {n_values} values"):
+            fit_power_law(lams, vals, LAMBDA_C)
+
+    def test_window_ends_included_and_lambda_c_excluded(self):
+        # the window's ends are the nearest and farthest points; the point
+        # at lambda_c itself belongs to neither side, even from lo = 0, and
+        # a value <= 0 to none
+        lams = LAMBDA_C * np.concatenate(
+            [np.linspace(0.85, 0.96, 7), [1.0], np.linspace(1.04, 1.15, 7)]
+        )
+        rel = np.abs(lams / LAMBDA_C - 1.0)
+        vals = 3.0 / np.maximum(np.abs(LAMBDA_C - lams), 1e-3)
+        for window in [(rel[rel > 0].min(), rel.max()), (0.0, rel.max())]:
+            (_, _, left), (_, _, right) = fit_power_law(lams, vals, LAMBDA_C, window)
+            assert (left, right) == (7, 7)
+        vals[[0, 1]] = 0.0, -1.0  # values <= 0 have no logarithm
+        (_, _, left), _ = fit_power_law(lams, vals, LAMBDA_C, (0.0, rel.max()))
+        assert left == 5
+
+    def test_one_coupling_per_side_rejected(self):
+        lams = LAMBDA_C * np.array([0.92] * 6 + [1.04, 1.06, 1.08, 1.10, 1.12])
+        with pytest.raises(SolverConvergenceError, match="side -1 share one coupling"):
+            fit_power_law(lams, np.arange(1.0, 12.0), LAMBDA_C)
+
+    def test_matches_polyfit(self):
+        # np.polyfit(x, y, 1, cov=True) is the reference least-squares line
+        rng = np.random.default_rng(3)
+        rels = np.concatenate(
+            [-np.linspace(0.045, 0.115, 13), np.linspace(0.045, 0.115, 9)]
+        )
+        lams = LAMBDA_C * (1 + rels)
+        noise = np.exp(0.05 * rng.standard_normal(rels.size))
+        vals = 2.5 * np.abs(rels) ** -1.1 * noise
+        fits = fit_power_law(lams, vals, LAMBDA_C)
+        for side, (slope, stderr, npts) in zip((-1, 1), fits):
+            mask = np.sign(rels) == side
+            x = np.log10(np.abs(LAMBDA_C - lams[mask]))
+            coeffs, cov = np.polyfit(x, np.log10(vals[mask]), 1, cov=True)
+            assert npts == mask.sum()
+            assert slope == pytest.approx(coeffs[0], rel=1e-12)
+            assert stderr == pytest.approx(math.sqrt(cov[0, 0]), rel=1e-12)
 
     def test_kink(self):
         grid = LAMBDA_C * np.linspace(0.97, 1.03, 25)

@@ -1,12 +1,13 @@
-"""Only the Kerr solvers load scipy, and a serial Kerr run loads no more of
-it than its points use.
+"""Only the Kerr solvers load scipy, a serial Kerr run loads no more of it
+than its points use, and the power-law fit loads no numpy.
 
 Each entry point runs in a fresh interpreter, which then reports the
 modules it imported: the CLI module and its parser, a Dicke run with the
 estimator check, a cavity run, fit-divergence, collapse, the lazy
 ``collapse_transform`` export and a Kerr config that fails validation
-load no scipy; a serial Kerr run loads neither ``scipy.special`` nor the
-process pool.  The package's lazy exports are checked in this process.
+load no scipy; fit-divergence and the lazy ``fit_power_law`` export load
+no numpy either; a serial Kerr run loads neither ``scipy.special`` nor
+the process pool.  The package's lazy exports are checked in this process.
 """
 
 import json
@@ -89,9 +90,9 @@ def test_gaussian_run(tmp_path, cfg):
 
 def test_fit_divergence(tmp_path):
     assert main(["run", write_config(tmp_path, DICKE, "dicke")]) == 0
-    assert "scipy" not in modules_loaded_after(
-        run_cli(["fit-divergence", str(tmp_path / "dicke.csv")])
-    )
+    loaded = modules_loaded_after(run_cli(["fit-divergence", str(tmp_path / "dicke.csv")]))
+    assert "scipy" not in loaded
+    assert "numpy" not in loaded
 
 
 def test_rejected_kerr_config(tmp_path):
@@ -116,6 +117,10 @@ def test_collapse(tmp_path):
 
 def test_collapse_export():
     assert "scipy" not in modules_loaded_after("from wehrlflux import collapse_transform")
+
+
+def test_fit_power_law_export():
+    assert "numpy" not in modules_loaded_after("from wehrlflux import fit_power_law")
 
 
 def test_kerr_modules_do_load_scipy():
