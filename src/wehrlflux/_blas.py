@@ -1,7 +1,7 @@
 """One BLAS thread for the duration of a call.
 
-A Kerr solve gains nothing from BLAS threads: its sparse LU, Arnoldi pass
-and Husimi products run faster on one, and near the transition the LU
+A Kerr solve gains nothing from BLAS threads: its sparse LU, gap
+eigensolve and Husimi products run faster on one, and near the transition the LU
 result moves in its last digits with the thread count.  ``one_blas_thread``
 sets every OpenBLAS copy the process has loaded (numpy's and scipy's wheels
 each bundle their own) to one thread while the call runs, then gives each

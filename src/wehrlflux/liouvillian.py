@@ -25,8 +25,10 @@ is the tests' oracle for it.
 The steady state solves L x = 0 with one row of L replaced by the trace
 functional, tr x = 1, through a sparse LU of that bordered matrix; it is
 hermitized and normalized afterwards.  The spectral gap comes from one
-Arnoldi pass on the inverse of the same bordered matrix restricted to
-trace-free operators, where the null mode is absent.  The LU is computed
+Krylov-Schur pass on the inverse of the same bordered matrix restricted
+to trace-free operators, where the null mode is absent; the pass stops
+as soon as the gap is resolved, which near eps_c is when the slow mode
+alone has converged.  The LU is computed
 once per generator (``Superoperator.bordered_lu``) and shared by both
 answers.  Its column ordering is minimum degree on B^T + B, which suits
 the nearly symmetric pattern of a Lindblad generator, and it pivots with
@@ -41,8 +43,9 @@ bias.
 
 Settings that every caller leaves alone are module constants:
 ``MAX_CUTOFF`` for the generator, ``LU_ORDERING``,
-``LU_PIVOT_THRESHOLD``, ``GAP_EIGENVALUES`` and ``GAP_RITZ_TOL`` for the
-solvers, ``TRACE_DRIFT_TOL``, ``STATIONARITY_BLOCK_TIME``,
+``LU_PIVOT_THRESHOLD``, ``GAP_EIGENVALUES``, ``GAP_RITZ_TOL``,
+``GAP_BASIS``, ``GAP_KEEP``, ``GAP_SEPARATION`` and ``GAP_MAX_SOLVES`` for
+the solvers, ``TRACE_DRIFT_TOL``, ``STATIONARITY_BLOCK_TIME``,
 ``STATIONARITY_TOL`` and ``STATIONARITY_T_MAX`` for the RK4 oracle.
 """
 
@@ -56,8 +59,13 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import ArpackError, LinearOperator, eigs, splu
+from scipy.sparse.linalg import splu
 from scipy.sparse.linalg import norm as spnorm
+
+# Nothing here calls ARPACK.  The benchmark's tracer still wraps ``eigs``
+# under this module's name (``perfbench/tracing.py`` TARGETS), so the name
+# stays importable until the tracer is retargeted (ROADMAP item 2).
+from scipy.sparse.linalg import eigs  # noqa: F401
 
 from ._blas import one_blas_thread
 from .errors import (
@@ -90,26 +98,42 @@ MAX_CUTOFF = 512
 # comes out negative.
 LU_ORDERING = "MMD_AT_PLUS_A"
 LU_PIVOT_THRESHOLD = 0.1
-# Eigenvalues of L closest to zero that the gap's Arnoldi pass returns.
-# Away from the bistable window the slowest decay can sit outside the few
-# eigenvalues of smallest modulus: 5 give a wrong gap at N = 10 and 15
-# above the window, while 8 matched the dense spectrum on 143 drives at
-# N = 1-5 and a 30-eigenvalue pass on 65 drives at N = 6-20.  Each Arnoldi
-# step is one LU solve, and with scipy's default ncv = max(2k + 1, 20)
-# the step count is not monotone in k: 6 take more solves than 8, and 10
-# more than 12.
+# Eigenvalues of L closest to zero among which the gap pass looks for the
+# slowest decay.  Away from the bistable window the slowest decay can sit
+# outside the few eigenvalues of smallest modulus: 5 give a wrong gap at
+# N = 10 and 15 above the window, while 8 matched the dense spectrum on
+# 143 drives at N = 1-5 and a 30-eigenvalue pass on 65 drives at N = 6-20.
 GAP_EIGENVALUES = 8
-# Relative accuracy to which ARPACK converges the Ritz values 1/lambda of
-# B^-1 (scipy's default 0 means machine precision).  Through an LU whose
-# inverse has norm about 1/gap, only the slow mode is resolved that
-# finely; the other values carry an error of about eps_mach / (gap
-# |lambda|), 1e-6 at N=30 near eps_c, so converging them further only
-# chases roundoff.  The slow mode that sets the gap near eps_c still
-# converges to full precision.  1e-8 cuts the nine near-critical drives at
-# N = 10/20/30 from 686 to 421 LU solves and moves the gap by at most
-# 1.6e-13 relative on 54 drives at N = 1-30; 1e-6 moves it by 2.7e-6 at
-# N = 15, eps 1.29.
+# Relative accuracy of the converged Ritz values 1/lambda of B^-1.
+# Through an LU whose inverse has norm about 1/gap, only the slow mode is
+# resolved finer; the other values carry an error of about
+# eps_mach / (gap |lambda|), 1e-6 at N=30 near eps_c, so converging them
+# further only chases roundoff.  The slow mode that sets the gap near
+# eps_c still converges to full precision.  With ARPACK, 1e-8 against
+# machine precision cut the nine near-critical drives at N = 10/20/30
+# from 686 to 421 LU solves and moved the gap by at most 1.6e-13 relative
+# on 54 drives at N = 1-30; 1e-6 moved it by 2.7e-6 at N = 15, eps 1.29.
 GAP_RITZ_TOL = 1e-8
+# Krylov basis size (ARPACK's default ncv for 8 eigenvalues), and the
+# Ritz vectors of largest |theta| that a thick restart keeps.
+GAP_BASIS = 20
+GAP_KEEP = 14
+# Margin of the separated-slow-mode stop (``_krylov_schur``): the slow
+# mode's Ritz value must exceed the next one in modulus by this factor,
+# and the other wanted values must lie left of it by this many error
+# bounds.  Near eps_c the separation is 2.9e3-3.0e3 at N = 10 and
+# 2.0e9-2.2e9 at N = 30.  Off the window, where all 8 values are needed,
+# it was at most 5.7 on four drives once the slow mode had converged
+# (1.8 at N = 15, eps 1.29, where stopping would give a gap 11 % off).
+# With the stop, the nine near-critical drives take 204 LU solves
+# instead of ARPACK's 421.
+GAP_SEPARATION = 100.0
+# LU solves after which the gap pass gives up; it takes at most 61 on
+# the drives measured at N = 10-30.
+GAP_MAX_SOLVES = 1000
+# Columns of the basis recombined at a time in a restart, so the
+# recombination needs no second copy of the basis.
+_RESTART_BLOCK = 2048
 TRACE_DRIFT_TOL = 1e-9
 # Propagation time between RK4 checkpoints, and the trace distance
 # between consecutive checkpoints that ends the propagation.
@@ -376,39 +400,135 @@ def liouvillian_gap(L: Superoperator) -> float:
     B v = lambda (v with v_0 := 0), and v is an eigenvector of
     f -> B^{-1}(f with f_0 := 0) with eigenvalue 1/lambda.  That operator
     maps into the trace-free subspace, so the null mode never enters its
-    spectrum; one Arnoldi pass returns the ``GAP_EIGENVALUES`` eigenvalues
-    of L closest to zero, converged to ``GAP_RITZ_TOL``.  A gap below the
-    roundoff floor eps_mach ||L||_1 is not resolved and raises, and so does
-    any ARPACK failure, with ARPACK's message.
+    spectrum; one Krylov-Schur pass (``_krylov_schur``) on it resolves the
+    ``GAP_EIGENVALUES`` eigenvalues of L closest to zero, or stops early on
+    a slow mode separated from them.  A gap below the roundoff floor
+    eps_mach ||L||_1 is not resolved and raises.
     """
     dim, n = L.dim, L.n_max
     lu = L.bordered_lu
-    solves = 0
+    trace_idx = np.arange(n) * (n + 1)
 
-    def matvec(f):
-        nonlocal solves
-        solves += 1
-        f = np.array(f, dtype=complex).ravel()
+    def trace_free(v):
+        v[trace_idx] -= v[trace_idx].sum() / n
+        return v
+
+    def apply(f):
+        f = f.copy()
         f[0] = 0.0
         return lu.solve(f)
 
-    # deterministic Arnoldi start, so repeated runs are bit-identical
-    v0 = np.full(dim, 1.0 / math.sqrt(dim), dtype=complex)
-    trace_idx = np.arange(n) * (n + 1)
-    v0[trace_idx] -= v0[trace_idx].sum() / n
-    op = LinearOperator((dim, dim), matvec=matvec, dtype=complex)
-    try:
-        nu = eigs(
-            op, k=min(GAP_EIGENVALUES, dim - 2), which="LM", v0=v0,
-            tol=GAP_RITZ_TOL, return_eigenvectors=False,
-        )
-    except ArpackError as exc:
-        raise SolverConvergenceError(f"gap eigensolve failed: {exc}") from exc
-    log.debug("gap: %d LU solves, %d converged Ritz values", solves, len(nu))
-    gap = -float(np.max((1.0 / nu).real))
+    rng = np.random.default_rng(0)
+
+    def fresh():
+        return trace_free(rng.standard_normal(dim) + 1j * rng.standard_normal(dim))
+
+    # deterministic start, so repeated runs are bit-identical
+    v0 = trace_free(np.full(dim, 1.0 / math.sqrt(dim), dtype=complex))
+    gap = -float(np.max((1.0 / _krylov_schur(apply, v0, fresh)).real))
     floor = np.finfo(float).eps * spnorm(L.matrix, 1)
     if gap < floor:
         raise SolverConvergenceError(
             f"gap {gap:.3e} below the roundoff floor {floor:.3e}"
         )
     return gap
+
+
+def _krylov_schur(op, v0, fresh) -> np.ndarray:
+    """Converged eigenvalues of largest modulus of ``op``, by thick-restart
+    Krylov-Schur from ``v0``.
+
+    Keeps A V_p = V_p S + v_(p+1) b^H, with V orthonormal (rows of ``V``,
+    classical Gram-Schmidt applied twice) and S, b^H in rows 0..p of
+    ``H``.  After every application of ``op`` the Ritz pairs (theta, y) of
+    S, with residuals rho = |b^H y|, are tested against two stops:
+
+    - all wanted values (the ``GAP_EIGENVALUES`` of largest |theta|) have
+      rho <= ``GAP_RITZ_TOL`` |theta|; all of them are returned;
+    - the dominant value theta_1 has converged so, it exceeds every other
+      in modulus by ``GAP_SEPARATION``, and each other wanted value,
+      moved right by ``GAP_SEPARATION`` times its error bound
+      rho / |theta|^2, still lies left of 1 / theta_1; theta_1 alone is
+      returned.
+
+    A full basis of ``GAP_BASIS`` vectors restarts on the ``GAP_KEEP``
+    Ritz vectors of largest |theta|: an orthonormal basis of them by QR,
+    which makes Q^H S Q the triangular Schur form.  A breakdown (an
+    invariant Krylov space) continues from ``fresh()``, orthogonalized to
+    the basis.  More than ``GAP_MAX_SOLVES`` applications raise.
+    """
+    dim = v0.size
+    # op maps into a space of dimension dim - 1, which a basis of dim - 1
+    # vectors exhausts
+    m = min(GAP_BASIS, dim - 1)
+    nev = min(GAP_EIGENVALUES, dim - 2)
+    keep = min(GAP_KEEP, m - 1)
+    V = np.empty((m + 1, dim), dtype=complex)
+    H = np.zeros((m + 1, m), dtype=complex)
+    V[0] = v0 / np.linalg.norm(v0)
+    breakdown = np.finfo(float).eps * math.sqrt(dim)
+    p = solves = 0
+    while True:
+        w = op(V[p])
+        solves += 1
+        norm = np.linalg.norm(w)
+        h, beta = _orthogonalize(V[:p + 1], w)
+        H[:p + 1, p] = h
+        p += 1
+        # a remainder at roundoff level means the Krylov space is invariant
+        broke = beta <= breakdown * norm
+        if not broke:
+            H[p, p - 1] = beta
+        if p >= nev:
+            theta, Y = np.linalg.eig(H[:p, :p])
+            order = np.argsort(-np.abs(theta), kind="stable")
+            wanted = order[:nev]
+            lam = 1.0 / theta[wanted]
+            t = np.abs(theta[wanted])
+            rho = np.abs(H[p, :p] @ Y[:, wanted])
+            if np.all(rho <= GAP_RITZ_TOL * t):
+                log.debug("gap: %d LU solves, stop: all %d converged", solves, nev)
+                return theta[wanted]
+            if (
+                rho[0] <= GAP_RITZ_TOL * t[0]
+                and t[0] >= GAP_SEPARATION * t[1]
+                and np.all(lam[1:].real + GAP_SEPARATION * rho[1:] / t[1:] ** 2
+                           < lam[0].real)
+            ):
+                log.debug(
+                    "gap: %d LU solves, stop: separated slow mode "
+                    "(|theta_1 / theta_2| = %.1e)", solves, t[0] / t[1],
+                )
+                return theta[wanted[:1]]
+        if solves >= GAP_MAX_SOLVES:
+            raise SolverConvergenceError(
+                f"gap eigensolve unresolved after {solves} LU solves"
+            )
+        if broke:
+            w = fresh()
+            _, beta = _orthogonalize(V[:p], w)
+        V[p] = w / beta
+        if p == m:
+            # thick restart on the Schur vectors of the kept Ritz values
+            Q, _ = np.linalg.qr(Y[:, order[:keep]])
+            for s in range(0, dim, _RESTART_BLOCK):
+                V[:keep, s:s + _RESTART_BLOCK] = Q.T @ V[:m, s:s + _RESTART_BLOCK]
+            V[keep] = V[m]
+            S = Q.conj().T @ H[:m, :m] @ Q
+            b = H[m, :m] @ Q
+            H[:] = 0.0
+            H[:keep, :keep] = S
+            H[keep, :keep] = b
+            p = keep
+
+
+def _orthogonalize(V, w):
+    """Classical Gram-Schmidt of ``w`` against the rows of ``V``, twice,
+    in place; returns (coefficients, norm of what remains).
+
+    V^H w is formed as conj(V conj(w)), so no conjugate of V is stored."""
+    h = (V @ w.conj()).conj()
+    w -= h @ V
+    h2 = (V @ w.conj()).conj()
+    w -= h2 @ V
+    return h + h2, float(np.linalg.norm(w))

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from conftest import BALANCE_DRIVES, kerr_params
+from oracles.kramers import barrier
 from wehrlflux.collapse import collapse_transform, to_collapse_points
 from wehrlflux.dicke_gaussian import (
     DickeParams,
@@ -196,7 +197,7 @@ def desk_sweep():
         r = sweep(base, [N], eps_grid, compute_gap=False, threads=2)
         assert not r.failures
         records[N] = sorted(r.records, key=lambda rec: rec.eps)
-    return eps_c, records
+    return eps_c, records, gap_records
 
 
 def _refined_peak(eps, values):
@@ -208,7 +209,7 @@ def _refined_peak(eps, values):
 
 
 def test_criterion_05a_pi_d_over_n_peak_monotone(desk_sweep):
-    eps_c, records = desk_sweep
+    eps_c, records, _ = desk_sweep
     peaks = {}
     for N, rows in records.items():
         eps = np.array([r.eps for r in rows])
@@ -236,7 +237,7 @@ def test_criterion_05a_pi_d_over_n_peak_monotone(desk_sweep):
 
 
 def test_criterion_05b_pi_u_steepens(desk_sweep):
-    _, records = desk_sweep
+    _, records, _ = desk_sweep
     slopes = {}
     for N, rows in records.items():
         eps = np.array([r.eps for r in rows])
@@ -251,7 +252,7 @@ def test_criterion_05b_pi_u_steepens(desk_sweep):
 
 
 def test_criterion_05c_collapse(desk_sweep):
-    eps_c, records = desk_sweep
+    eps_c, records, _ = desk_sweep
     points = to_collapse_points(
         [r for rows in records.values() for r in rows]
     )
@@ -265,6 +266,32 @@ def test_criterion_05c_collapse(desk_sweep):
     )
     assert spread["Pi_u"] < 0.1
     assert spread["Pi_d_over_N"] < 0.1
+
+
+def test_gap_follows_kramers_law(desk_sweep):
+    # the gap near eps_c closes like C exp(-N dphi), with dphi the barrier
+    # of the exact state's large-N weight (oracles.kramers): an oracle for
+    # the gap stage's 27 gaps that shares no algebra with the Liouvillian
+    _, _, gap_records = desk_sweep
+    dphi = barrier(kerr_params(0.0, 1))
+    log_min = {}
+    for N in (10, 20, 30):
+        rows = sorted((r for r in gap_records if r.N == N), key=lambda r: r.eps)
+        eps = np.array([r.eps for r in rows])
+        log_gap = np.log([r.gap for r in rows])
+        i = int(np.argmin(log_gap))
+        assert 0 < i < len(rows) - 1
+        c = np.polyfit(eps[i - 1 : i + 2], log_gap[i - 1 : i + 2], 2)
+        log_min[N] = float(np.polyval(c, -c[1] / (2 * c[0])))
+    slope = (log_min[10] - log_min[30]) / 20
+    offsets = [log_min[N] + N * dphi for N in (10, 20, 30)]
+    spread = max(offsets) - min(offsets)
+    print(
+        f"Kramers law: slope {slope:.5f} vs dphi {dphi:.5f}, "
+        f"ln g_min + N dphi = " + " / ".join(f"{v:.4f}" for v in offsets)
+    )
+    assert abs(slope - dphi) < 1e-3
+    assert spread < 0.01
 
 
 # ---------------------------------------------------------------------------

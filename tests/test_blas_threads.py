@@ -73,13 +73,13 @@ def test_solvers_run_on_one_thread(caller_at_two_threads, monkeypatch):
         return call
 
     monkeypatch.setattr(liouvillian, "_bordered_lu", recording(liouvillian._bordered_lu))
-    monkeypatch.setattr(liouvillian, "eigs", recording(liouvillian.eigs))
+    monkeypatch.setattr(liouvillian, "_krylov_schur", recording(liouvillian._krylov_schur))
     p = kerr_params(0.9, 5)
     L = build_kerr_liouvillian(p, recommended_cutoff(p))
     steady_state(L)
     liouvillian_gap(L)
     ones = (1,) * len(blas_threads())
-    assert seen == [("_bordered_lu", ones), ("eigs", ones)]
+    assert seen == [("_bordered_lu", ones), ("_krylov_schur", ones)]
     assert blas_threads() == (2,) * len(blas_threads())
 
 
@@ -140,7 +140,7 @@ def recording(real):
 
 
 liouvillian._bordered_lu = recording(liouvillian._bordered_lu)
-liouvillian.eigs = recording(liouvillian.eigs)
+liouvillian._krylov_schur = recording(liouvillian._krylov_schur)
 params = liouvillian.KerrParams(-2.0, 1.0, 0.5, 0.9, 5)
 L = liouvillian.build_kerr_liouvillian(params, kerr_model.recommended_cutoff(params))
 liouvillian.steady_state(L)
@@ -161,7 +161,7 @@ def test_pin_covers_copies_loaded_after_first_call():
     assert out.returncode == 0, out.stderr
     report = json.loads(out.stdout.splitlines()[-1])
     assert report["copies"] == 2
-    assert report["seen"] == [["_bordered_lu", [1, 1]], ["eigs", [1, 1]]]
+    assert report["seen"] == [["_bordered_lu", [1, 1]], ["_krylov_schur", [1, 1]]]
     assert report["after"] == [2, 2]
 
 

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 import scipy.sparse as sp
+from scipy.sparse.linalg import LinearOperator, eigs, splu
 from scipy.sparse.linalg import norm as spnorm
-from scipy.sparse.linalg import splu
 
 from conftest import kerr_params, random_density_matrix
 from wehrlflux import kerr_model, liouvillian
@@ -36,11 +36,21 @@ def undriven_params(kappa=0.5, delta=0.0):
     return KerrParams(delta, 1e-12, kappa, 0.0, 1)
 
 
-def reference_gap(L, monkeypatch):
-    """Gap from 30 eigenvalues converged to machine precision (tol 0)."""
-    monkeypatch.setattr(liouvillian, "GAP_EIGENVALUES", 30)
-    monkeypatch.setattr(liouvillian, "GAP_RITZ_TOL", 0.0)
-    return liouvillian_gap(L)
+def reference_gap(L):
+    """Gap from scipy's ARPACK: the 30 eigenvalues of largest modulus of
+    f -> B^{-1}(f with f_0 := 0) on the generator's own LU, converged to
+    machine precision (tol 0) from a seeded random start."""
+    lu = L.bordered_lu
+
+    def matvec(f):
+        f = np.array(f, dtype=complex).ravel()
+        f[0] = 0.0
+        return lu.solve(f)
+
+    op = LinearOperator((L.dim, L.dim), matvec=matvec, dtype=complex)
+    v0 = np.random.default_rng(1).standard_normal(L.dim).astype(complex)
+    nu = eigs(op, k=30, which="LM", v0=v0, tol=0.0, return_eigenvectors=False)
+    return -float(np.max((1.0 / nu).real))
 
 
 class TestParams:
@@ -271,7 +281,7 @@ class TestGap:
             dense = -vals.real.max()
             assert liouvillian_gap(L) == pytest.approx(dense, rel=1e-9)
 
-    def test_enough_eigenvalues_above_window(self, monkeypatch):
+    def test_enough_eigenvalues_above_window(self):
         # above the window at N=10 the slowest decay is not among the 5
         # eigenvalues closest to zero (5 return 0.5185 here, against 0.5112)
         eps = 1.125 * bistability_window(kerr_params(0.0, 1)).eps_hi
@@ -279,22 +289,35 @@ class TestGap:
         L = build_kerr_liouvillian(p, recommended_cutoff(p))
         assert L.n_max == 66
         gap = liouvillian_gap(L)
-        assert gap == pytest.approx(reference_gap(L, monkeypatch), rel=1e-9)
+        assert gap == pytest.approx(reference_gap(L), rel=1e-9)
 
     @pytest.mark.parametrize("eps", [0.95, 0.955, 0.96, 1.1662, 1.3119, 1.4577])
-    def test_ritz_tolerance_keeps_the_gap(self, monkeypatch, eps):
+    def test_ritz_tolerance_keeps_the_gap(self, eps):
         # in the window and above it, where the slowest decay sits deeper
         # in the spectrum; the reference reuses the same LU
         p = kerr_params(eps, 10)
         L = build_kerr_liouvillian(p, recommended_cutoff(p))
         gap = liouvillian_gap(L)
-        assert gap == pytest.approx(reference_gap(L, monkeypatch), rel=1e-9)
+        assert gap == pytest.approx(reference_gap(L), rel=1e-9)
+
+    def test_unseparated_slow_mode_converges_all_eight(self, caplog):
+        # the dominant Ritz value has converged after 22 solves, but it is
+        # only 1.8 times larger in modulus than the next one; stopping on
+        # it there gives 0.562, 11 % above the gap, so the pass must run
+        # on until all 8 have converged
+        p = kerr_params(1.29, 15)
+        L = build_kerr_liouvillian(p, recommended_cutoff(p))
+        with caplog.at_level("DEBUG", logger="wehrlflux.liouvillian"):
+            gap = liouvillian_gap(L)
+        assert gap == pytest.approx(reference_gap(L), rel=1e-9)
+        assert caplog.messages[-1].endswith("stop: all 8 converged")
 
     def test_gap_solve_count(self, monkeypatch, caplog):
-        # each Arnoldi step is one LU solve: 39 near eps_c at N=10 with 8
-        # eigenvalues converged to GAP_RITZ_TOL, against 66 converged to
-        # machine precision and 116 with 12.  The fixed start vector on
-        # one BLAS thread makes the count the same on every run.
+        # each Krylov step is one LU solve: 22 near eps_c at N=10, where
+        # the slow mode is 3.0e3 times larger in modulus than the rest of
+        # the spectrum of B^-1, against 39 for ARPACK with 8 eigenvalues
+        # converged to GAP_RITZ_TOL.  The fixed start vector on one BLAS
+        # thread makes the count the same on every run.
         solves = []
         real_splu = liouvillian.splu
 
@@ -314,20 +337,31 @@ class TestGap:
         assert L.n_max == 60
         with caplog.at_level("DEBUG", logger="wehrlflux.liouvillian"):
             assert liouvillian_gap(L) > 0
-        assert len(solves) < 50
+        assert len(solves) < 30
         # the pass logs its own count, so a debug-level run shows it
-        assert caplog.messages == [
-            f"gap: {len(solves)} LU solves, 8 converged Ritz values"
-        ]
+        (message,) = caplog.messages
+        assert message.startswith(f"gap: {len(solves)} LU solves, stop: ")
 
-    def test_arpack_failure_has_reason(self, monkeypatch):
-        # 30 eigenvalues of a 64-dimensional operator leave ARPACK no
-        # room to restart: "ARPACK error 3: No shifts could be applied"
-        monkeypatch.setattr(liouvillian, "GAP_EIGENVALUES", 30)
-        p = kerr_params(0.0, 6)
+    @pytest.mark.parametrize("eps, stop", [
+        (0.955, "stop: separated slow mode (|theta_1 / theta_2| = 3.0e+03)"),
+        (1.3, "stop: all 8 converged"),
+    ])
+    def test_debug_line_names_the_stop(self, caplog, eps, stop):
+        # near eps_c the slow mode is separated from the rest of the
+        # spectrum and stops the pass alone; above the window it is not,
+        # and all 8 wanted values converge
+        p = kerr_params(eps, 10)
         L = build_kerr_liouvillian(p, recommended_cutoff(p))
-        assert L.n_max == 8
-        with pytest.raises(SolverConvergenceError, match="ARPACK error 3"):
+        with caplog.at_level("DEBUG", logger="wehrlflux.liouvillian"):
+            liouvillian_gap(L)
+        (message,) = caplog.messages
+        assert message.endswith(stop)
+
+    def test_solve_cap_raises_with_count(self, monkeypatch):
+        monkeypatch.setattr(liouvillian, "GAP_MAX_SOLVES", 5)
+        p = kerr_params(0.955, 10)
+        L = build_kerr_liouvillian(p, recommended_cutoff(p))
+        with pytest.raises(SolverConvergenceError, match="after 5 LU solves"):
             liouvillian_gap(L)
 
     def test_gap_below_roundoff_floor_raises(self):
