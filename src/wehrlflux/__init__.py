@@ -42,6 +42,7 @@ _EXPORTS = {
         "bistability_window",
         "extrapolate_eps_c",
         "mean_field_curve",
+        "photon_number_distribution",
         "recommended_cutoff",
         "steady_state_certified",
         "sweep",

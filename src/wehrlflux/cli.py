@@ -349,7 +349,8 @@ MODELS = {
             # the budget runs on the polar grid; 64 is the frozen schema-1
             # bound of this key, not the setting of any grid
             "points_per_axis": (128, 64),
-            "certify_cutoff": (True, None),  # every point checks its Fock tail
+            # every point sizes its cutoff from its exact Fock tail
+            "certify_cutoff": (True, None),
         },
     },
     "dicke": {

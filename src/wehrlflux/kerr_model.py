@@ -20,13 +20,14 @@ transition drive from the gap minima of its records.  The finite-size
 rescaling of the resulting curves, ``collapse_transform``, lives in the
 numpy-only ``collapse`` module.
 
-The cutoff rule and its Fock-tail check (``steady_state_certified``, on
-every sweep point) are fixed by the module constants ``CUTOFF_C1``,
-``CUTOFF_C2``, ``CUTOFF_FLOOR``, ``CUTOFF_TAIL_TOL`` and
-``CUTOFF_MAX_ESCALATIONS``.  ``sweep`` takes two keyword-only options,
-``threads`` and ``compute_gap``.  The quadrature
-tolerances are ``phase_space``'s constants ``MASS_TOL`` and
-``Q_FLOOR_RATIO``, which no sweep option overrides.
+Every sweep point builds one generator (``steady_state_certified``), at
+the larger of ``recommended_cutoff`` (constants ``CUTOFF_C1``,
+``CUTOFF_C2``, ``CUTOFF_FLOOR``) and the fewest levels that leave less
+than ``CUTOFF_TAIL_TOL`` of ``photon_number_distribution`` above them.
+``sweep`` takes two keyword-only options, ``threads`` and
+``compute_gap``.  The quadrature tolerances are ``phase_space``'s
+constants ``MASS_TOL`` and ``Q_FLOOR_RATIO``, which no sweep option
+overrides.
 
 Memory: a sweep point drops its generator and the generator's LU before
 its Husimi stage, then calls glibc's ``malloc_trim(0)`` (a no-op where the
@@ -55,8 +56,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from ._blas import one_blas_thread
-from .errors import SolverConvergenceError
 from .liouvillian import (
+    MAX_CUTOFF,
     KerrParams,
     build_kerr_liouvillian,
     liouvillian_gap,
@@ -84,8 +85,9 @@ _malloc_trim = _bind_malloc_trim()
 CUTOFF_C1 = 1.5
 CUTOFF_C2 = 5.0
 CUTOFF_FLOOR = 8
-CUTOFF_TAIL_TOL = 1e-10
-CUTOFF_MAX_ESCALATIONS = 3
+# Largest exact excluded mass sum_{m >= n_max} P(m) a steady state's
+# cutoff may leave
+CUTOFF_TAIL_TOL = 1e-14
 
 
 # ---------------------------------------------------------------------------
@@ -196,29 +198,88 @@ def recommended_cutoff(p: KerrParams) -> int:
 # Certified steady states and sweeps
 # ---------------------------------------------------------------------------
 
-def steady_state_certified(p: KerrParams):
-    """Steady state whose top three Fock levels hold a population below
-    ``CUTOFF_TAIL_TOL``, solved first at ``recommended_cutoff(p)`` and then
-    at +10 levels, at most ``CUTOFF_MAX_ESCALATIONS`` times, before
-    ``SolverConvergenceError``.  Returns (rho, L, n_max_used).
+def _log_weights(p: KerrParams) -> np.ndarray:
+    """ln w(s) - ln w(0) of ``photon_number_distribution``, s = 0, 1, ...,
+    for eps > 0.
 
-    The tail check adds to the rule and does not replace it.  Near eps_c
-    the truncation error is amplified by about 1/gap, so a cutoff below
-    the rule can pass the tail check with a wrong state: at N=30, eps 0.93
-    every cutoff from 45 to 100 leaves a tail below 1e-10 and gives
-    <a^dag a> = 8.02, against 11.35 at the rule's 148.
+    w peaks near s = 2 N n at each stable mean-field root n.  The sum runs
+    to s = 4 N n + 64 for the largest root before it may stop, then on
+    until ln w is falling and 80 below its maximum.  The range matters:
+    inside the bistable window ln w dips by about 0.674 N between the
+    branches, so a stop at the first such fall would end in the dip once
+    N reaches about 120 and drop the upper branch.
     """
-    first = recommended_cutoff(p)
-    for n in range(first, first + 10 * CUTOFF_MAX_ESCALATIONS + 1, 10):
-        L = build_kerr_liouvillian(p, n)
-        rho = steady_state(L)
-        tail = float(np.abs(np.diagonal(rho.entries)[-3:]).sum())
-        if tail < CUTOFF_TAIL_TOL:
-            return rho, L, n
-    raise SolverConvergenceError(
-        f"Fock tail {tail:.3e} of the top three levels at n_max = {n} exceeds "
-        f"{CUTOFF_TAIL_TOL:g} after {CUTOFF_MAX_ESCALATIONS} cutoff escalations"
-    )
+    n_top = max(mean_field_curve(p, p.eps), default=0.0)
+    c = 2.0 * p.N * complex(p.delta, -p.kappa) / p.u
+    two_lam2 = 8.0 * p.eps ** 2 * p.N ** 3 / p.u ** 2
+    size = math.ceil(4.0 * p.N * n_top) + 64
+    while True:
+        j = np.arange(size - 1)
+        # one log per ratio, so no large ln|lam| and ln|c + j| cancel
+        steps = np.log(two_lam2 / ((j + 1.0) * ((c.real + j) ** 2 + c.imag ** 2)))
+        log_w = np.concatenate(([0.0], np.cumsum(steps)))
+        if steps[-1] < 0 and log_w[-1] < log_w.max() - 80.0:
+            return log_w
+        size *= 2
+
+
+def photon_number_distribution(p: KerrParams) -> np.ndarray:
+    """Exact steady-state photon-number distribution P(m), m = 0, 1, ...
+
+    The complex-P solution of the driven Kerr mode (Drummond & Walls,
+    J. Phys. A 13, 725 (1980); Bartolo et al., PRA 94, 033841 (2016)),
+    grouped by s = m + q, is a binomial mixture over one weight:
+
+        P(m) = sum_s w(s) C(s, m) 2^-s / sum_s w(s),
+        ln w(s) = sum_{j<s} [ln(2 |lam|^2) - ln(j+1) - 2 ln|c+j|],
+
+    with c = 2N(Delta - i kappa)/u and |lam|^2 = 4 eps^2 N^3 / u^2.  The
+    array ends at the last s summed, where w is below e^-80 of its
+    maximum.  At eps = 0, lam = 0 and the state is the vacuum, [1.0].
+    The cost is quadratic in the length, about 4 N n + 64 for mean-field
+    photon number n (1 ms at N = 30 near eps_c).
+    """
+    if p.eps == 0:
+        return np.ones(1)
+    log_w = _log_weights(p)
+    weights = np.exp(log_w - log_w.max())
+    weights /= weights.sum()
+    # Horner in the thinning (B x)(m) = (x(m) + x(m-1)) / 2, for which
+    # (B^s e_0)(m) = C(s, m) 2^-s: sums of non-negative terms only
+    dist = np.zeros(len(weights))
+    for w_s in weights[::-1]:
+        dist[1:] = 0.5 * (dist[1:] + dist[:-1])
+        dist[0] = 0.5 * dist[0] + w_s
+    return dist
+
+
+def _tail_cutoff(p: KerrParams) -> int:
+    """Fewest Fock levels n whose exact excluded mass sum_{m >= n} P(m)
+    is below ``CUTOFF_TAIL_TOL``."""
+    tail = np.cumsum(photon_number_distribution(p)[::-1])[::-1]
+    return int(np.count_nonzero(tail >= CUTOFF_TAIL_TOL))
+
+
+def steady_state_certified(p: KerrParams):
+    """Steady state from one build and one LU solve at
+    n_max = max(``recommended_cutoff(p)``, ``_tail_cutoff(p)``).  Returns
+    (rho, L, n_max).
+
+    The tail raises the rule where the rule is short (at N = 1-2 and below
+    the bistable window).  The rule stays a floor because the gap needs
+    it: near eps_c the slow mode lives on the branch the state does not
+    populate, and the LU state's error is amplified by about 1/gap, so a
+    small tail alone proves little (at N=30, eps 0.93 every cutoff from 45
+    to 100 leaves less than 1e-10 in the LU state's top three levels and
+    gives <a^dag a> = 8.02, against 11.35 at the rule's 148).  A rule
+    above ``MAX_CUTOFF`` fails the build before any allocation, so its
+    tail is not summed.
+    """
+    n_max = recommended_cutoff(p)
+    if n_max <= MAX_CUTOFF:
+        n_max = max(n_max, _tail_cutoff(p))
+    L = build_kerr_liouvillian(p, n_max)
+    return steady_state(L), L, n_max
 
 
 @dataclass(frozen=True)
@@ -284,10 +345,10 @@ def sweep(
     continues.  Records come back sorted by (N, eps) regardless of the
     executor, so they are equal for any thread count; each carries its
     measured ``wall_time_s``, which equality ignores.  Each point solves
-    ``steady_state_certified``, and its record's ``n_max_used`` shows
-    whether it escalated past ``recommended_cutoff``.  A failure is
-    recorded as the exception's class and message, e.g.
-    ``SolverConvergenceError: Fock tail ...``.
+    ``steady_state_certified``, and its record's ``n_max_used`` is the
+    cutoff that function chose, ``recommended_cutoff`` or more where the
+    state's exact Fock tail asks for more.  A failure is recorded as the
+    exception's class and message, e.g. ``CutoffError: n_max = ...``.
     """
     if isinstance(threads, bool) or not isinstance(threads, int) or threads < 1:
         raise ValueError(f"threads must be an integer >= 1, got {threads!r}")

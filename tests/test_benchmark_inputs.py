@@ -15,6 +15,7 @@ from pathlib import Path
 
 import pytest
 
+from wehrlflux import kerr_model
 from wehrlflux.cli import load_config
 from wehrlflux.fock_algebra import mean_photon_number
 from wehrlflux.liouvillian import KerrParams, build_kerr_liouvillian, steady_state
@@ -48,6 +49,24 @@ def test_workload_configs_load(run_module, monkeypatch, tmp_path):
         assert configs, name
         for path in configs:
             load_config(str(path))
+
+
+def test_gap_drives_keep_the_rule(run_module, monkeypatch, tmp_path):
+    # near eps_c the state's exact tail (54 / 89 / 121-122 levels) is
+    # shorter than the rule (60 / 105-106 / 148-149), so every
+    # kerr_gap_serial row keeps the rule's cutoff
+    monkeypatch.setattr(run_module, "OUT", str(tmp_path))
+    workload = run_module.WORKLOADS["kerr_gap_serial"](seed=1)
+    configs = sorted(Path(workload.dir).glob("config*.json"))
+    drives = []
+    for path in configs:
+        config = load_config(str(path))
+        for N in config["sweep"]["N_list"]:
+            for eps in config["sweep"]["eps_grid"]:
+                drives.append(KerrParams(**config["params"], eps=eps, N=N))
+    assert len(drives) == 9
+    for p in drives:
+        assert kerr_model._tail_cutoff(p) < kerr_model.recommended_cutoff(p)
 
 
 def test_photon_number_check_runs(monkeypatch, tmp_path):

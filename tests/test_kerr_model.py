@@ -17,7 +17,7 @@ import pytest
 from conftest import kerr_params
 from wehrlflux import kerr_model, phase_space
 from wehrlflux.collapse import CollapsePoint, collapse_transform
-from wehrlflux.errors import CutoffError, SolverConvergenceError
+from wehrlflux.errors import CutoffError
 from wehrlflux.fock_algebra import mean_photon_number
 from wehrlflux.liouvillian import KerrParams, build_kerr_liouvillian, steady_state
 from wehrlflux.kerr_model import (
@@ -25,7 +25,9 @@ from wehrlflux.kerr_model import (
     drive_at,
     extrapolate_eps_c,
     mean_field_curve,
+    photon_number_distribution,
     recommended_cutoff,
+    steady_state_certified,
     sweep,
 )
 
@@ -39,6 +41,16 @@ def exit_in_worker(*args, **kwargs):
     if os.getpid() == TEST_PID:
         raise AssertionError("expected to run in a pool worker")
     os._exit(1)
+
+
+def tail_levels(p):
+    """Fewest Fock levels whose exact excluded mass, summed with fsum from
+    ``photon_number_distribution``, is below ``CUTOFF_TAIL_TOL``."""
+    dist = photon_number_distribution(p)
+    return next(
+        n for n in range(len(dist) + 1)
+        if math.fsum(dist[n:]) < kerr_model.CUTOFF_TAIL_TOL
+    )
 
 
 def brute_force_turning_points(p, n_lo=1e-4, n_hi=6.0, samples=400001):
@@ -124,7 +136,8 @@ class TestCutoffRule:
     def test_sweep_point_matches_wider_cutoff(self, N, eps):
         # below the bistable window the recommended cutoff (8) leaves
         # 0.4-1.5 % of the population in the top three Fock levels, so
-        # the point must escalate to match a solve with 30 more levels
+        # the state's exact tail must size the point to match a solve
+        # with 30 more levels
         p = kerr_params(eps, N)
         (rec,) = sweep(p, [N], [eps], compute_gap=False).records
         assert rec.n_max_used > recommended_cutoff(p)
@@ -135,8 +148,9 @@ class TestCutoffRule:
         assert n_mean == pytest.approx(n_ref, rel=1e-9)
 
     def test_cutoff_below_rule_fails_the_point(self):
-        # at N=30, eps 0.94 a cutoff of 116 passes the tail check (4.2e-11)
-        # but gives <a^dag a> = 31.97 against 36.25 at the rule's 148
+        # at N=30, eps 0.94 a cutoff of 116 leaves 4.2e-11 in the LU state's
+        # top three levels but gives <a^dag a> = 31.97 against 36.25 at the
+        # rule's 148
         p = kerr_params(0.94, 30)
         assert recommended_cutoff(p) == 148
         with pytest.raises(CutoffError, match="n_max = 116 below recommended cutoff 148 "):
@@ -157,11 +171,72 @@ class TestCutoffRule:
         assert msg.startswith("CutoffError: n_max = 349785 above MAX_CUTOFF = ")
         assert peak < 10 ** 6  # its ladder operator alone takes 17 MB
 
-    def test_exhausted_escalation_names_the_tail(self, monkeypatch):
-        monkeypatch.setattr(kerr_model, "CUTOFF_MAX_ESCALATIONS", 0)
-        p = kerr_params(0.6, 10)
-        with pytest.raises(SolverConvergenceError, match="Fock tail .* n_max = 8"):
-            kerr_model.steady_state_certified(p)
+    @pytest.mark.parametrize("N, eps, levels", [(30, 0.5, 22), (10, 0.3, 12), (100, 0.5, 36)])
+    def test_exact_tail_raises_a_short_rule(self, N, eps, levels):
+        # below the window the rule (10 / 8 / 22 levels) leaves an exact
+        # tail of 4.5e-5 / 3.8e-10 / 1.4e-6; one solve at the tail cutoff
+        p = kerr_params(eps, N)
+        assert recommended_cutoff(p) < levels == tail_levels(p)
+        rho, L, n_max = steady_state_certified(p)
+        assert n_max == levels == L.n_max == len(rho.entries)
+
+    def test_rule_is_kept_above_a_shorter_tail(self):
+        # near eps_c the gap needs the rule's levels, though 122 would
+        # hold the state
+        p = kerr_params(0.94092, 30)
+        assert tail_levels(p) == 122
+        assert recommended_cutoff(p) == 148
+        _, _, n_max = steady_state_certified(p)
+        assert n_max == 148
+
+    def test_zero_drive_is_the_vacuum_at_the_floor(self):
+        p = kerr_params(0.0, 3)
+        assert photon_number_distribution(p).tolist() == [1.0]
+        rho, _, n_max = steady_state_certified(p)
+        assert n_max == kerr_model.CUTOFF_FLOOR
+        vacuum = np.zeros((n_max, n_max))
+        vacuum[0, 0] = 1.0
+        assert np.abs(rho.entries - vacuum).max() < 1e-14
+
+    def test_sweep_cutoff_depends_on_the_point_alone(self):
+        # below (0.5, 0.6), inside (0.8, 0.95) and above (1.3) the window
+        eps_grid = [0.5, 0.6, 0.8, 0.95, 1.3]
+        result = sweep(kerr_params(0.0, 1), [2, 10], eps_grid, compute_gap=False)
+        assert len(result.records) == 10 and not result.failures
+        for rec in result.records:
+            p = kerr_params(rec.eps, rec.N)
+            assert rec.n_max_used == max(recommended_cutoff(p), tail_levels(p))
+
+
+class TestPhotonNumberDistribution:
+    @pytest.mark.parametrize(
+        "N, eps, other",
+        [(2, 0.9, {}), (10, 0.955, {}), (10, 1.65, dict(delta=-4.5, u=1.25, kappa=1.0))],
+    )
+    def test_matches_the_lu_state(self, N, eps, other):
+        # two independent routes to one state; 20 levels past the rule the
+        # LU state is converged in its cutoff (not so at N >= 20 near eps_c,
+        # where the LU itself is 6e-10 off).  The third point's weight sum
+        # runs on past its first 70 terms.
+        p = kerr_params(eps, N, **other)
+        n = recommended_cutoff(p) + 20
+        rho = steady_state(build_kerr_liouvillian(p, n, enforce_cutoff=False))
+        dist = photon_number_distribution(p)
+        size = max(n, len(dist))
+        diag = np.zeros(size)
+        diag[:n] = np.diagonal(rho.entries).real
+        exact = np.zeros(size)
+        exact[: len(dist)] = dist
+        assert np.abs(diag - exact).max() < 1e-12
+        n_mean = float(np.arange(len(dist)) @ dist)
+        assert n_mean == pytest.approx(mean_photon_number(rho), rel=1e-11)
+
+    @pytest.mark.parametrize("N, eps", [(1, 0.3), (10, 0.955), (30, 0.94092), (2, 30.0)])
+    def test_is_normalized_and_ends_in_a_negligible_tail(self, N, eps):
+        dist = photon_number_distribution(kerr_params(eps, N))
+        assert np.all(dist >= 0)
+        assert dist.sum() == pytest.approx(1.0, abs=1e-14)
+        assert dist[-10:].sum() < 1e-30
 
 
 class TestSweep:

@@ -1,10 +1,13 @@
-"""The Kramers-rate oracle of ``oracles.kramers`` against its own definition."""
+"""The Kramers-rate oracle of ``oracles.kramers`` against its own definition,
+and the exact weight of ``kerr_model`` against the oracle's eps_c_inf."""
+
+import math
 
 import pytest
 
 from conftest import kerr_params
 from oracles.kramers import barrier, eps_c_inf, extrema, phi
-from wehrlflux.kerr_model import bistability_window
+from wehrlflux.kerr_model import _log_weights, bistability_window
 
 BASE = kerr_params(0.0, 1)
 
@@ -35,3 +38,30 @@ def test_reference_values():
         [0.535500, 2.769478, 4.695022], abs=1e-6
     )
     assert barrier(BASE) == pytest.approx(0.6737394459, abs=1e-10)
+
+
+def upper_weight(p):
+    """Mass of the exact weight w(s) above its dip, at s = N sigma_0 of the
+    unstable root."""
+    log_w = _log_weights(p)
+    dip = round(p.N * extrema(p)[1])
+    top = max(log_w)
+    w = [math.exp(x - top) for x in log_w]
+    return math.fsum(w[dip:]) / math.fsum(w)
+
+
+@pytest.mark.parametrize("N", [100, 300, 1000])
+def test_equal_weight_drive_shifts_by_b_over_n(N):
+    # the exact weight's two branches carry equal mass at eps_c_inf + b/N,
+    # b = 0.2352 (ROADMAP item 14); measured 1.4e-7 / 1.1e-7 / 5e-8 off.
+    # From N = 120 on the dip between the branches is more than 80 deep,
+    # so a weight sum that stopped there would lose the upper branch.
+    eps_c = eps_c_inf(BASE)
+    lo, hi = eps_c, eps_c + 0.005
+    for _ in range(40):
+        mid = 0.5 * (lo + hi)
+        if upper_weight(kerr_params(mid, N)) < 0.5:
+            lo = mid
+        else:
+            hi = mid
+    assert 0.5 * (lo + hi) == pytest.approx(eps_c + 0.2352 / N, abs=1e-6)
