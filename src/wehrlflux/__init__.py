@@ -25,7 +25,6 @@ _EXPORTS = {
         "gaussian_budget",
         "hamiltonian_quadratic_form",
         "hp_coefficients",
-        "kink_detector",
         "mc_gaussian_budget",
         "mean_field_fixed_point",
         "solve_lyapunov",
@@ -33,14 +32,12 @@ _EXPORTS = {
     "divergence": ("fit_power_law",),
     "fock_algebra": (
         "DensityMatrix",
-        "annihilation",
         "coherent_components",
     ),
     "kerr_model": (
         "BistabilityWindow",
         "SweepRecord",
         "bistability_window",
-        "extrapolate_eps_c",
         "mean_field_curve",
         "photon_number_distribution",
         "recommended_cutoff",
@@ -51,8 +48,6 @@ _EXPORTS = {
         "KerrParams",
         "Superoperator",
         "build_kerr_liouvillian",
-        "evolve",
-        "evolve_to_stationarity",
         "liouvillian_gap",
         "steady_state",
     ),

@@ -1,13 +1,29 @@
-"""The entropy budget record shared by the Kerr and Gaussian pipelines.
+"""The entropy budget record shared by the Kerr and Gaussian pipelines,
+and their common rule for the size N.
 
 It imports nothing beyond the standard library, so the Gaussian models
 can build budgets without loading the Kerr layers; ``phase_space``
-re-exports it.
+re-exports the record.
 """
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
+
+
+def positive_size(N) -> int:
+    """N as an int: an integer >= 1, or a finite real number equal to one
+    (10.0 gives 10).  Anything else, a bool included, raises ``ValueError``;
+    int(True) == 1 and int(2.5) == 2, so a conversion alone would let both
+    through."""
+    integral = isinstance(N, numbers.Integral) or (
+        isinstance(N, numbers.Real) and math.isfinite(N) and N == int(N)
+    )
+    if isinstance(N, bool) or not integral or N < 1:
+        raise ValueError(f"N must be a positive integer, got {N!r}")
+    return int(N)
 
 
 @dataclass(frozen=True)
@@ -47,8 +63,3 @@ class EntropyBudget:
     def balance_rel(self) -> float:
         """|dSdt| relative to the total fluctuation flux."""
         return abs(self.dSdt) / max(self.Phi_q + (self.Phi_q_b or 0.0), 1e-12)
-
-    @property
-    def Pi_total(self) -> float:
-        extra = (self.Pi_d_b or 0.0)
-        return self.Pi_ext + self.Pi_u + self.Pi_d + extra

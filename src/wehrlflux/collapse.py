@@ -5,8 +5,8 @@ system sizes onto the coordinate x = N (eps/eps_c - 1), with Pi_u and
 Pi_d/N on the vertical axes, and scores how well consecutive sizes
 overlap.  It works on plain numbers, so this module needs numpy alone:
 the CLI's ``collapse`` reads a results file and never loads the Kerr
-solvers or scipy.  ``to_collapse_points`` takes the points from the
-records of ``kerr_model.sweep``.
+solvers or scipy.  Each input point is a ``CollapsePoint``, the size,
+drive, Pi_u and Pi_d of one row.
 """
 
 from __future__ import annotations
@@ -23,12 +23,6 @@ class CollapsePoint:
     eps: float
     Pi_u: float
     Pi_d: float
-
-
-def to_collapse_points(records) -> list[CollapsePoint]:
-    return [
-        CollapsePoint(r.N, r.eps, r.budget.Pi_u, r.budget.Pi_d) for r in records
-    ]
 
 
 @dataclass(frozen=True)

@@ -44,7 +44,11 @@ in whitened coordinates z = L^{-1} r, Sigma = L L^T, and draws in
 batches of ``MC_CHUNK``.  Its estimators are quadratic in z, so
 ``estimator_means`` gives their exact expectations through the same
 whitened algebra, and every ``gaussian_budget`` checks its closed forms
-against them.
+against them.  Only the tests call the sampler itself; it stays in the
+package because the benchmark's tracer names it (``perfbench/tracing.py``
+TARGETS).  The kink of Pi_u at lam_c is measured beside the tests
+(``tests/oracles/critical.py``).  The size N of a budget follows the
+Kerr model's rule, ``budget.positive_size``.
 """
 
 from __future__ import annotations
@@ -57,7 +61,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._blas import one_blas_thread
-from .budget import EntropyBudget
+from .budget import EntropyBudget, positive_size
 # The fit lives in ``divergence``.  The benchmark's tracer wraps it under
 # this module's name (``perfbench/tracing.py`` TARGETS), and it wraps every
 # reference in a module that is loaded when it installs, so the fit must be
@@ -370,7 +374,9 @@ def gaussian_budget(
         Pi_d,i = k_i [ (M Sigma M^T)_qq + (M Sigma M^T)_pp ],
         M = I - Sigma^{-1}, and M Sigma M^T = Sigma - 2I + Sigma^{-1}.
       * Unitary production: Pi_u = (1/2) tr(D_u Sigma^{-1}).
-      * Mean-field flux of the last (cavity) mode: Phi_ext = 2 k_m N |alpha|^2.
+      * Mean-field flux of the last (cavity) mode: Phi_ext = 2 k_m N |alpha|^2,
+        with N a positive integer (``budget.positive_size``; any other
+        value raises ``ValueError``).
 
     At the Lyapunov fixed point these obey Pi_u + sum_i Pi_d,i =
     sum_i Phi_q,i identically.  The headline Phi_q / Pi_d are the last
@@ -382,6 +388,7 @@ def gaussian_budget(
     ``ESTIMATOR_CHECK_TOL`` (|closed| + Phi_q + Phi_q_b + 2 sum_i k_i),
     or ``WehrlFluxError`` names every term that is off.
     """
+    N = positive_size(N)
     m = _mode_count(G, losses)
     Sigma, L = _husimi_covariance(sigma, m)
     # Sigma has a Cholesky factor, so its determinant is positive
@@ -595,64 +602,3 @@ def mc_gaussian_budget(
     for name, value, stderr in zip(names, mean.tolist(), err.tolist()):
         fields[name], fields[name + "_stderr"] = value, stderr
     return MonteCarloBudget(samples=samples, **fields)
-
-
-# ---------------------------------------------------------------------------
-# Critical scans
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class KinkReport:
-    left_slope: float
-    right_slope: float
-    left_noise: float
-    right_noise: float
-    jump_estimate: float
-    jump_bound: float
-
-
-def kink_detector(p_base: DickeParams, lambda_grid) -> KinkReport:
-    """One-sided slopes of the unitary production at the critical coupling.
-
-    Uses two- and three-point one-sided stencils on the grid points nearest
-    lam_c; their difference estimates the finite-difference noise floor.
-    The jump estimate extrapolates both sides linearly to lam_c and must
-    stay below the grid-resolution bound for a continuous curve.
-    """
-    lc = critical_coupling(p_base)
-    lams = np.sort(np.asarray(lambda_grid, dtype=float))
-    if lams.min() >= lc or lams.max() <= lc:
-        raise ValueError("lambda_grid must straddle the critical coupling")
-
-    def _pi_u(lam: float) -> float:
-        p = DickeParams(p_base.omega0, p_base.omega, p_base.kappa, lam, p_base.gamma)
-        budget, *_ = dicke_point(p)
-        return budget.Pi_u
-
-    left = lams[lams < lc][-3:]
-    right = lams[lams > lc][:3]
-    if len(left) < 3 or len(right) < 3:
-        raise ValueError("need at least three grid points on each side of lam_c")
-    pi_c = _pi_u(lc)
-    sides = {}
-    for name, pts in (("left", left[::-1]), ("right", right)):
-        # pts[0] is nearest to lam_c
-        y = np.array([_pi_u(x) for x in pts])
-        h1 = pts[0] - lc
-        h2 = pts[1] - lc
-        slope2 = (y[0] - pi_c) / h1
-        # three-point one-sided derivative at lam_c on a general stencil
-        slope3 = (
-            pi_c * (-(h1 + h2) / (h1 * h2))
-            + y[0] * (h2 / (h1 * (h2 - h1)))
-            + y[1] * (-h1 / (h2 * (h2 - h1)))
-        )
-        sides[name] = (float(slope3), abs(float(slope3 - slope2)), y, pts)
-    sl, nl, y_l, pts_l = sides["left"]
-    sr, nr, y_r, pts_r = sides["right"]
-    extrap_l = y_l[0] + sl * (lc - pts_l[0])
-    extrap_r = y_r[0] + sr * (lc - pts_r[0])
-    h = max(abs(pts_l[0] - lc), abs(pts_r[0] - lc))
-    jump = abs(extrap_l - extrap_r)
-    bound = (abs(sl) + abs(sr)) * h + 2.0 * (nl + nr) * h
-    return KinkReport(sl, sr, nl, nr, jump, bound)

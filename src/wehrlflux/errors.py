@@ -25,10 +25,6 @@ class DegenerateSteadyStateError(WehrlFluxError, RuntimeError):
     """More than one eigenvalue of the generator sits at zero."""
 
 
-class StepSizeError(WehrlFluxError, ValueError):
-    """Fixed-step propagation drifted in trace beyond tolerance."""
-
-
 class MassDeficitError(WehrlFluxError, ValueError):
     """Quadrature grid does not capture the state's phase-space mass."""
 

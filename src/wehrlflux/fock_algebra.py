@@ -1,17 +1,18 @@
 """Truncated-Fock-space algebra.
 
-The ladder operator, coherent states, density matrices and their moments
-on a Hilbert space truncated at ``n_max`` Fock levels, plus the
-column-stacking vectorization helpers used by the superoperator solvers.
+Coherent states, density matrices and their moments on a Hilbert space
+truncated at ``n_max`` Fock levels, plus the column-stacking
+vectorization helpers used by the superoperator solvers.
 
 Conventions:
     a |n> = sqrt(n) |n-1>,   coherent components c_n = e^{-|mu|^2/2} mu^n / sqrt(n!).
 
-``annihilation``, a CSR matrix with the single superdiagonal sqrt(1),
-..., sqrt(n_max - 1), is the tests' reference ladder operator; nothing in
-the package builds an operator.  The Liouvillian is assembled from its
-closed-form bands, and the moments the pipeline needs are read off rho's
-diagonals: <a^dag a> = sum_n n rho_nn and <a> = sum_n sqrt(n) rho_{n,n-1}.
+Nothing in the package builds an operator.  The Liouvillian is assembled
+from its closed-form bands, and the moments the pipeline needs are read
+off rho's diagonals: <a^dag a> = sum_n n rho_nn and
+<a> = sum_n sqrt(n) rho_{n,n-1}.  The module needs numpy alone; the
+reference ladder matrix and standard states live beside the tests
+(``tests/oracles/states.py``).
 
 All factorials are evaluated as a table of ``math.lgamma(n + 1)`` over
 the ``dim`` levels, so coherent amplitudes stay finite well past n = 170.
@@ -23,20 +24,12 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import DimensionError, StateValidationError
 
 HERMITICITY_TOL = 1e-10
 TRACE_TOL = 1e-10
 POSITIVITY_TOL = 1e-8
-
-
-def annihilation(n_max: int) -> sp.csr_matrix:
-    """Ladder operator a as a CSR matrix, entry (n-1, n) = sqrt(n)."""
-    if n_max < 2:
-        raise DimensionError(f"n_max must be >= 2, got {n_max}")
-    return sp.diags(np.sqrt(np.arange(1, n_max)), 1, format="csr", dtype=complex)
 
 
 # ---------------------------------------------------------------------------
@@ -105,39 +98,6 @@ class DensityMatrix:
         if lam_min < -POSITIVITY_TOL:
             raise StateValidationError(f"negative eigenvalue {lam_min:.3e}")
 
-    @staticmethod
-    def vacuum(dim: int) -> "DensityMatrix":
-        rho = np.zeros((dim, dim), dtype=complex)
-        rho[0, 0] = 1.0
-        return DensityMatrix(dim, rho)
-
-    @staticmethod
-    def fock(dim: int, n: int) -> "DensityMatrix":
-        if not 0 <= n < dim:
-            raise DimensionError(f"Fock level {n} outside [0, {dim})")
-        rho = np.zeros((dim, dim), dtype=complex)
-        rho[n, n] = 1.0
-        return DensityMatrix(dim, rho)
-
-    @staticmethod
-    def coherent(mu: complex, dim: int) -> "DensityMatrix":
-        c = coherent_components(mu, dim)
-        c = c / np.linalg.norm(c)
-        return DensityMatrix(dim, np.outer(c, c.conj()))
-
-    @staticmethod
-    def thermal(nbar: float, dim: int) -> "DensityMatrix":
-        if nbar < 0:
-            raise StateValidationError("mean occupation must be >= 0")
-        n = np.arange(dim)
-        p = (nbar / (1.0 + nbar)) ** n / (1.0 + nbar) if nbar > 0 else (n == 0) * 1.0
-        p = p / p.sum()
-        return DensityMatrix(dim, np.diag(p.astype(complex)))
-
-    @staticmethod
-    def maximally_mixed(dim: int) -> "DensityMatrix":
-        return DensityMatrix(dim, np.eye(dim, dtype=complex) / dim)
-
 
 def mean_photon_number(rho: DensityMatrix) -> float:
     """<a^dag a> = sum_n n rho_nn."""
@@ -148,23 +108,6 @@ def mean_amplitude(rho: DensityMatrix) -> complex:
     """<a> = tr(a rho) = sum_n sqrt(n) rho_{n,n-1}."""
     sqrt_n = np.sqrt(np.arange(1, rho.dim))
     return complex(np.dot(sqrt_n, np.diagonal(rho.entries, -1)))
-
-
-def von_neumann_entropy(rho: DensityMatrix) -> float:
-    """-tr(rho ln rho) in nats, truncation noise clipped at zero."""
-    lam = np.linalg.eigvalsh((rho.entries + rho.entries.conj().T) / 2)
-    lam = np.clip(lam.real, 0.0, None)
-    lam = lam[lam > 0]
-    return float(-(lam * np.log(lam)).sum())
-
-
-def trace_distance(rho1: DensityMatrix, rho2: DensityMatrix) -> float:
-    """(1/2) ||rho1 - rho2||_1."""
-    if rho1.dim != rho2.dim:
-        raise DimensionError("dimension mismatch")
-    diff = rho1.entries - rho2.entries
-    lam = np.linalg.eigvalsh((diff + diff.conj().T) / 2)
-    return 0.5 * float(np.abs(lam).sum())
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
-"""Kerr bistability: mean-field branches, drive sweeps and the critical drive.
+"""Kerr bistability: mean-field branches, the exact photon-number
+distribution and drive sweeps.
 
 The mean-field photon number n = |alpha|^2 of the driven Kerr mode solves
 
@@ -15,10 +16,10 @@ upper turning point carries the lower drive: eps(n_minus) > eps(n_plus).
 ``sweep`` computes one steady-state entropy budget per (N, eps) point,
 with the Fock cutoff auto-selected per point, the Husimi integrals on
 ``phase_space.polar_grid`` and BLAS on one thread (in the serial path and
-in every pool worker alike), and ``extrapolate_eps_c`` estimates the
-transition drive from the gap minima of its records.  The finite-size
-rescaling of the resulting curves, ``collapse_transform``, lives in the
-numpy-only ``collapse`` module.
+in every pool worker alike).  The finite-size rescaling of the resulting
+curves, ``collapse_transform``, lives in the numpy-only ``collapse``
+module; the tests estimate the transition drive from the gap minima of
+the records (``tests/oracles/critical.py``).
 
 Every sweep point builds one generator (``steady_state_certified``), at
 the larger of ``recommended_cutoff`` (constants ``CUTOFF_C1``,
@@ -302,11 +303,12 @@ class SweepResult:
 
 
 @one_blas_thread
-def _sweep_point(p_base, N, eps, *, compute_gap) -> SweepRecord:
-    """One point of ``sweep``, which documents the option, timed from its
-    parameters to its budget."""
+def _sweep_point(p_size, eps, *, compute_gap) -> SweepRecord:
+    """One point of ``sweep``, which documents the option: drive ``eps``
+    at the size and model of ``p_size``, timed from its parameters to its
+    budget."""
     start = time.perf_counter()
-    p = replace(p_base, eps=eps, N=N)
+    p = replace(p_size, eps=eps)
     rho, L, n_used = steady_state_certified(p)
     # L holds the LU its steady state was solved with, and the gap reuses
     # it; drop L before the Husimi stage so the two never share memory.
@@ -319,7 +321,7 @@ def _sweep_point(p_base, N, eps, *, compute_gap) -> SweepRecord:
         _malloc_trim(0)
     budget = entropy_budget(rho, p)
     return SweepRecord(
-        N=N,
+        N=p.N,
         eps=eps,
         budget=budget,
         gap=gap,
@@ -339,7 +341,9 @@ def sweep(
 ) -> SweepResult:
     """Steady-state budgets over a (N, eps) product grid, the points in
     ``threads`` worker processes (an integer >= 1, else ``ValueError``),
-    capped at the number of points and at ``os.cpu_count()``.
+    capped at the number of points and at ``os.cpu_count()``.  Each size
+    must be one ``KerrParams`` accepts, or ``ValueError`` is raised before
+    any point runs.
 
     Points are independent jobs; failures are recorded and the sweep
     continues.  Records come back sorted by (N, eps) regardless of the
@@ -353,7 +357,8 @@ def sweep(
     if isinstance(threads, bool) or not isinstance(threads, int) or threads < 1:
         raise ValueError(f"threads must be an integer >= 1, got {threads!r}")
     point = functools.partial(_sweep_point, compute_gap=compute_gap)
-    jobs = [(p_base, int(N), float(eps)) for N in N_list for eps in eps_grid]
+    sizes = [replace(p_base, N=N) for N in N_list]
+    jobs = [(p, float(eps)) for p in sizes for eps in eps_grid]
     result = SweepResult()
     # a fork-started pool launches all its workers at the first submit, and
     # each point runs on one core, so more workers than cores gain nothing
@@ -367,60 +372,13 @@ def sweep(
             outcomes = [(job, pool.submit(point, *job).result) for job in jobs]
         else:
             outcomes = ((job, functools.partial(point, *job)) for job in jobs)
-        for (_, N, eps), outcome in outcomes:
+        for (p, eps), outcome in outcomes:
             try:
                 result.records.append(outcome())
             except Exception as exc:  # per-point failure, sweep continues
                 msg = f"{type(exc).__name__}: {exc}"
-                log.warning("sweep point N=%s eps=%.6g failed: %s", N, eps, msg)
-                result.failures.append((N, eps, msg))
+                log.warning("sweep point N=%s eps=%.6g failed: %s", p.N, eps, msg)
+                result.failures.append((p.N, eps, msg))
     result.records.sort(key=lambda r: (r.N, r.eps))
     result.failures.sort(key=lambda f: (f[0], f[1]))
     return result
-
-
-# ---------------------------------------------------------------------------
-# Critical-drive estimate
-# ---------------------------------------------------------------------------
-
-def extrapolate_eps_c(records) -> float:
-    """Thermodynamic transition drive from per-size gap minima.
-
-    The drive minimizing the gap drifts with size like eps_c + b/N, as does
-    the peak of the order-parameter susceptibility; fitting the refined
-    per-N minima against 1/N and taking the intercept removes the leading
-    finite-size offset.  Requires gap data for at least two sizes.
-    """
-    by_n = {}
-    for r in records:
-        if np.isfinite(r.gap):
-            by_n.setdefault(r.N, []).append(r)
-    if len(by_n) < 2:
-        raise ValueError("need gap curves for at least two sizes")
-    sizes = np.array(sorted(by_n), dtype=float)
-    minima = []
-    for n in sizes:
-        rows = sorted(by_n[int(n)], key=lambda r: r.eps)
-        eps = np.array([r.eps for r in rows])
-        gaps = np.array([r.gap for r in rows])
-        minima.append(_refine_extremum(eps, gaps))
-    coeffs = np.polyfit(1.0 / sizes, minima, 1)
-    return float(coeffs[1])
-
-
-def _refine_extremum(x: np.ndarray, y: np.ndarray) -> float:
-    """Minimum of y(x): the vertex of the parabola through the grid
-    minimum and its two neighbours, clipped to them; the grid minimum
-    itself at either end of the grid."""
-    idx = int(np.argmin(y))
-    if idx == 0 or idx == len(x) - 1:
-        return float(x[idx])
-    x0, x1, x2 = x[idx - 1 : idx + 2]
-    y0, y1, y2 = y[idx - 1 : idx + 2]
-    denom = (x0 - x1) * (x0 - x2) * (x1 - x2)
-    a = (x2 * (y1 - y0) + x1 * (y0 - y2) + x0 * (y2 - y1)) / denom
-    b = (x2 ** 2 * (y0 - y1) + x1 ** 2 * (y2 - y0) + x0 ** 2 * (y1 - y2)) / denom
-    if a == 0:
-        return float(x1)
-    vertex = -b / (2 * a)
-    return float(np.clip(vertex, x0, x2))

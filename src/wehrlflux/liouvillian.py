@@ -35,18 +35,15 @@ the nearly symmetric pattern of a Lindblad generator, and it pivots with
 a threshold rather than always on the largest entry, so the ordering
 mostly survives the numerical factorization.  Both answers run on one
 BLAS thread and restore the caller's count afterwards, so every caller
-gets the same bits for any BLAS thread count.  A fixed-step RK4
-propagator provides an independent oracle.  It steps at 2 / ||L||_1,
-where the fixed points of the RK4 map are exactly the null space of L, so
-long-time propagation converges to the same state without a step-size
-bias.
+gets the same bits for any BLAS thread count.  The steady state's
+independent oracle, a fixed-step RK4 propagator, lives beside the tests
+(``tests/oracles/rk4.py``).
 
 Settings that every caller leaves alone are module constants:
-``MAX_CUTOFF`` for the generator, ``LU_ORDERING``,
+``MAX_CUTOFF`` for the generator, and ``LU_ORDERING``,
 ``LU_PIVOT_THRESHOLD``, ``GAP_EIGENVALUES``, ``GAP_RITZ_TOL``,
 ``GAP_BASIS``, ``GAP_KEEP``, ``GAP_SEPARATION`` and ``GAP_MAX_SOLVES`` for
-the solvers, ``TRACE_DRIFT_TOL``, ``STATIONARITY_BLOCK_TIME``,
-``STATIONARITY_TOL`` and ``STATIONARITY_T_MAX`` for the RK4 oracle.
+the solvers.
 """
 
 from __future__ import annotations
@@ -54,7 +51,6 @@ from __future__ import annotations
 import functools
 import logging
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,14 +64,13 @@ from scipy.sparse.linalg import norm as spnorm
 from scipy.sparse.linalg import eigs  # noqa: F401
 
 from ._blas import one_blas_thread
+from .budget import positive_size
 from .errors import (
     CutoffError,
     DegenerateSteadyStateError,
     SolverConvergenceError,
-    StateValidationError,
-    StepSizeError,
 )
-from .fock_algebra import DensityMatrix, trace_distance, unvectorize, vectorize
+from .fock_algebra import DensityMatrix, unvectorize, vectorize
 
 log = logging.getLogger(__name__)
 
@@ -134,12 +129,6 @@ GAP_MAX_SOLVES = 1000
 # Columns of the basis recombined at a time in a restart, so the
 # recombination needs no second copy of the basis.
 _RESTART_BLOCK = 2048
-TRACE_DRIFT_TOL = 1e-9
-# Propagation time between RK4 checkpoints, and the trace distance
-# between consecutive checkpoints that ends the propagation.
-STATIONARITY_BLOCK_TIME = 20.0
-STATIONARITY_TOL = 1e-11
-STATIONARITY_T_MAX = 1e5
 
 
 @dataclass(frozen=True)
@@ -167,13 +156,7 @@ class KerrParams:
             raise ValueError(f"u must be > 0, got {self.u}")
         if self.eps < 0:
             raise ValueError(f"eps must be >= 0, got {self.eps}")
-        N = self.N
-        integral = isinstance(N, numbers.Integral) or (
-            isinstance(N, numbers.Real) and math.isfinite(N) and N == int(N)
-        )
-        if isinstance(N, bool) or not integral or N < 1:
-            raise ValueError(f"N must be a positive integer, got {N!r}")
-        object.__setattr__(self, "N", int(N))
+        object.__setattr__(self, "N", positive_size(self.N))
 
     @property
     def pump(self) -> float:
@@ -191,10 +174,6 @@ class Superoperator:
     @property
     def dim(self) -> int:
         return self.n_max ** 2
-
-    def apply(self, rho: np.ndarray) -> np.ndarray:
-        """Action on a density matrix, returned as a matrix."""
-        return unvectorize(self.matrix @ vectorize(rho), self.n_max)
 
     def residual(self, rho: DensityMatrix) -> float:
         """Frobenius norm of L(rho)."""
@@ -307,85 +286,6 @@ def steady_state(L: Superoperator) -> DensityMatrix:
         )
     log.debug("steady state: residual %.3e", res)
     return state
-
-
-# ---------------------------------------------------------------------------
-# Fixed-step RK4 oracle
-# ---------------------------------------------------------------------------
-
-def max_stable_dt(L: Superoperator) -> float:
-    """RK4 step 2 / ||L||_1, at which the RK4 map fixes exactly ker L.
-
-    One step multiplies an eigenmode of L by P(z) = 1 + z + z^2/2 + z^3/6
-    + z^4/24 with z = dt lambda.  Every eigenvalue has |lambda| <= ||L||_1
-    and, for a Lindblad generator, Re lambda <= 0, so z lies in the left
-    half-disk |z| <= 2.  RK4's stability region |P(z)| <= 1 contains the
-    left half-disk |z| <= 2.616, so no mode grows.  P(z) - 1 = z Q(z),
-    and Q has no root inside |z| < 2.785 (its real root is -2.785), so
-    Q(dt L) is invertible and P(dt L) v = v exactly when L v = 0: the
-    fixed points carry no step-size bias.  The 2 keeps a margin to both
-    radii.
-    """
-    return 2.0 / float(spnorm(L.matrix, 1))
-
-
-def evolve(rho0: DensityMatrix, L: Superoperator, t_final: float) -> DensityMatrix:
-    """Propagate rho0 for t_final with fixed-step RK4.
-
-    Takes the fewest equal steps of at most ``max_stable_dt(L)`` that land
-    exactly on t_final; trace drift beyond ``TRACE_DRIFT_TOL`` raises
-    ``StepSizeError``.
-    """
-    if rho0.dim != L.n_max:
-        raise StateValidationError("state and generator dimensions differ")
-    n_steps = max(1, int(math.ceil(t_final / max_stable_dt(L))))
-    v = vectorize(rho0.entries)
-    v = _rk4_steps(L.matrix, v, t_final / n_steps, n_steps, L.n_max)
-    return _state(v, L.n_max)
-
-
-def _rk4_steps(mat, v, dt, n_steps, n_max):
-    trace_idx = np.arange(n_max) * (n_max + 1)
-    for step in range(n_steps):
-        k1 = mat @ v
-        k2 = mat @ (v + (0.5 * dt) * k1)
-        k3 = mat @ (v + (0.5 * dt) * k2)
-        k4 = mat @ (v + dt * k3)
-        v = v + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        # the trace is checked every 2000 steps and after the last one
-        if (step + 1) % 2000 == 0 or step == n_steps - 1:
-            drift = abs(v[trace_idx].sum() - 1.0)
-            if drift > TRACE_DRIFT_TOL:
-                raise StepSizeError(
-                    f"trace drift {drift:.3e} beyond {TRACE_DRIFT_TOL} after "
-                    f"{step + 1} steps"
-                )
-    return v
-
-
-def evolve_to_stationarity(rho0: DensityMatrix, L: Superoperator) -> tuple[DensityMatrix, float]:
-    """Propagate until checkpoints ``STATIONARITY_BLOCK_TIME`` apart agree
-    in trace distance to ``STATIONARITY_TOL``.
-
-    Fixed-step RK4 at ``max_stable_dt(L)`` throughout; only the total
-    propagation time adapts, so the end state is reproducible.  Gives up
-    after ``STATIONARITY_T_MAX``.  Returns (state, total time propagated).
-    """
-    dt = max_stable_dt(L)
-    steps_per_block = max(1, int(math.ceil(STATIONARITY_BLOCK_TIME / dt)))
-    v = vectorize(rho0.entries)
-    t = 0.0
-    prev = None
-    while t < STATIONARITY_T_MAX:
-        v = _rk4_steps(L.matrix, v, dt, steps_per_block, L.n_max)
-        t += steps_per_block * dt
-        state = _state(v, L.n_max)
-        if prev is not None and trace_distance(prev, state) < STATIONARITY_TOL:
-            return state, t
-        prev = state
-    raise SolverConvergenceError(
-        f"propagation did not stabilize within t_max = {STATIONARITY_T_MAX}"
-    )
 
 
 # ---------------------------------------------------------------------------

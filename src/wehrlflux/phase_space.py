@@ -27,12 +27,14 @@ angles, which sample Q without aliasing.  The radii sit on
 over [0, r_max], with r_max taken from the state's Fock support.
 
 The tensor path (``build_grid``, ``auto_grid``, ``husimi_field``) is the
-oracle: a uniform grid of any center and width, with Q and
-<mu| a rho |mu> from one product per chunk of nodes.  With C the matrix
-whose columns are the coherent components c(mu) and R = rho C,
-Q = conj(c)^T R / pi column by column, and the matrix (a rho) C is R
-shifted up one row with row n scaled by sqrt(n+1), so no operator is
-ever built.  Both paths take their components from
+tests' oracle, from which ``tests/oracles/tensor_grid.py`` puts a budget
+together; the benchmark's tracer names it (``perfbench/tracing.py``
+TARGETS), so it stays in the package.  It is a uniform grid of any
+center and width, with Q and <mu| a rho |mu> from one product per chunk
+of nodes.  With C the matrix whose columns are the coherent components
+c(mu) and R = rho C, Q = conj(c)^T R / pi column by column, and the
+matrix (a rho) C is R shifted up one row with row n scaled by
+sqrt(n+1), so no operator is ever built.  Both paths take their components from
 ``fock_algebra.coherent_components``.
 
 On top of Q the module computes:
@@ -393,24 +395,16 @@ def pi_u_kerr(f: PhaseSpaceField, u: float, N: int) -> float:
 # Entropy budget (the ``EntropyBudget`` record lives in ``budget``)
 # ---------------------------------------------------------------------------
 
-def entropy_budget(
-    rho: DensityMatrix,
-    p: KerrParams,
-    grid: PhaseSpaceGrid | None = None,
-) -> EntropyBudget:
-    """Assemble the full entropy budget of a Kerr steady state.
+def entropy_budget(rho: DensityMatrix, p: KerrParams) -> EntropyBudget:
+    """Assemble the full entropy budget of a Kerr steady state, with Q
+    evaluated on ``polar_grid(rho)``.
 
-    Without a grid, Q is evaluated on ``polar_grid(rho)``, as the sweep
-    pipeline does; a tensor ``PhaseSpaceGrid`` evaluates it with the
-    oracle ``husimi_field`` instead.  The caller must supply a certified
-    steady state; at such a state the fluctuation balance
-    |Pi_u + Pi_d - Phi_q| / Phi_q is recorded and a violation beyond
-    ``BALANCE_TOL`` is logged (grid refinement hint), not raised.
+    The caller must supply a certified steady state; at such a state the
+    fluctuation balance |Pi_u + Pi_d - Phi_q| / Phi_q is recorded and a
+    violation beyond ``BALANCE_TOL`` is logged (grid refinement hint), not
+    raised.
     """
-    if grid is None:
-        field_ = polar_husimi_field(rho, polar_grid(rho))
-    else:
-        field_ = husimi_field(rho, grid)
+    field_ = polar_husimi_field(rho, polar_grid(rho))
     alpha = mean_amplitude(rho) / math.sqrt(p.N)
     phi_ext, phi_q = flux_split(rho, p.kappa, p.N)
     s_wehrl = wehrl_entropy(field_)

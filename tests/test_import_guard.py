@@ -4,10 +4,11 @@ than its points use, and the power-law fit loads no numpy.
 Each entry point runs in a fresh interpreter, which then reports the
 modules it imported: the CLI module and its parser, a Dicke run with the
 estimator check, a cavity run, fit-divergence, collapse, the lazy
-``collapse_transform`` export and a Kerr config that fails validation
-load no scipy; fit-divergence and the lazy ``fit_power_law`` export load
-no numpy either; a serial Kerr run loads neither ``scipy.special`` nor
-the process pool.  The package's lazy exports are checked in this process.
+``collapse_transform`` export, ``fock_algebra`` and a Kerr config that
+fails validation load no scipy; fit-divergence and the lazy
+``fit_power_law`` export load no numpy either; a serial Kerr run loads
+neither ``scipy.special`` nor the process pool.  The package's lazy
+exports are checked in this process.
 """
 
 import json
@@ -121,6 +122,10 @@ def test_collapse_export():
 
 def test_fit_power_law_export():
     assert "numpy" not in modules_loaded_after("from wehrlflux import fit_power_law")
+
+
+def test_fock_algebra():
+    assert "scipy" not in modules_loaded_after("import wehrlflux.fock_algebra")
 
 
 def test_kerr_modules_do_load_scipy():

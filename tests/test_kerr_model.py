@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from conftest import kerr_params
+from oracles.critical import extrapolate_eps_c
 from wehrlflux import kerr_model, phase_space
 from wehrlflux.collapse import CollapsePoint, collapse_transform
 from wehrlflux.errors import CutoffError
@@ -23,7 +24,6 @@ from wehrlflux.liouvillian import KerrParams, build_kerr_liouvillian, steady_sta
 from wehrlflux.kerr_model import (
     bistability_window,
     drive_at,
-    extrapolate_eps_c,
     mean_field_curve,
     photon_number_distribution,
     recommended_cutoff,
@@ -337,6 +337,21 @@ class TestSweep:
     def test_threads_must_be_a_positive_integer(self, threads):
         with pytest.raises(ValueError, match="threads must be an integer >= 1"):
             sweep(kerr_params(0.9, 2), [2], [0.9], threads=threads)
+
+    @pytest.mark.parametrize("N", [2.5, True, 0])
+    def test_bad_size_raises_before_any_point(self, monkeypatch, N):
+        # int(2.5) == 2 and int(True) == 1, so a conversion alone would run
+        # them; the 2 is a good size, and no point of it may start either
+        started = []
+        monkeypatch.setattr(kerr_model, "_sweep_point", lambda *a, **k: started.append(a))
+        with pytest.raises(ValueError, match="N must be a positive integer"):
+            sweep(kerr_params(0.9, 2), [2, N], [0.5])
+        assert not started
+
+    def test_integral_float_size_runs_as_int(self):
+        (rec,) = sweep(kerr_params(0.9, 2), [3.0], [0.5]).records
+        assert type(rec.N) is int and rec.N == 3
+        assert rec == sweep(kerr_params(0.9, 2), [3], [0.5]).records[0]
 
     def test_record_carries_its_wall_time_outside_equality(self):
         p = kerr_params(0.9, 2)

@@ -6,17 +6,18 @@ import scipy.linalg as sla
 import scipy.special
 
 from conftest import BALANCE_DRIVES, kerr_params, random_density_matrix
+from oracles.rk4 import evolve
+from oracles.states import annihilation, coherent, thermal, vacuum, von_neumann_entropy
+from oracles.tensor_grid import tensor_budget
 from wehrlflux.dicke_gaussian import CovarianceMatrix, gaussian_budget, unitary_diffusion
 from wehrlflux.errors import DimensionError, MassDeficitError
 from wehrlflux.fock_algebra import (
     DensityMatrix,
-    annihilation,
     coherent_components,
     mean_amplitude,
     mean_photon_number,
-    von_neumann_entropy,
 )
-from wehrlflux.liouvillian import MAX_CUTOFF, KerrParams, evolve, build_kerr_liouvillian
+from wehrlflux.liouvillian import MAX_CUTOFF, KerrParams, build_kerr_liouvillian
 from wehrlflux.phase_space import (
     auto_grid,
     build_grid,
@@ -42,7 +43,7 @@ def husimi_at(rho: DensityMatrix, mu: complex) -> float:
 
 def quadrature_covariance(rho: DensityMatrix) -> np.ndarray:
     """2x2 symmetrized covariance of the fluctuations of (q, p)."""
-    a = annihilation(rho.dim).toarray()
+    a = annihilation(rho.dim)
     q = (a + a.conj().T) / math.sqrt(2.0)
     p = 1j * (a.conj().T - a) / math.sqrt(2.0)
     dq, dp = (X - np.trace(rho.entries @ X).real * np.eye(rho.dim) for X in (q, p))
@@ -54,7 +55,7 @@ def quadrature_covariance(rho: DensityMatrix) -> np.ndarray:
 
 
 def squeezed_vacuum(r: float, dim: int = 48) -> DensityMatrix:
-    a = annihilation(dim).toarray()
+    a = annihilation(dim)
     S = sla.expm(0.5 * r * (a @ a - a.conj().T @ a.conj().T))
     psi = S @ np.eye(dim)[:, 0]
     psi /= np.linalg.norm(psi)
@@ -73,12 +74,12 @@ class TestGrid:
 
     def test_vacuum_mass(self):
         g = build_grid(0.0, 6.0, 64)
-        f = husimi_field(DensityMatrix.vacuum(10), g)
+        f = husimi_field(vacuum(10), g)
         assert abs(f.mass - 1.0) < 1e-10
 
     def test_displaced_grid_mass_translation_invariance(self):
         mu0 = 1.5 + 0.5j
-        rho = DensityMatrix.coherent(mu0, 30)
+        rho = coherent(mu0, 30)
         f = husimi_field(rho, build_grid(mu0, 6.0, 64))
         assert abs(f.mass - 1.0) < 1e-10
 
@@ -87,7 +88,7 @@ class TestHusimiField:
     def test_vacuum_values(self):
         for points in (64, 65):  # 65 puts a node at mu = 0
             g = build_grid(0.0, 6.0, points)
-            f = husimi_field(DensityMatrix.vacuum(12), g)
+            f = husimi_field(vacuum(12), g)
             expected = np.exp(-np.abs(g.nodes) ** 2) / math.pi
             assert np.max(np.abs(f.Q - expected)) < 1e-12
 
@@ -117,7 +118,7 @@ class TestHusimiField:
 
     def test_coherent_values_and_derivative_identity(self):
         alpha = 1.2 - 0.8j
-        rho = DensityMatrix.coherent(alpha, 40)
+        rho = coherent(alpha, 40)
         g = build_grid(alpha, 6.0, 96)
         f = husimi_field(rho, g)
         expected = np.exp(-np.abs(g.nodes - alpha) ** 2) / math.pi
@@ -165,19 +166,19 @@ class TestHusimiField:
         idx = rng.choice(f.grid.nodes.size, size=200, replace=False)
         mu = f.grid.nodes[idx]
         C = coherent_components(mu, dim)
-        a_rho = annihilation(dim).toarray() @ rho.entries
+        a_rho = annihilation(dim) @ rho.entries
         explicit = np.einsum("nk,nk->k", C.conj(), a_rho @ C) / math.pi
         expected = -mu * f.Q[idx] + explicit
         scale = np.max(np.abs(f.dQ_dmubar))
         assert np.max(np.abs(f.dQ_dmubar[idx] - expected)) < 1e-13 * scale
 
     def test_conjugate_derivative_invariant(self):
-        rho = DensityMatrix.thermal(0.5, 30)
+        rho = thermal(0.5, 30)
         f = husimi_field(rho, auto_grid(rho, points_per_axis=64))
         assert np.array_equal(f.dQ_dmu, f.dQ_dmubar.conj())
 
     def test_thermal_values_and_mass(self):
-        rho = DensityMatrix.thermal(1.0, 60)
+        rho = thermal(1.0, 60)
         g = build_grid(0.0, 6.0 * math.sqrt(2.0), 128)
         f = husimi_field(rho, g)
         expected = np.exp(-np.abs(g.nodes) ** 2 / 2.0) / (2.0 * math.pi)
@@ -185,7 +186,7 @@ class TestHusimiField:
         assert abs(f.mass - 1.0) < 1e-8
 
     def test_mass_deficit_error(self):
-        rho = DensityMatrix.coherent(3.0, 40)
+        rho = coherent(3.0, 40)
         with pytest.raises(MassDeficitError):
             husimi_field(rho, build_grid(0.0, 2.0, 64))
 
@@ -224,7 +225,7 @@ class TestPolarField:
         f = polar_husimi_field(rho, polar_grid(rho))
         C = coherent_components(f.grid.nodes, dim)
         Q = np.einsum("nk,nk->k", C.conj(), rho.entries @ C).real / math.pi
-        a_rho = annihilation(dim).toarray() @ rho.entries
+        a_rho = annihilation(dim) @ rho.entries
         dQ = -f.grid.nodes * Q + np.einsum("nk,nk->k", C.conj(), a_rho @ C) / math.pi
         assert np.max(np.abs(f.Q - Q)) < 1e-13 * Q.max()
         assert np.max(np.abs(f.dQ_dmubar - dQ)) < 1e-13 * np.max(np.abs(dQ))
@@ -247,7 +248,7 @@ class TestPolarField:
     def test_moment_identities(self, state, ness_cache):
         # int mu Q = <a> and int |mu|^2 Q = <a^dag a> + 1 (anti-normal order)
         if state == "coherent":
-            rho = DensityMatrix.coherent(1.2 - 0.8j, 40)
+            rho = coherent(1.2 - 0.8j, 40)
         elif state == "displaced-squeezed-thermal":
             entries, _ = displaced_squeezed_thermal(0.2, 0.3, 1.5 + 0.5j, 60)
             rho = DensityMatrix(60, 0.5 * (entries + entries.conj().T))
@@ -273,37 +274,37 @@ class TestPolarField:
         p = kerr_params(eps, N)
         rho, _ = ness_cache(p)
         polar = entropy_budget(rho, p)
-        tensor = entropy_budget(rho, p, auto_grid(rho, points_per_axis=256))
+        tensor = tensor_budget(rho, p, auto_grid(rho, points_per_axis=256))
         assert polar.S == pytest.approx(tensor.S, rel=1e-9)
         assert polar.Pi_d == pytest.approx(tensor.Pi_d, rel=1e-9)
         assert polar.Pi_u == pytest.approx(tensor.Pi_u, rel=1e-8)
 
     def test_mass_deficit_error(self):
         # the vacuum's grid ends at r = 5.5, too close for a state at mu = 3
-        grid = polar_grid(DensityMatrix.vacuum(40))
+        grid = polar_grid(vacuum(40))
         with pytest.raises(MassDeficitError):
-            polar_husimi_field(DensityMatrix.coherent(3.0, 40), grid)
+            polar_husimi_field(coherent(3.0, 40), grid)
 
     def test_too_few_angles_rejected(self):
-        grid = polar_grid(DensityMatrix.vacuum(5))
+        grid = polar_grid(vacuum(5))
         with pytest.raises(DimensionError, match="alias"):
-            polar_husimi_field(DensityMatrix.vacuum(20), grid)
+            polar_husimi_field(vacuum(20), grid)
 
 
 class TestWehrlEntropy:
     def test_vacuum(self):
-        f = husimi_field(DensityMatrix.vacuum(10), build_grid(0.0, 6.0, 128))
+        f = husimi_field(vacuum(10), build_grid(0.0, 6.0, 128))
         assert wehrl_entropy(f) == pytest.approx(WEHRL_VACUUM, abs=1e-6)
 
     def test_displacement_invariance(self):
         alpha = 2.0
-        rho = DensityMatrix.coherent(alpha, 40)
+        rho = coherent(alpha, 40)
         f = husimi_field(rho, build_grid(alpha, 6.0, 128))
         assert wehrl_entropy(f) == pytest.approx(WEHRL_VACUUM, abs=1e-6)
 
     def test_thermal(self):
         nbar = 1.0
-        rho = DensityMatrix.thermal(nbar, 60)
+        rho = thermal(nbar, 60)
         f = husimi_field(rho, build_grid(0.0, 8.5, 128))
         assert wehrl_entropy(f) == pytest.approx(
             WEHRL_VACUUM + math.log(1.0 + nbar), abs=1e-6
@@ -312,25 +313,25 @@ class TestWehrlEntropy:
 
 class TestFlux:
     def test_vacuum_zero(self):
-        assert entropy_flux(DensityMatrix.vacuum(8), 0.5) == pytest.approx(0.0, abs=1e-14)
+        assert entropy_flux(vacuum(8), 0.5) == pytest.approx(0.0, abs=1e-14)
 
     def test_coherent_flux(self):
         # steady coherent amplitude E/kappa = 2: Phi = 2 kappa |alpha|^2 = 4
-        rho = DensityMatrix.coherent(2.0, 40)
+        rho = coherent(2.0, 40)
         assert entropy_flux(rho, 0.5) == pytest.approx(4.0, rel=1e-10)
 
     def test_thermal_flux(self):
-        rho = DensityMatrix.thermal(2.0, 80)
+        rho = thermal(2.0, 80)
         assert entropy_flux(rho, 0.5) == pytest.approx(2.0, rel=1e-10)
 
     def test_split_exact_and_coherent(self):
-        rho = DensityMatrix.coherent(1.3, 40)
+        rho = coherent(1.3, 40)
         phi_ext, phi_q = flux_split(rho, 0.5, 4)
         assert phi_ext + phi_q == pytest.approx(entropy_flux(rho, 0.5), abs=1e-13)
         assert phi_q < 1e-10
 
     def test_split_vacuum(self):
-        assert flux_split(DensityMatrix.vacuum(8), 0.5, 2) == (0.0, 0.0)
+        assert flux_split(vacuum(8), 0.5, 2) == (0.0, 0.0)
 
     def test_kerr_variance_peaks_near_transition(self, ness_cache):
         rho_far, _ = ness_cache(kerr_params(0.75, 10))
@@ -342,12 +343,12 @@ class TestFlux:
 
 class TestDissipativeProduction:
     def test_vacuum_current_vanishes(self):
-        f = husimi_field(DensityMatrix.vacuum(10), build_grid(0.0, 6.0, 64))
+        f = husimi_field(vacuum(10), build_grid(0.0, 6.0, 64))
         assert pi_d(f, 0.5, 0.0, 1) < 1e-20
 
     def test_coherent_displaced_current_vanishes(self):
         alpha = 1.5
-        rho = DensityMatrix.coherent(alpha, 40)
+        rho = coherent(alpha, 40)
         f = husimi_field(rho, build_grid(alpha, 6.0, 96))
         assert pi_d(f, 0.5, alpha, 1) < 1e-16
 
@@ -357,7 +358,7 @@ class TestDissipativeProduction:
         # (Sigma - 2I + Sigma^{-1}), with Sigma the Husimi covariance
         kappa = 0.7
         if state == "thermal":
-            rho = DensityMatrix.thermal(1.0, 60)
+            rho = thermal(1.0, 60)
         else:
             rho = squeezed_vacuum(0.5)
         Sigma = quadrature_covariance(rho) + 0.5 * np.eye(2)
@@ -370,7 +371,7 @@ class TestDissipativeProduction:
     def test_thermal_closed_form_value(self):
         # hand value: Pi_d(thermal) = 2 kappa nbar^2 / (nbar + 1)
         nbar, kappa = 1.0, 0.5
-        rho = DensityMatrix.thermal(nbar, 60)
+        rho = thermal(nbar, 60)
         f = husimi_field(rho, auto_grid(rho, points_per_axis=128))
         assert pi_d(f, kappa, 0.0, 1) == pytest.approx(
             2.0 * kappa * nbar ** 2 / (nbar + 1.0), rel=1e-6
@@ -389,12 +390,12 @@ class TestDissipativeProduction:
 
 class TestUnitaryProduction:
     def test_zero_nonlinearity(self):
-        f = husimi_field(DensityMatrix.thermal(0.5, 30), build_grid(0.0, 8.0, 64))
+        f = husimi_field(thermal(0.5, 30), build_grid(0.0, 8.0, 64))
         assert pi_u_kerr(f, 0.0, 1) == 0.0
 
     def test_coherent_state_cancellation(self):
         alpha = 1.1 + 0.4j
-        rho = DensityMatrix.coherent(alpha, 40)
+        rho = coherent(alpha, 40)
         f = husimi_field(rho, build_grid(alpha, 6.0, 128))
         assert abs(pi_u_kerr(f, 1.0, 1)) < 1e-8
 
@@ -469,7 +470,7 @@ def displaced_squeezed_thermal(nbar, xi, beta, dim):
     with S(xi) = exp((conj(xi) a^2 - xi a^dag^2)/2), and its analytic
     quadrature covariance (nbar + 1/2) M^2, M the symmetric symplectic
     matrix of S(xi)."""
-    a = annihilation(dim).toarray()
+    a = annihilation(dim)
     ad = a.conj().T
     U = sla.expm(beta * ad - np.conj(beta) * a) @ sla.expm(
         0.5 * (np.conj(xi) * a @ a - xi * ad @ ad)
@@ -505,7 +506,7 @@ class TestGaussianCrossCheck:
         assert abs(rho[-1, -1]) < 1e-14
         rho = DensityMatrix(dim, 0.5 * (rho + rho.conj().T))
         kappa = 0.7
-        grid = entropy_budget(rho, KerrParams(0.0, 1.0, kappa, 0.0, 1), auto_grid(rho))
+        grid = tensor_budget(rho, KerrParams(0.0, 1.0, kappa, 0.0, 1), auto_grid(rho))
         closed = gaussian_budget(
             CovarianceMatrix(sigma), np.zeros((2, 2)), (kappa,), complex(beta), 1
         )
@@ -518,8 +519,8 @@ class TestGaussianCrossCheck:
 class TestEntropyBudget:
     def test_undriven_budget_is_zero(self):
         p = KerrParams(0.0, 1e-12, 0.5, 0.0, 1)
-        rho = DensityMatrix.vacuum(8)
-        b = entropy_budget(rho, p, build_grid(0.0, 6.0, 64))
+        rho = vacuum(8)
+        b = tensor_budget(rho, p, build_grid(0.0, 6.0, 64))
         assert b.Phi_ext == pytest.approx(0.0, abs=1e-12)
         assert b.Phi_q == pytest.approx(0.0, abs=1e-12)
         assert abs(b.Pi_u) < 1e-12 and b.Pi_d < 1e-12
@@ -528,7 +529,7 @@ class TestEntropyBudget:
     def test_balance_at_ness(self, ness_cache):
         p = kerr_params(0.9, 10)
         rho, _ = ness_cache(p)
-        b = entropy_budget(rho, p, auto_grid(rho))
+        b = tensor_budget(rho, p, auto_grid(rho))
         assert b.balance_rel < 1e-2
         assert b.Pi_d >= 0
         assert b.Pi_ext == b.Phi_ext
@@ -536,9 +537,9 @@ class TestEntropyBudget:
 
     def test_wehrl_bound_and_majorization(self, ness_cache):
         states = [
-            DensityMatrix.vacuum(10),
-            DensityMatrix.thermal(1.0, 40),
-            DensityMatrix.coherent(1.5, 40),
+            vacuum(10),
+            thermal(1.0, 40),
+            coherent(1.5, 40),
             ness_cache(kerr_params(0.9, 5))[0],
             ness_cache(kerr_params(0.95, 10))[0],
         ]
@@ -555,7 +556,7 @@ class TestEntropyBudget:
 
         n = recommended_cutoff(p)
         L = build_kerr_liouvillian(p, n)
-        vac = DensityMatrix.vacuum(n)
+        vac = vacuum(n)
         h = 0.02
 
         def entropy_at(t):
@@ -564,5 +565,5 @@ class TestEntropyBudget:
 
         fd = (entropy_at(2.0 + h) - entropy_at(2.0 - h)) / (2 * h)
         rho_mid = evolve(vac, L, 2.0)
-        b = entropy_budget(rho_mid, p, auto_grid(rho_mid))
+        b = tensor_budget(rho_mid, p, auto_grid(rho_mid))
         assert fd == pytest.approx(b.dSdt, rel=1e-2)
