@@ -16,12 +16,10 @@ would break that reproducibility.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import math
 import os
 import sys
-import tempfile
 import time
 
 from . import __version__
@@ -222,8 +220,6 @@ def _fmt(value) -> str:
         return value
     if isinstance(value, int):
         return str(value)
-    if isinstance(value, float) and math.isnan(value):
-        return ""
     return format(float(value), ".17g")
 
 
@@ -387,6 +383,10 @@ MODELS = {
 # ---------------------------------------------------------------------------
 
 def write_results(path: str, rows, config_raw: dict, extra_header=()):
+    # imported here: only ``run`` writes a digest, and hashlib loads OpenSSL
+    import hashlib
+    import tempfile
+
     payload = json.dumps(config_raw, sort_keys=True, separators=(",", ":"))
     digest = hashlib.sha256(payload.encode()).hexdigest()
     lines = [
@@ -481,14 +481,13 @@ def read_results(path: str):
 # ---------------------------------------------------------------------------
 
 def _fail_non_finite(rows, failures):
-    """Moves each row with a number that is not finite outside
-    ``OPTIONAL_COLUMNS``, which ``read_results`` would reject, to
-    ``failures`` with a message naming the columns; returns the rows kept."""
+    """Moves to ``failures`` each row with a number ``read_results`` rejects
+    as not finite, naming the columns, and returns the rest; None is blank."""
     kept = []
     for row in rows:
         bad = [
             f"{key}={row[key]!r}" for key in CSV_COLUMNS[2:]
-            if key not in OPTIONAL_COLUMNS and not math.isfinite(row[key])
+            if row[key] is not None and not math.isfinite(row[key])
         ]
         if bad:
             failures.append((row["N"], row["eps_or_lambda"], f"not finite: {', '.join(bad)}"))
@@ -503,8 +502,8 @@ def cmd_run(args) -> int:
     the run flags: without ``--keep-going`` a failed point exits 3 naming the
     first failure and writes no CSV, and without ``numerics.timing`` every
     ``wall_time_s`` is written as 0.  A row with a number that is not finite
-    outside ``OPTIONAL_COLUMNS`` is a failed point, for every model; a
-    ``WehrlFluxError`` from the runner exits 3 and writes no CSV."""
+    in any column is a failed point, for every model; a ``WehrlFluxError``
+    from the runner exits 3 and writes no CSV."""
     try:
         cfg = load_config(args.config)
     except ConfigError as exc:

@@ -285,12 +285,12 @@ def steady_state_certified(p: KerrParams):
 
 @dataclass(frozen=True)
 class SweepRecord:
-    """One steady-state point of a drive sweep."""
+    """One steady-state point of a drive sweep; ``gap`` is None if not computed."""
 
     N: int
     eps: float
     budget: EntropyBudget
-    gap: float
+    gap: float | None
     n_max_used: int
     ness_residual: float
     wall_time_s: float = field(compare=False)  # measured; equality ignores it
@@ -312,7 +312,7 @@ def _sweep_point(p_size, eps, *, compute_gap) -> SweepRecord:
     rho, L, n_used = steady_state_certified(p)
     # L holds the LU its steady state was solved with, and the gap reuses
     # it; drop L before the Husimi stage so the two never share memory.
-    gap = liouvillian_gap(L) if compute_gap else float("nan")
+    gap = liouvillian_gap(L) if compute_gap else None
     ness_residual = L.residual(rho)
     del L
     # hand the heap the factors were carved from back to the OS, so the
@@ -348,11 +348,12 @@ def sweep(
     Points are independent jobs; failures are recorded and the sweep
     continues.  Records come back sorted by (N, eps) regardless of the
     executor, so they are equal for any thread count; each carries its
-    measured ``wall_time_s``, which equality ignores.  Each point solves
-    ``steady_state_certified``, and its record's ``n_max_used`` is the
-    cutoff that function chose, ``recommended_cutoff`` or more where the
-    state's exact Fock tail asks for more.  A failure is recorded as the
-    exception's class and message, e.g. ``CutoffError: n_max = ...``.
+    measured ``wall_time_s``, which equality ignores, and a ``gap`` of None
+    unless ``compute_gap``.  Each point solves ``steady_state_certified``,
+    and its record's ``n_max_used`` is the cutoff that function chose,
+    ``recommended_cutoff`` or more where the state's exact Fock tail asks
+    for more.  A failure is recorded as the exception's class and message,
+    e.g. ``CutoffError: n_max = ...``.
     """
     if isinstance(threads, bool) or not isinstance(threads, int) or threads < 1:
         raise ValueError(f"threads must be an integer >= 1, got {threads!r}")

@@ -43,7 +43,7 @@ def extrapolate_eps_c(records) -> float:
     """
     by_n = {}
     for r in records:
-        if np.isfinite(r.gap):
+        if r.gap is not None:
             by_n.setdefault(r.N, []).append(r)
     if len(by_n) < 2:
         raise ValueError("need gap curves for at least two sizes")

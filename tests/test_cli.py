@@ -409,6 +409,43 @@ class TestRun:
             assert not Path(cfg["output"]).exists()
 
     @pytest.mark.parametrize("keep_going", [False, True])
+    @pytest.mark.parametrize(
+        "model, column, value",
+        [("kerr", "gap", math.inf), ("kerr", "n_max_used", math.nan),
+         ("dicke", "beta", -math.inf)],
+    )
+    def test_non_finite_optional_column_fails_its_point(
+        self, tmp_path, capsys, monkeypatch, model, column, value, keep_going
+    ):
+        # a column that may be blank (None: not computed) may not be
+        # non-finite either; the first row's point fails, the rest are written
+        real_run = MODELS[model]["run"]
+        solved = []
+
+        def run(cfg, threads):
+            rows, failures, header = real_run(cfg, threads)
+            rows[0][column] = value
+            solved.extend(row["eps_or_lambda"] for row in rows)
+            return rows, failures, header
+
+        monkeypatch.setitem(MODELS[model], "run", run)
+        cfg = SMALL_CONFIGS[model](tmp_path)
+        argv = ["run", write_config(tmp_path / "c.json", cfg)]
+        code = main(argv + ["--keep-going"] * keep_going)
+        err = capsys.readouterr().err
+        named = f"not finite: {column}={value!r}"
+        drive = f"{solved[0]:.6g}"
+        if keep_going:
+            assert code == 0
+            assert f"failed: N=1 drive={drive}: {named}" in err
+            rows = read_results(cfg["output"])[0]
+            assert [row["eps_or_lambda"] for row in rows] == solved[1:]
+        else:
+            assert code == EXIT_NUMERICAL
+            assert f"point {MODELS[model]['drive']}={drive} failed at N=1: {named}" in err
+            assert not Path(cfg["output"]).exists()
+
+    @pytest.mark.parametrize("keep_going", [False, True])
     def test_non_finite_lambda_c_fails_the_run(self, tmp_path, capsys, keep_going):
         # omega0 / omega overflows in lambda_c, while every point solves
         cfg = dicke_config(tmp_path, 0.30, 0.32, 2)

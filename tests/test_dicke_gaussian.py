@@ -248,6 +248,52 @@ class TestDriftDiffusion:
             assert abs(nearest - lam) < 2e-9, (lam, nearest)
             flow.remove(nearest)
 
+    @pytest.mark.parametrize("ratio", [0.5, 1.5])
+    def test_drift_and_diffusion_from_the_master_equation(self, ratio):
+        # the Heisenberg generator of H = (1/2) R^T G R with losses
+        # 2 k D[a] per mode, on 7 Fock levels per mode, shares no algebra
+        # with drift_diffusion: d R_i = A_ik R_k, and d sym(R_i R_j) is
+        # A_ik sym(R_k R_j) + A_jk sym(R_i R_k) + D_ij.  Matrix elements
+        # between states of total occupation <= 3 never reach the cutoff.
+        p = fig3_params(ratio * LAMBDA_C)
+        _, G, losses = dicke_model(p)
+        A, D = drift_diffusion(G, losses)
+        levels = 7
+        lower = np.diag(np.sqrt(np.arange(1.0, levels)), 1)
+        eye = np.eye(levels)
+        modes = [np.kron(lower, eye), np.kron(eye, lower)]  # spin b, cavity a
+        R = []
+        for a in modes:
+            R += [(a + a.T) / math.sqrt(2), (a - a.T) / (1j * math.sqrt(2))]
+        H = 0.5 * sum(G[i, j] * R[i] @ R[j] for i in range(4) for j in range(4))
+
+        def heisenberg(X):
+            out = 1j * (H @ X - X @ H)
+            for rate, a in zip(losses, modes):
+                out += rate * (2 * a.T @ X @ a - a.T @ a @ X - X @ a.T @ a)
+            return out
+
+        def sym(i, j):
+            return 0.5 * (R[i] @ R[j] + R[j] @ R[i])
+
+        occupation = np.add.outer(np.arange(levels), np.arange(levels)).ravel()
+        low = np.ix_(occupation <= 3, occupation <= 3)
+
+        def fit(X, basis):
+            M = np.column_stack([b[low].ravel() for b in basis])
+            coef, *_ = np.linalg.lstsq(M, X[low].ravel(), rcond=None)
+            return coef, np.abs(M @ coef - X[low].ravel()).max()
+
+        A_fit = np.array([fit(heisenberg(r), R)[0] for r in R])
+        assert np.abs(A_fit - A).max() < 1e-13
+        for i in range(4):
+            for j in range(i, 4):
+                rest = heisenberg(sym(i, j)) - sum(
+                    A_fit[i, k] * sym(k, j) + A_fit[j, k] * sym(i, k) for k in range(4)
+                )
+                (D_ij,), residual = fit(rest, [np.eye(levels ** 2)])
+                assert abs(D_ij - D[i, j]) < 1e-13 and residual < 1e-13
+
     def test_soft_mode_closes_at_critical_coupling(self):
         # with gamma -> 0 the least-damped drift eigenvalue approaches zero
         # exactly at the critical coupling

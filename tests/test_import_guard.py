@@ -1,14 +1,16 @@
 """Only the Kerr solvers load scipy, a serial Kerr run loads no more of it
-than its points use, and the power-law fit loads no numpy.
+than its points use, the power-law fit loads no numpy, and only ``run``
+loads OpenSSL.
 
 Each entry point runs in a fresh interpreter, which then reports the
 modules it imported: the CLI module and its parser, a Dicke run with the
 estimator check, a cavity run, fit-divergence, collapse, the lazy
 ``collapse_transform`` export, ``fock_algebra`` and a Kerr config that
 fails validation load no scipy; fit-divergence and the lazy
-``fit_power_law`` export load no numpy either; a serial Kerr run loads
-neither ``scipy.special`` nor the process pool.  The package's lazy
-exports are checked in this process.
+``fit_power_law`` export load no numpy either; fit-divergence and collapse
+load no ``_hashlib``, which only ``run`` needs for its config digest; a
+serial Kerr run loads neither ``scipy.special`` nor the process pool.
+The package's lazy exports are checked in this process.
 """
 
 import json
@@ -94,6 +96,7 @@ def test_fit_divergence(tmp_path):
     loaded = modules_loaded_after(run_cli(["fit-divergence", str(tmp_path / "dicke.csv")]))
     assert "scipy" not in loaded
     assert "numpy" not in loaded
+    assert "_hashlib" not in loaded
 
 
 def test_rejected_kerr_config(tmp_path):
@@ -111,9 +114,11 @@ def test_serial_kerr_run_loads_neither_special_nor_the_pool(tmp_path):
 
 def test_collapse(tmp_path):
     assert main(["run", write_config(tmp_path, KERR, "kerr")]) == 0
-    assert "scipy" not in modules_loaded_after(
+    loaded = modules_loaded_after(
         run_cli(["collapse", str(tmp_path / "kerr.csv"), "--eps-c", "0.94"])
     )
+    assert "scipy" not in loaded
+    assert "_hashlib" not in loaded
 
 
 def test_collapse_export():

@@ -231,6 +231,25 @@ class TestPhotonNumberDistribution:
         n_mean = float(np.arange(len(dist)) @ dist)
         assert n_mean == pytest.approx(mean_photon_number(rho), rel=1e-11)
 
+    @pytest.mark.parametrize("N, eps", [(10, 0.955), (30, 0.941), (100, 0.9353)])
+    def test_mean_is_the_drummond_walls_moment(self, N, eps):
+        # <a^dag a> = (|lam|^2/|c|^2) 0F2(; c+1, conj(c)+1; 2|lam|^2)
+        #             / 0F2(; c, conj(c); 2|lam|^2), summed by mpmath at 40
+        # digits and sharing nothing with the weights' log-ratio recurrence
+        import mpmath
+
+        p = kerr_params(eps, N)
+        with mpmath.workdps(40):
+            c = 2 * N * mpmath.mpc(p.delta, -p.kappa) / p.u
+            lam2 = 4 * mpmath.mpf(eps) ** 2 * N ** 3 / mpmath.mpf(p.u) ** 2
+
+            def f02(a):
+                return mpmath.hyper([], [a, mpmath.conj(a)], 2 * lam2)
+
+            expected = float(mpmath.re(lam2 / abs(c) ** 2 * f02(c + 1) / f02(c)))
+        dist = photon_number_distribution(p)
+        assert float(np.arange(len(dist)) @ dist) == pytest.approx(expected, rel=1e-13)
+
     @pytest.mark.parametrize("N, eps", [(1, 0.3), (10, 0.955), (30, 0.94092), (2, 30.0)])
     def test_is_normalized_and_ends_in_a_negligible_tail(self, N, eps):
         dist = photon_number_distribution(kerr_params(eps, N))
@@ -349,15 +368,20 @@ class TestSweep:
         assert not started
 
     def test_integral_float_size_runs_as_int(self):
-        (rec,) = sweep(kerr_params(0.9, 2), [3.0], [0.5]).records
+        p = kerr_params(0.9, 2)
+        (rec,) = sweep(p, [3.0], [0.5], compute_gap=False).records
         assert type(rec.N) is int and rec.N == 3
-        assert rec == sweep(kerr_params(0.9, 2), [3], [0.5]).records[0]
+        assert rec == sweep(p, [3], [0.5], compute_gap=False).records[0]
 
     def test_record_carries_its_wall_time_outside_equality(self):
+        # a re-run's records differ in wall time and are equal: the
+        # uncomputed gap is None, which equals itself (a NaN would not)
         p = kerr_params(0.9, 2)
-        (rec,) = sweep(p, [2], [0.9], compute_gap=False).records
-        assert rec.wall_time_s > 0
-        assert dataclasses.replace(rec, wall_time_s=0.0) == rec
+        first = sweep(p, [2, 3], [0.5, 0.9], compute_gap=False).records
+        assert len(first) == 4
+        assert all(rec.wall_time_s > 0 and rec.gap is None for rec in first)
+        assert [dataclasses.replace(rec, wall_time_s=0.0) for rec in first] == first
+        assert sweep(p, [2, 3], [0.5, 0.9], compute_gap=False).records == first
 
     def test_readme_names_the_sweep_options(self):
         signature = r"`sweep\(p, N_list, eps_grid, \*, ([^)]*)\)`"
