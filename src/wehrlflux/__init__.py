@@ -5,9 +5,9 @@ Husimi-function entropy rates) and a Gaussianized pipeline for the
 driven-dissipative Dicke model, with a batch CLI front end.
 
 The names below are imported from their submodule on first use (PEP 562),
-so ``from wehrlflux import dicke_point`` or ``collapse_transform`` loads
-numpy but not scipy, which only the Kerr solvers need, and
-``fit_power_law`` (module ``divergence``) loads neither.
+so ``from wehrlflux import dicke_point`` or ``entropy_budget`` loads numpy
+but not scipy, which only the Kerr solvers need, and ``KerrParams`` or
+``fit_power_law`` (modules ``budget``, ``divergence``) loads neither.
 """
 
 import importlib
@@ -45,13 +45,12 @@ _EXPORTS = {
         "sweep",
     ),
     "liouvillian": (
-        "KerrParams",
         "Superoperator",
         "build_kerr_liouvillian",
         "liouvillian_gap",
         "steady_state",
     ),
-    "budget": ("EntropyBudget",),
+    "budget": ("EntropyBudget", "KerrParams"),
     "phase_space": (
         "PhaseSpaceField",
         "PhaseSpaceGrid",

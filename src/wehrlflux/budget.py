@@ -1,9 +1,9 @@
 """The entropy budget record shared by the Kerr and Gaussian pipelines,
-and their common rule for the size N.
+their common rule for the size N, and the Kerr mode's parameters.
 
-It imports nothing beyond the standard library, so the Gaussian models
-can build budgets without loading the Kerr layers; ``phase_space``
-re-exports the record.
+It imports nothing beyond the standard library, so a budget or a
+``KerrParams`` loads neither numpy nor the generator's scipy;
+``phase_space`` re-exports the record, and ``liouvillian`` the parameters.
 """
 
 from __future__ import annotations
@@ -24,6 +24,39 @@ def positive_size(N) -> int:
     if isinstance(N, bool) or not integral or N < 1:
         raise ValueError(f"N must be a positive integer, got {N!r}")
     return int(N)
+
+
+@dataclass(frozen=True)
+class KerrParams:
+    """Parameters of the driven Kerr mode.
+
+    delta: detuning; u > 0: nonlinearity; kappa > 0: loss rate;
+    eps >= 0: intensive pump amplitude (physical pump is eps * sqrt(N));
+    N >= 1: thermodynamic scale parameter.
+    """
+
+    delta: float
+    u: float
+    kappa: float
+    eps: float
+    N: int
+
+    def __post_init__(self):
+        vals = (self.delta, self.u, self.kappa, self.eps)
+        if not all(math.isfinite(v) for v in vals):
+            raise ValueError("Kerr parameters must be finite")
+        if self.kappa <= 0:
+            raise ValueError(f"kappa must be > 0, got {self.kappa}")
+        if self.u <= 0:
+            raise ValueError(f"u must be > 0, got {self.u}")
+        if self.eps < 0:
+            raise ValueError(f"eps must be >= 0, got {self.eps}")
+        object.__setattr__(self, "N", positive_size(self.N))
+
+    @property
+    def pump(self) -> float:
+        """Extensive pump amplitude eps * sqrt(N)."""
+        return self.eps * math.sqrt(self.N)
 
 
 @dataclass(frozen=True)

@@ -233,8 +233,8 @@ def _budget_row(model, N, drive, budget, gap, beta, residual, n_max_used, wall):
 
 def _run_kerr(cfg, threads):
     """The Kerr sweep, its points in ``threads`` worker processes."""
+    from .budget import KerrParams
     from .kerr_model import sweep
-    from .liouvillian import KerrParams
 
     p = cfg["params"]
     result = sweep(

@@ -57,9 +57,10 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from ._blas import one_blas_thread
+from .budget import KerrParams
+# at module top, so scipy's import lands before any point's timer starts
 from .liouvillian import (
     MAX_CUTOFF,
-    KerrParams,
     build_kerr_liouvillian,
     liouvillian_gap,
     steady_state,

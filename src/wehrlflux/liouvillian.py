@@ -1,6 +1,6 @@
 """Lindblad generator of the driven Kerr mode and its steady-state solvers.
 
-The mode has the rotating-frame Hamiltonian
+The mode (``budget.KerrParams``) has the rotating-frame Hamiltonian
 
     H = Delta a^dag a + (U / 2) a^dag a^dag a a + i F (a^dag - a),
 
@@ -64,7 +64,7 @@ from scipy.sparse.linalg import norm as spnorm
 from scipy.sparse.linalg import eigs  # noqa: F401
 
 from ._blas import one_blas_thread
-from .budget import positive_size
+from .budget import KerrParams
 from .errors import (
     CutoffError,
     DegenerateSteadyStateError,
@@ -129,39 +129,6 @@ GAP_MAX_SOLVES = 1000
 # Columns of the basis recombined at a time in a restart, so the
 # recombination needs no second copy of the basis.
 _RESTART_BLOCK = 2048
-
-
-@dataclass(frozen=True)
-class KerrParams:
-    """Parameters of the driven Kerr mode.
-
-    delta: detuning; u > 0: nonlinearity; kappa > 0: loss rate;
-    eps >= 0: intensive pump amplitude (physical pump is eps * sqrt(N));
-    N >= 1: thermodynamic scale parameter.
-    """
-
-    delta: float
-    u: float
-    kappa: float
-    eps: float
-    N: int
-
-    def __post_init__(self):
-        vals = (self.delta, self.u, self.kappa, self.eps)
-        if not all(math.isfinite(v) for v in vals):
-            raise ValueError("Kerr parameters must be finite")
-        if self.kappa <= 0:
-            raise ValueError(f"kappa must be > 0, got {self.kappa}")
-        if self.u <= 0:
-            raise ValueError(f"u must be > 0, got {self.u}")
-        if self.eps < 0:
-            raise ValueError(f"eps must be >= 0, got {self.eps}")
-        object.__setattr__(self, "N", positive_size(self.N))
-
-    @property
-    def pump(self) -> float:
-        """Extensive pump amplitude eps * sqrt(N)."""
-        return self.eps * math.sqrt(self.N)
 
 
 @dataclass(frozen=True)

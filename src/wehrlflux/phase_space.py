@@ -50,7 +50,8 @@ On top of Q the module computes:
       Pi_u = (i u / 2N) int (1/Q) [mu^2 (dQ/dmu)^2 - mubar^2 (dQ/dmubar)^2]
 
 The leading-order (Gaussian) budget of a quadratic model, Pi_u included,
-is closed-form and lives in ``dicke_gaussian.gaussian_budget``.
+is closed-form and lives in ``dicke_gaussian.gaussian_budget``.  This
+module loads numpy alone (``KerrParams`` comes from ``budget``).
 
 Quadrature on the polar grid is Gauss-Legendre in r and the trapezoidal
 rule in theta; on the tensor grid it is the trapezoidal rule in both
@@ -75,7 +76,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .budget import EntropyBudget
+from .budget import EntropyBudget, KerrParams
 from .errors import (
     DimensionError,
     MassDeficitError,
@@ -87,7 +88,6 @@ from .fock_algebra import (
     mean_amplitude,
     mean_photon_number,
 )
-from .liouvillian import KerrParams
 
 log = logging.getLogger(__name__)
 

@@ -3,9 +3,10 @@ import os
 import numpy as np
 import pytest
 
+from wehrlflux.budget import KerrParams
 from wehrlflux.fock_algebra import DensityMatrix
 from wehrlflux.kerr_model import recommended_cutoff
-from wehrlflux.liouvillian import KerrParams, build_kerr_liouvillian, steady_state
+from wehrlflux.liouvillian import build_kerr_liouvillian, steady_state
 
 FIG2 = dict(delta=-2.0, u=1.0, kappa=0.5)
 # criterion 4's drives at N=10, across the transition

@@ -22,8 +22,8 @@ branch and the unstable root.  Standard library and numpy only.
 import cmath
 import math
 
+from wehrlflux.budget import KerrParams
 from wehrlflux.kerr_model import bistability_window, mean_field_curve
-from wehrlflux.liouvillian import KerrParams
 
 
 def phi(sigma: float, p: KerrParams) -> float:

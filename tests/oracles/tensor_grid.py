@@ -8,9 +8,8 @@ polar grid.
 
 import math
 
-from wehrlflux.budget import EntropyBudget
+from wehrlflux.budget import EntropyBudget, KerrParams
 from wehrlflux.fock_algebra import DensityMatrix, mean_amplitude
-from wehrlflux.liouvillian import KerrParams
 from wehrlflux.phase_space import (
     PhaseSpaceGrid,
     flux_split,

@@ -25,6 +25,7 @@ from oracles.kramers import barrier, eps_c_inf
 from oracles.rk4 import evolve_to_stationarity
 from oracles.states import coherent, thermal, trace_distance, vacuum, von_neumann_entropy
 from oracles.tensor_grid import tensor_budget
+from wehrlflux.budget import KerrParams
 from wehrlflux.collapse import collapse_transform
 from wehrlflux.dicke_gaussian import (
     DickeParams,
@@ -41,11 +42,7 @@ from wehrlflux.kerr_model import (
     sweep,
 )
 from wehrlflux.kerr_model import recommended_cutoff
-from wehrlflux.liouvillian import (
-    KerrParams,
-    build_kerr_liouvillian,
-    steady_state,
-)
+from wehrlflux.liouvillian import build_kerr_liouvillian, steady_state
 from wehrlflux.phase_space import (
     auto_grid,
     husimi_field,

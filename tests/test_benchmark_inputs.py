@@ -16,9 +16,10 @@ from pathlib import Path
 import pytest
 
 from wehrlflux import kerr_model
+from wehrlflux.budget import KerrParams
 from wehrlflux.cli import load_config
 from wehrlflux.fock_algebra import mean_photon_number
-from wehrlflux.liouvillian import KerrParams, build_kerr_liouvillian, steady_state
+from wehrlflux.liouvillian import build_kerr_liouvillian, steady_state
 
 BENCH = Path(__file__).resolve().parents[1] / "perfbench"
 

@@ -127,6 +127,7 @@ _, sigma, hp, _ = dicke_point(p)
 mc_gaussian_budget(sigma, hamiltonian_quadratic_form(hp, p), (p.gamma, p.kappa), samples=10)
 
 from wehrlflux import kerr_model, liouvillian  # loads scipy's copy
+from wehrlflux.budget import KerrParams
 
 set_all(2)
 seen = []
@@ -141,7 +142,7 @@ def recording(real):
 
 liouvillian._bordered_lu = recording(liouvillian._bordered_lu)
 liouvillian._krylov_schur = recording(liouvillian._krylov_schur)
-params = liouvillian.KerrParams(-2.0, 1.0, 0.5, 0.9, 5)
+params = KerrParams(-2.0, 1.0, 0.5, 0.9, 5)
 L = liouvillian.build_kerr_liouvillian(params, kerr_model.recommended_cutoff(params))
 liouvillian.steady_state(L)
 liouvillian.liouvillian_gap(L)
@@ -173,6 +174,7 @@ import sys
 from pathlib import Path
 
 from wehrlflux import _blas, kerr_model, liouvillian
+from wehrlflux.budget import KerrParams
 
 
 def loaded():
@@ -202,7 +204,7 @@ def recording(*args, **kwargs):
 
 
 liouvillian._bordered_lu = recording
-params = liouvillian.KerrParams(-2.0, 1.0, 0.5, 0.9, 2)
+params = KerrParams(-2.0, 1.0, 0.5, 0.9, 2)
 L = liouvillian.build_kerr_liouvillian(params, kerr_model.recommended_cutoff(params))
 liouvillian.steady_state(L)
 print(json.dumps({

@@ -5,6 +5,8 @@ import warnings
 import numpy as np
 import pytest
 import scipy.linalg as sla
+import scipy.sparse as sp
+from scipy.sparse.linalg import splu
 from hypothesis import assume, given, settings, strategies as st
 
 from oracles.critical import kink_detector
@@ -303,6 +305,60 @@ class TestDriftDiffusion:
             decay[ratio] = -np.linalg.eigvals(A).real.max()
         assert min(decay, key=decay.get) == 1.0
         assert decay[1.0] < 1e-6
+
+
+def finite_spin_steady_state(p, N, levels=12):
+    """The steady state of the Dicke master equation at spin j = N/2 and
+    ``levels`` cavity levels: H = omega a^dag a + omega0 J_z
+    + (lam / sqrt N)(a + a^dag)(J_+ + J_-), losses 2 kappa D[a] and
+    (2 gamma / N) D[J_-].  The generator is built from kron products on
+    column-stacked matrices, with row 0 replaced by the trace functional,
+    and solved by a sparse LU.  Returns (rho, a^dag a), cavity first."""
+    j = N / 2
+    m = np.arange(-j, j)  # J_+ |j, m> = sqrt(j (j+1) - m (m+1)) |j, m+1>
+    j_plus = sp.diags(np.sqrt(j * (j + 1) - m * (m + 1)), -1)
+    a = sp.diags(np.sqrt(np.arange(1.0, levels)), 1)
+    cavity, spin = sp.identity(levels), sp.identity(N + 1)
+    number = sp.kron(a.T @ a, spin)
+    H = (p.omega * number + p.omega0 * sp.kron(cavity, sp.diags(np.arange(-j, j + 1)))
+         + (p.lam / math.sqrt(N)) * sp.kron(a + a.T, j_plus + j_plus.T))
+    d = levels * (N + 1)
+    eye = sp.identity(d)
+    L = -1j * (sp.kron(eye, H) - sp.kron(H.T, eye))
+    for rate, c in ((2 * p.kappa, sp.kron(a, spin)), (2 * p.gamma / N, sp.kron(cavity, j_plus.T))):
+        cc = c.T @ c  # every operator here is real
+        L += rate * (sp.kron(c, c) - 0.5 * sp.kron(eye, cc) - 0.5 * sp.kron(cc.T, eye))
+    B = L.tolil()
+    B[0, :] = eye.reshape(1, d * d)
+    rhs = np.zeros(d * d, dtype=complex)
+    rhs[0] = 1.0
+    rho = splu(B.tocsc()).solve(rhs).reshape(d, d, order="F")
+    return rho, number
+
+
+class TestFiniteSpin:
+    def test_cavity_photons_approach_the_gaussian_like_one_over_n(self):
+        # the exact finite-N state shares no algebra with the bosonized
+        # pipeline; below lambda_c its cavity <a^dag a> must approach the
+        # Gaussian <da^dag da> = Phi_q / (2 kappa) from below, its relative
+        # error falling like 1/N (N error = -0.69, -0.89, -0.98 at N = 2,
+        # 4, 6, and -1.03 at N = 8)
+        p0 = DickeParams(1.0, 1.0, 1.0, 0.0, 0.01)
+        p = dataclasses.replace(p0, lam=0.5 * critical_coupling(p0))
+        budget = dicke_point(p)[0]
+        gaussian = budget.Phi_q / (2 * p.kappa)
+        assert gaussian == pytest.approx(0.079154, rel=1e-5)
+        errors = []
+        for N in (2, 4, 6):
+            rho, number = finite_spin_steady_state(p, N)
+            assert np.abs(rho - rho.conj().T).max() < 1e-14
+            # the top cavity level, all spin states, is empty
+            assert abs(np.trace(rho[-(N + 1):, -(N + 1):])) < 1e-12
+            errors.append((number @ rho).trace().real / gaussian - 1)
+        assert all(e < 0 for e in errors)
+        assert abs(errors[0]) > abs(errors[1]) > abs(errors[2])
+        for N, e in zip((2, 4, 6), errors):
+            assert -1.2 < N * e < -0.6, (N, e)
 
 
 class TestLyapunov:

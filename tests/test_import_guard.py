@@ -1,16 +1,18 @@
 """Only the Kerr solvers load scipy, a serial Kerr run loads no more of it
-than its points use, the power-law fit loads no numpy, and only ``run``
-loads OpenSSL.
+than its points use, the power-law fit and the Kerr parameters load no
+numpy, and only ``run`` loads OpenSSL.
 
 Each entry point runs in a fresh interpreter, which then reports the
 modules it imported: the CLI module and its parser, a Dicke run with the
 estimator check, a cavity run, fit-divergence, collapse, the lazy
-``collapse_transform`` export, ``fock_algebra`` and a Kerr config that
-fails validation load no scipy; fit-divergence and the lazy
-``fit_power_law`` export load no numpy either; fit-divergence and collapse
-load no ``_hashlib``, which only ``run`` needs for its config digest; a
-serial Kerr run loads neither ``scipy.special`` nor the process pool.
-The package's lazy exports are checked in this process.
+``collapse_transform`` export, ``fock_algebra``, ``phase_space``, the
+lazy ``KerrParams`` and ``entropy_budget`` exports and a Kerr config
+that fails validation load no scipy; fit-divergence, ``KerrParams`` from
+``budget`` and the lazy ``fit_power_law`` export load no numpy either;
+fit-divergence and collapse load no ``_hashlib``, which only ``run``
+needs for its config digest; a serial Kerr run loads neither
+``scipy.special`` nor the process pool.  The package's lazy exports are
+checked in this process.
 """
 
 import json
@@ -131,6 +133,28 @@ def test_fit_power_law_export():
 
 def test_fock_algebra():
     assert "scipy" not in modules_loaded_after("import wehrlflux.fock_algebra")
+
+
+def test_phase_space():
+    assert "scipy" not in modules_loaded_after("import wehrlflux.phase_space")
+
+
+def test_kerr_params():
+    loaded = modules_loaded_after("from wehrlflux.budget import KerrParams")
+    assert "scipy" not in loaded
+    assert "numpy" not in loaded
+
+
+def test_kerr_budget_exports():
+    loaded = modules_loaded_after("from wehrlflux import KerrParams, entropy_budget")
+    assert "scipy" not in loaded
+
+
+def test_generator_reexports_kerr_params():
+    # perfbench/photon_number.py reads KerrParams from the generator's module
+    from wehrlflux import budget, liouvillian
+
+    assert liouvillian.KerrParams is budget.KerrParams
 
 
 def test_kerr_modules_do_load_scipy():

@@ -17,10 +17,11 @@ import pytest
 from conftest import kerr_params
 from oracles.critical import extrapolate_eps_c
 from wehrlflux import kerr_model, phase_space
+from wehrlflux.budget import KerrParams
 from wehrlflux.collapse import CollapsePoint, collapse_transform
 from wehrlflux.errors import CutoffError
 from wehrlflux.fock_algebra import mean_photon_number
-from wehrlflux.liouvillian import KerrParams, build_kerr_liouvillian, steady_state
+from wehrlflux.liouvillian import build_kerr_liouvillian, steady_state
 from wehrlflux.kerr_model import (
     bistability_window,
     drive_at,

@@ -9,6 +9,7 @@ from conftest import BALANCE_DRIVES, kerr_params, random_density_matrix
 from oracles.rk4 import evolve
 from oracles.states import annihilation, coherent, thermal, vacuum, von_neumann_entropy
 from oracles.tensor_grid import tensor_budget
+from wehrlflux.budget import KerrParams
 from wehrlflux.dicke_gaussian import CovarianceMatrix, gaussian_budget, unitary_diffusion
 from wehrlflux.errors import DimensionError, MassDeficitError
 from wehrlflux.fock_algebra import (
@@ -17,7 +18,7 @@ from wehrlflux.fock_algebra import (
     mean_amplitude,
     mean_photon_number,
 )
-from wehrlflux.liouvillian import MAX_CUTOFF, KerrParams, build_kerr_liouvillian
+from wehrlflux.liouvillian import MAX_CUTOFF, build_kerr_liouvillian
 from wehrlflux.phase_space import (
     auto_grid,
     build_grid,
