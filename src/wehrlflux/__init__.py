@@ -5,9 +5,10 @@ Husimi-function entropy rates) and a Gaussianized pipeline for the
 driven-dissipative Dicke model, with a batch CLI front end.
 
 The names below are imported from their submodule on first use (PEP 562),
-so ``from wehrlflux import dicke_point`` or ``entropy_budget`` loads numpy
-but not scipy, which only the Kerr solvers need, and ``KerrParams`` or
-``fit_power_law`` (modules ``budget``, ``divergence``) loads neither.
+so ``from wehrlflux import dicke_point``, ``entropy_budget`` or a Kerr
+closed form of ``kerr_state`` loads numpy but not scipy, which only the
+Kerr solvers need, and ``KerrParams`` or ``fit_power_law`` (modules
+``budget``, ``divergence``) loads neither.
 """
 
 import importlib
@@ -35,14 +36,16 @@ _EXPORTS = {
         "coherent_components",
     ),
     "kerr_model": (
-        "BistabilityWindow",
         "SweepRecord",
+        "steady_state_certified",
+        "sweep",
+    ),
+    "kerr_state": (
+        "BistabilityWindow",
         "bistability_window",
         "mean_field_curve",
         "photon_number_distribution",
         "recommended_cutoff",
-        "steady_state_certified",
-        "sweep",
     ),
     "liouvillian": (
         "Superoperator",

@@ -141,18 +141,6 @@ class MeanFieldState:
     beta: float
     w: float
 
-    def residuals(self, p: DickeParams) -> tuple[float, float, float]:
-        """Absolute residuals of the alpha and beta fixed-point equations
-        and of the spin-length constraint w^2 + beta^2 = 1/4."""
-        r_alpha = -(p.kappa + 1j * p.omega) * self.alpha - 1j * p.lam * (
-            self.beta + self.beta
-        )
-        r_beta = -1j * p.omega0 * self.beta + 2j * p.lam * (
-            self.alpha + self.alpha.conjugate()
-        ) * self.w
-        r_w = self.w ** 2 + self.beta ** 2 - 0.25
-        return abs(r_alpha), abs(r_beta), abs(r_w)
-
 
 def mean_field_fixed_point(p: DickeParams) -> MeanFieldState:
     """Steady state of the mean-field flow on the spin-down branch.
@@ -164,8 +152,9 @@ def mean_field_fixed_point(p: DickeParams) -> MeanFieldState:
         alpha = -2 i lam beta / (kappa + i omega).
 
     The spin-up branch only ever yields the trivial solution and is not
-    reported.  The branches are exact closed forms, so their
-    ``MeanFieldState.residuals`` are roundoff, which grows with |alpha|.
+    reported.  The branches are exact closed forms, so the residuals of
+    the fixed-point equations (``tests/oracles/mean_field.py``) are
+    roundoff, which grows with |alpha|.
     """
     lc = critical_coupling(p)
     if p.lam <= lc:

@@ -1,17 +1,4 @@
-"""Kerr bistability: mean-field branches, the exact photon-number
-distribution and drive sweeps.
-
-The mean-field photon number n = |alpha|^2 of the driven Kerr mode solves
-
-    eps^2 = n [ kappa^2 + (Delta + n u)^2 ],
-
-a cubic in n with one or three non-negative roots.  For Delta < 0 and
-Delta^2 > 3 kappa^2 the response is S-shaped; the turning points sit at
-
-    n_pm = (-2 Delta pm sqrt(Delta^2 - 3 kappa^2)) / (3u)
-
-and the drive values eps(n_pm) delimit the bistable window.  Note the
-upper turning point carries the lower drive: eps(n_minus) > eps(n_plus).
+"""Kerr drive sweeps: a certified steady state, gap and budget per point.
 
 ``sweep`` computes one steady-state entropy budget per (N, eps) point,
 with the Fock cutoff auto-selected per point, the Husimi integrals on
@@ -22,10 +9,11 @@ module; the tests estimate the transition drive from the gap minima of
 the records (``tests/oracles/critical.py``).
 
 Every sweep point builds one generator (``steady_state_certified``), at
-the larger of ``recommended_cutoff`` (constants ``CUTOFF_C1``,
-``CUTOFF_C2``, ``CUTOFF_FLOOR``) and the fewest levels that leave less
-than ``CUTOFF_TAIL_TOL`` of ``photon_number_distribution`` above them.
-``sweep`` takes two keyword-only options, ``threads`` and
+the larger of ``recommended_cutoff`` and the fewest levels that leave less
+than ``CUTOFF_TAIL_TOL`` of ``photon_number_distribution`` above them
+(module ``kerr_state``, numpy only).  ``liouvillian``, and scipy with it,
+is imported at module top, so that import is paid before any point's
+timer starts.  ``sweep`` takes two keyword-only options, ``threads`` and
 ``compute_gap``.  The quadrature tolerances are ``phase_space``'s
 constants ``MASS_TOL`` and ``Q_FLOOR_RATIO``, which no sweep option
 overrides.
@@ -49,15 +37,13 @@ import contextlib
 import ctypes
 import functools
 import logging
-import math
 import os
 import time
 from dataclasses import dataclass, field, replace
 
-import numpy as np
-
 from ._blas import one_blas_thread
 from .budget import KerrParams
+from .kerr_state import _tail_cutoff, recommended_cutoff
 # at module top, so scipy's import lands before any point's timer starts
 from .liouvillian import (
     MAX_CUTOFF,
@@ -84,188 +70,15 @@ def _bind_malloc_trim():
 
 _malloc_trim = _bind_malloc_trim()
 
-CUTOFF_C1 = 1.5
-CUTOFF_C2 = 5.0
-CUTOFF_FLOOR = 8
-# Largest exact excluded mass sum_{m >= n_max} P(m) a steady state's
-# cutoff may leave
-CUTOFF_TAIL_TOL = 1e-14
-
-
-# ---------------------------------------------------------------------------
-# Mean field
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class BistabilityWindow:
-    """Turning points of the S-shaped mean-field response.
-
-    ``eps_minus`` is the drive at the lower turning point n_minus,
-    ``eps_plus`` the drive at the upper turning point n_plus; numerically
-    eps_minus > eps_plus, so the bistable drive interval is
-    (eps_lo, eps_hi) = (eps_plus, eps_minus).
-    """
-
-    n_minus: float
-    n_plus: float
-    eps_minus: float
-    eps_plus: float
-
-    @property
-    def eps_lo(self) -> float:
-        return min(self.eps_minus, self.eps_plus)
-
-    @property
-    def eps_hi(self) -> float:
-        return max(self.eps_minus, self.eps_plus)
-
-
-def drive_at(p: KerrParams, n: float) -> float:
-    """Drive amplitude on the mean-field curve, eps(n)."""
-    return math.sqrt(n * (p.kappa ** 2 + (p.delta + n * p.u) ** 2))
-
-
-def bistability_window(p: KerrParams) -> BistabilityWindow | None:
-    """Bistable window, or None when the response is single-valued."""
-    disc = p.delta ** 2 - 3.0 * p.kappa ** 2
-    if p.delta >= 0 or disc < -1e-12 * max(p.delta ** 2, 1.0):
-        return None
-    root = math.sqrt(max(disc, 0.0))
-    n_minus = (-2.0 * p.delta - root) / (3.0 * p.u)
-    n_plus = (-2.0 * p.delta + root) / (3.0 * p.u)
-    return BistabilityWindow(
-        n_minus=n_minus,
-        n_plus=n_plus,
-        eps_minus=drive_at(p, n_minus),
-        eps_plus=drive_at(p, n_plus),
-    )
-
-
-def mean_field_curve(p: KerrParams, eps: float) -> list[float]:
-    """All real non-negative mean-field photon numbers at the given drive.
-
-    Roots of the cubic u^2 n^3 + 2 Delta u n^2 + (Delta^2 + kappa^2) n = eps^2,
-    Newton-polished and sorted ascending; one or three values.
-    """
-    if eps < 0:
-        raise ValueError(f"eps must be >= 0, got {eps}")
-    coeffs = [p.u ** 2, 2.0 * p.delta * p.u, p.delta ** 2 + p.kappa ** 2, -eps ** 2]
-    roots = np.roots(coeffs)
-    scale = max(1.0, eps ** 2)
-    out = []
-    for r in roots:
-        if abs(r.imag) > 1e-9 * max(1.0, abs(r)):
-            continue
-        n = float(r.real)
-        if n < -1e-12:
-            continue
-        n = max(n, 0.0)
-        for _ in range(40):  # Newton polish
-            f = n * (p.kappa ** 2 + (p.delta + n * p.u) ** 2) - eps ** 2
-            df = p.kappa ** 2 + (p.delta + n * p.u) ** 2 + 2.0 * n * p.u * (
-                p.delta + n * p.u
-            )
-            if df == 0:
-                break
-            step = f / df
-            n -= step
-            if abs(step) < 1e-15 * max(1.0, abs(n)):
-                break
-        resid = abs(n * (p.kappa ** 2 + (p.delta + n * p.u) ** 2) - eps ** 2)
-        if resid > 1e-10 * scale:
-            log.warning("mean-field root %.6g has residual %.3e", n, resid)
-        out.append(max(n, 0.0))
-    return sorted(out)
-
-
-def recommended_cutoff(p: KerrParams) -> int:
-    """Fock cutoff n_max = ceil(c1 N n_ref + c2 sqrt(N n_ref)), at least
-    ``CUTOFF_FLOOR``, with c1 = ``CUTOFF_C1`` and c2 = ``CUTOFF_C2``.
-
-    The steady state concentrates near photon number N * n with n on the
-    mean-field curve; the sqrt buffer absorbs quantum fluctuations.  Inside
-    (and just below) the bistable window the upper branch sets the scale.
-    """
-    roots = mean_field_curve(p, p.eps)
-    n_ref = max(roots) if roots else 0.0
-    win = bistability_window(p)
-    if win is not None and p.eps >= 0.95 * win.eps_lo:
-        n_ref = max(n_ref, win.n_plus)
-    n_int = p.N * n_ref
-    n_cut = CUTOFF_C1 * n_int + CUTOFF_C2 * math.sqrt(n_int)
-    return max(CUTOFF_FLOOR, math.ceil(n_cut))
-
 
 # ---------------------------------------------------------------------------
 # Certified steady states and sweeps
 # ---------------------------------------------------------------------------
 
-def _log_weights(p: KerrParams) -> np.ndarray:
-    """ln w(s) - ln w(0) of ``photon_number_distribution``, s = 0, 1, ...,
-    for eps > 0.
-
-    w peaks near s = 2 N n at each stable mean-field root n.  The sum runs
-    to s = 4 N n + 64 for the largest root before it may stop, then on
-    until ln w is falling and 80 below its maximum.  The range matters:
-    inside the bistable window ln w dips by about 0.674 N between the
-    branches, so a stop at the first such fall would end in the dip once
-    N reaches about 120 and drop the upper branch.
-    """
-    n_top = max(mean_field_curve(p, p.eps), default=0.0)
-    c = 2.0 * p.N * complex(p.delta, -p.kappa) / p.u
-    two_lam2 = 8.0 * p.eps ** 2 * p.N ** 3 / p.u ** 2
-    size = math.ceil(4.0 * p.N * n_top) + 64
-    while True:
-        j = np.arange(size - 1)
-        # one log per ratio, so no large ln|lam| and ln|c + j| cancel
-        steps = np.log(two_lam2 / ((j + 1.0) * ((c.real + j) ** 2 + c.imag ** 2)))
-        log_w = np.concatenate(([0.0], np.cumsum(steps)))
-        if steps[-1] < 0 and log_w[-1] < log_w.max() - 80.0:
-            return log_w
-        size *= 2
-
-
-def photon_number_distribution(p: KerrParams) -> np.ndarray:
-    """Exact steady-state photon-number distribution P(m), m = 0, 1, ...
-
-    The complex-P solution of the driven Kerr mode (Drummond & Walls,
-    J. Phys. A 13, 725 (1980); Bartolo et al., PRA 94, 033841 (2016)),
-    grouped by s = m + q, is a binomial mixture over one weight:
-
-        P(m) = sum_s w(s) C(s, m) 2^-s / sum_s w(s),
-        ln w(s) = sum_{j<s} [ln(2 |lam|^2) - ln(j+1) - 2 ln|c+j|],
-
-    with c = 2N(Delta - i kappa)/u and |lam|^2 = 4 eps^2 N^3 / u^2.  The
-    array ends at the last s summed, where w is below e^-80 of its
-    maximum.  At eps = 0, lam = 0 and the state is the vacuum, [1.0].
-    The cost is quadratic in the length, about 4 N n + 64 for mean-field
-    photon number n (1 ms at N = 30 near eps_c).
-    """
-    if p.eps == 0:
-        return np.ones(1)
-    log_w = _log_weights(p)
-    weights = np.exp(log_w - log_w.max())
-    weights /= weights.sum()
-    # Horner in the thinning (B x)(m) = (x(m) + x(m-1)) / 2, for which
-    # (B^s e_0)(m) = C(s, m) 2^-s: sums of non-negative terms only
-    dist = np.zeros(len(weights))
-    for w_s in weights[::-1]:
-        dist[1:] = 0.5 * (dist[1:] + dist[:-1])
-        dist[0] = 0.5 * dist[0] + w_s
-    return dist
-
-
-def _tail_cutoff(p: KerrParams) -> int:
-    """Fewest Fock levels n whose exact excluded mass sum_{m >= n} P(m)
-    is below ``CUTOFF_TAIL_TOL``."""
-    tail = np.cumsum(photon_number_distribution(p)[::-1])[::-1]
-    return int(np.count_nonzero(tail >= CUTOFF_TAIL_TOL))
-
-
 def steady_state_certified(p: KerrParams):
     """Steady state from one build and one LU solve at
     n_max = max(``recommended_cutoff(p)``, ``_tail_cutoff(p)``).  Returns
-    (rho, L, n_max).
+    (rho, L); the cutoff is ``L.n_max``.
 
     The tail raises the rule where the rule is short (at N = 1-2 and below
     the bistable window).  The rule stays a floor because the gap needs
@@ -281,7 +94,7 @@ def steady_state_certified(p: KerrParams):
     if n_max <= MAX_CUTOFF:
         n_max = max(n_max, _tail_cutoff(p))
     L = build_kerr_liouvillian(p, n_max)
-    return steady_state(L), L, n_max
+    return steady_state(L), L
 
 
 @dataclass(frozen=True)
@@ -310,11 +123,12 @@ def _sweep_point(p_size, eps, *, compute_gap) -> SweepRecord:
     budget."""
     start = time.perf_counter()
     p = replace(p_size, eps=eps)
-    rho, L, n_used = steady_state_certified(p)
+    rho, L = steady_state_certified(p)
     # L holds the LU its steady state was solved with, and the gap reuses
     # it; drop L before the Husimi stage so the two never share memory.
     gap = liouvillian_gap(L) if compute_gap else None
     ness_residual = L.residual(rho)
+    n_used = L.n_max
     del L
     # hand the heap the factors were carved from back to the OS, so the
     # next point does not peak on top of it (see the module docstring)

@@ -40,7 +40,8 @@ independent oracle, a fixed-step RK4 propagator, lives beside the tests
 (``tests/oracles/rk4.py``).
 
 Settings that every caller leaves alone are module constants:
-``MAX_CUTOFF`` for the generator, and ``LU_ORDERING``,
+``MAX_CUTOFF`` for the generator (its floor is the numpy-only
+``kerr_state.recommended_cutoff``), and ``LU_ORDERING``,
 ``LU_PIVOT_THRESHOLD``, ``GAP_EIGENVALUES``, ``GAP_RITZ_TOL``,
 ``GAP_BASIS``, ``GAP_KEEP``, ``GAP_SEPARATION`` and ``GAP_MAX_SOLVES`` for
 the solvers.
@@ -71,6 +72,7 @@ from .errors import (
     SolverConvergenceError,
 )
 from .fock_algebra import DensityMatrix, unvectorize, vectorize
+from .kerr_state import recommended_cutoff
 
 log = logging.getLogger(__name__)
 
@@ -168,8 +170,6 @@ def build_kerr_liouvillian(
     if n_max > MAX_CUTOFF:
         raise CutoffError(f"n_max = {n_max} above MAX_CUTOFF = {MAX_CUTOFF} for {p}")
     if enforce_cutoff:
-        from .kerr_model import recommended_cutoff  # deferred: avoids module cycle
-
         rec = recommended_cutoff(p)
         if n_max < rec:
             raise CutoffError(f"n_max = {n_max} below recommended cutoff {rec} for {p}")

@@ -5,7 +5,7 @@ import pytest
 
 from wehrlflux.budget import KerrParams
 from wehrlflux.fock_algebra import DensityMatrix
-from wehrlflux.kerr_model import recommended_cutoff
+from wehrlflux.kerr_state import recommended_cutoff
 from wehrlflux.liouvillian import build_kerr_liouvillian, steady_state
 
 FIG2 = dict(delta=-2.0, u=1.0, kappa=0.5)

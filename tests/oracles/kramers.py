@@ -23,7 +23,7 @@ import cmath
 import math
 
 from wehrlflux.budget import KerrParams
-from wehrlflux.kerr_model import bistability_window, mean_field_curve
+from wehrlflux.kerr_state import bistability_window, mean_field_curve
 
 
 def phi(sigma: float, p: KerrParams) -> float:

@@ -36,12 +36,8 @@ from wehrlflux.dicke_gaussian import (
     mean_field_fixed_point,
 )
 from wehrlflux.divergence import fit_power_law
-from wehrlflux.kerr_model import (
-    bistability_window,
-    steady_state_certified,
-    sweep,
-)
-from wehrlflux.kerr_model import recommended_cutoff
+from wehrlflux.kerr_model import steady_state_certified, sweep
+from wehrlflux.kerr_state import bistability_window, recommended_cutoff
 from wehrlflux.liouvillian import build_kerr_liouvillian, steady_state
 from wehrlflux.phase_space import (
     auto_grid,
@@ -69,7 +65,7 @@ def report(num, name, ok, detail=""):
 def test_criterion_01_empty_cavity(pump, kappa):
     start = time.perf_counter()
     p = KerrParams(0.0, 1e-12, kappa, pump, 1)
-    rho, L, n_used = steady_state_certified(p)
+    rho, _ = steady_state_certified(p)
     budget = tensor_budget(rho, p, auto_grid(rho))
     elapsed = time.perf_counter() - start
     target = 2.0 * pump ** 2 / kappa

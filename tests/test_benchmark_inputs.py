@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from wehrlflux import kerr_model
+from wehrlflux import kerr_state
 from wehrlflux.budget import KerrParams
 from wehrlflux.cli import load_config
 from wehrlflux.fock_algebra import mean_photon_number
@@ -67,7 +67,7 @@ def test_gap_drives_keep_the_rule(run_module, monkeypatch, tmp_path):
                 drives.append(KerrParams(**config["params"], eps=eps, N=N))
     assert len(drives) == 9
     for p in drives:
-        assert kerr_model._tail_cutoff(p) < kerr_model.recommended_cutoff(p)
+        assert kerr_state._tail_cutoff(p) < kerr_state.recommended_cutoff(p)
 
 
 def test_photon_number_check_runs(monkeypatch, tmp_path):

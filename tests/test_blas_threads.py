@@ -17,7 +17,8 @@ import pytest
 
 from conftest import kerr_params
 from wehrlflux import _blas, kerr_model, liouvillian
-from wehrlflux.kerr_model import recommended_cutoff, sweep
+from wehrlflux.kerr_model import sweep
+from wehrlflux.kerr_state import recommended_cutoff
 from wehrlflux.liouvillian import build_kerr_liouvillian, liouvillian_gap, steady_state
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -126,7 +127,7 @@ p = DickeParams(0.005, 0.01, 1.0, 0.3, 1e-3)
 _, sigma, hp, _ = dicke_point(p)
 mc_gaussian_budget(sigma, hamiltonian_quadratic_form(hp, p), (p.gamma, p.kappa), samples=10)
 
-from wehrlflux import kerr_model, liouvillian  # loads scipy's copy
+from wehrlflux import kerr_state, liouvillian  # loads scipy's copy
 from wehrlflux.budget import KerrParams
 
 set_all(2)
@@ -143,7 +144,7 @@ def recording(real):
 liouvillian._bordered_lu = recording(liouvillian._bordered_lu)
 liouvillian._krylov_schur = recording(liouvillian._krylov_schur)
 params = KerrParams(-2.0, 1.0, 0.5, 0.9, 5)
-L = liouvillian.build_kerr_liouvillian(params, kerr_model.recommended_cutoff(params))
+L = liouvillian.build_kerr_liouvillian(params, kerr_state.recommended_cutoff(params))
 liouvillian.steady_state(L)
 liouvillian.liouvillian_gap(L)
 print(json.dumps({"copies": len(copies()), "seen": seen, "after": threads()}))
@@ -173,7 +174,7 @@ import shutil
 import sys
 from pathlib import Path
 
-from wehrlflux import _blas, kerr_model, liouvillian
+from wehrlflux import _blas, kerr_state, liouvillian
 from wehrlflux.budget import KerrParams
 
 
@@ -205,7 +206,7 @@ def recording(*args, **kwargs):
 
 liouvillian._bordered_lu = recording
 params = KerrParams(-2.0, 1.0, 0.5, 0.9, 2)
-L = liouvillian.build_kerr_liouvillian(params, kerr_model.recommended_cutoff(params))
+L = liouvillian.build_kerr_liouvillian(params, kerr_state.recommended_cutoff(params))
 liouvillian.steady_state(L)
 print(json.dumps({
     "copies": len(loaded()), "libs": len(libs), "seen": seen,

@@ -1,20 +1,24 @@
 """Only the Kerr solvers load scipy, a serial Kerr run loads no more of it
 than its points use, the power-law fit and the Kerr parameters load no
-numpy, and only ``run`` loads OpenSSL.
+numpy, only ``run`` loads OpenSSL, and the package's imports are acyclic.
 
 Each entry point runs in a fresh interpreter, which then reports the
 modules it imported: the CLI module and its parser, a Dicke run with the
 estimator check, a cavity run, fit-divergence, collapse, the lazy
-``collapse_transform`` export, ``fock_algebra``, ``phase_space``, the
-lazy ``KerrParams`` and ``entropy_budget`` exports and a Kerr config
-that fails validation load no scipy; fit-divergence, ``KerrParams`` from
-``budget`` and the lazy ``fit_power_law`` export load no numpy either;
-fit-divergence and collapse load no ``_hashlib``, which only ``run``
-needs for its config digest; a serial Kerr run loads neither
-``scipy.special`` nor the process pool.  The package's lazy exports are
-checked in this process.
+``collapse_transform`` export, ``fock_algebra``, ``phase_space``,
+``kerr_state``, the lazy ``KerrParams``, ``entropy_budget`` and Kerr
+closed-form exports and a Kerr config that fails validation load no
+scipy; fit-divergence, ``KerrParams`` from ``budget`` and the lazy
+``fit_power_law`` export load no numpy either; fit-divergence and
+collapse load no ``_hashlib``, which only ``run`` needs for its config
+digest; a serial Kerr run loads neither ``scipy.special`` nor the
+process pool; building a generator at the rule's cutoff loads neither
+the sweep nor the Husimi layer.  The package's lazy exports and its
+import graph, read from the source of every module, are checked in this
+process.
 """
 
+import ast
 import json
 import os
 import subprocess
@@ -155,6 +159,85 @@ def test_generator_reexports_kerr_params():
     from wehrlflux import budget, liouvillian
 
     assert liouvillian.KerrParams is budget.KerrParams
+
+
+def test_kerr_state():
+    assert "scipy" not in modules_loaded_after("import wehrlflux.kerr_state")
+
+
+def test_kerr_closed_form_exports():
+    loaded = modules_loaded_after(
+        "from wehrlflux import bistability_window, mean_field_curve,"
+        " photon_number_distribution, recommended_cutoff"
+    )
+    assert "scipy" not in loaded
+
+
+def test_generator_loads_neither_the_sweep_nor_the_husimi_layer():
+    loaded = modules_loaded_after(
+        "from wehrlflux.budget import KerrParams\n"
+        "from wehrlflux.kerr_state import recommended_cutoff\n"
+        "from wehrlflux.liouvillian import build_kerr_liouvillian\n"
+        "p = KerrParams(-2.0, 1.0, 0.5, 0.9, 5)\n"
+        "build_kerr_liouvillian(p, recommended_cutoff(p))"
+    )
+    assert "wehrlflux.liouvillian" in loaded
+    assert "wehrlflux.kerr_model" not in loaded
+    assert "wehrlflux.phase_space" not in loaded
+
+
+def relative_imports(path: Path) -> set:
+    """The package modules that ``path`` imports relatively, at module top
+    or inside a function; ``from . import name`` is the submodule ``name``
+    if there is one, else ``__init__``."""
+    modules = {f.stem for f in path.parent.glob("*.py")}
+    out = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if not isinstance(node, ast.ImportFrom) or node.level == 0:
+            continue
+        if node.module:
+            out.add(node.module.split(".")[0])
+        else:
+            out.update(a.name if a.name in modules else "__init__" for a in node.names)
+    return out
+
+
+def import_cycle(graph: dict) -> list | None:
+    """One cycle of ``graph`` (module -> imported modules) as a path whose
+    first and last entries are equal, or None if the graph is acyclic."""
+    done, path = set(), []
+
+    def visit(node):
+        if node in path:
+            return path[path.index(node):] + [node]
+        if node in done:
+            return None
+        path.append(node)
+        for nxt in sorted(graph.get(node, ())):
+            cycle = visit(nxt)
+            if cycle:
+                return cycle
+        path.pop()
+        done.add(node)
+        return None
+
+    for node in sorted(graph):
+        cycle = visit(node)
+        if cycle:
+            return cycle
+    return None
+
+
+def test_import_cycle_finder():
+    assert import_cycle({"a": {"b"}, "b": {"c"}, "c": set()}) is None
+    assert import_cycle({"a": {"b"}, "b": {"c"}, "c": {"b"}}) == ["b", "c", "b"]
+
+
+def test_package_imports_are_acyclic():
+    graph = {f.stem: relative_imports(f) for f in (SRC / "wehrlflux").glob("*.py")}
+    assert "__init__" in graph["cli"]  # cli reads __version__ from the package
+    cycle = import_cycle(graph)
+    assert cycle is None, " -> ".join(cycle)
 
 
 def test_kerr_modules_do_load_scipy():

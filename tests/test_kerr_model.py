@@ -16,20 +16,19 @@ import pytest
 
 from conftest import kerr_params
 from oracles.critical import extrapolate_eps_c
-from wehrlflux import kerr_model, phase_space
+from wehrlflux import kerr_model, kerr_state, phase_space
 from wehrlflux.budget import KerrParams
 from wehrlflux.collapse import CollapsePoint, collapse_transform
 from wehrlflux.errors import CutoffError
 from wehrlflux.fock_algebra import mean_photon_number
 from wehrlflux.liouvillian import build_kerr_liouvillian, steady_state
-from wehrlflux.kerr_model import (
+from wehrlflux.kerr_model import steady_state_certified, sweep
+from wehrlflux.kerr_state import (
     bistability_window,
     drive_at,
     mean_field_curve,
     photon_number_distribution,
     recommended_cutoff,
-    steady_state_certified,
-    sweep,
 )
 
 
@@ -50,7 +49,7 @@ def tail_levels(p):
     dist = photon_number_distribution(p)
     return next(
         n for n in range(len(dist) + 1)
-        if math.fsum(dist[n:]) < kerr_model.CUTOFF_TAIL_TOL
+        if math.fsum(dist[n:]) < kerr_state.CUTOFF_TAIL_TOL
     )
 
 
@@ -178,8 +177,8 @@ class TestCutoffRule:
         # tail of 4.5e-5 / 3.8e-10 / 1.4e-6; one solve at the tail cutoff
         p = kerr_params(eps, N)
         assert recommended_cutoff(p) < levels == tail_levels(p)
-        rho, L, n_max = steady_state_certified(p)
-        assert n_max == levels == L.n_max == len(rho.entries)
+        rho, L = steady_state_certified(p)
+        assert L.n_max == levels == len(rho.entries)
 
     def test_rule_is_kept_above_a_shorter_tail(self):
         # near eps_c the gap needs the rule's levels, though 122 would
@@ -187,15 +186,15 @@ class TestCutoffRule:
         p = kerr_params(0.94092, 30)
         assert tail_levels(p) == 122
         assert recommended_cutoff(p) == 148
-        _, _, n_max = steady_state_certified(p)
-        assert n_max == 148
+        _, L = steady_state_certified(p)
+        assert L.n_max == 148
 
     def test_zero_drive_is_the_vacuum_at_the_floor(self):
         p = kerr_params(0.0, 3)
         assert photon_number_distribution(p).tolist() == [1.0]
-        rho, _, n_max = steady_state_certified(p)
-        assert n_max == kerr_model.CUTOFF_FLOOR
-        vacuum = np.zeros((n_max, n_max))
+        rho, L = steady_state_certified(p)
+        assert L.n_max == kerr_state.CUTOFF_FLOOR
+        vacuum = np.zeros((L.n_max, L.n_max))
         vacuum[0, 0] = 1.0
         assert np.abs(rho.entries - vacuum).max() < 1e-14
 
@@ -404,10 +403,10 @@ class TestMallocTrim:
         budget = kerr_model.entropy_budget
 
         def state(p):
-            rho, L, n_used = certified(p)
+            rho, L = certified(p)
             generators.append(weakref.ref(L))
             events.append("state")
-            return rho, L, n_used
+            return rho, L
 
         def trim(pad):
             events.append(("trim", pad, generators[-1]() is None))

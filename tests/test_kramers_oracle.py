@@ -1,5 +1,5 @@
 """The Kramers-rate oracle of ``oracles.kramers`` against its own definition,
-and the exact weight of ``kerr_model`` against the oracle's eps_c_inf."""
+and the exact weight of ``kerr_state`` against the oracle's eps_c_inf."""
 
 import math
 
@@ -7,7 +7,7 @@ import pytest
 
 from conftest import kerr_params
 from oracles.kramers import barrier, eps_c_inf, extrema, phi
-from wehrlflux.kerr_model import _log_weights, bistability_window
+from wehrlflux.kerr_state import _log_weights, bistability_window
 
 BASE = kerr_params(0.0, 1)
 

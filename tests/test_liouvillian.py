@@ -21,7 +21,7 @@ from wehrlflux.fock_algebra import (
     unvectorize,
     vectorize,
 )
-from wehrlflux.kerr_model import bistability_window, recommended_cutoff
+from wehrlflux.kerr_state import bistability_window, recommended_cutoff
 from wehrlflux.liouvillian import (
     Superoperator,
     build_kerr_liouvillian,

@@ -553,7 +553,7 @@ class TestEntropyBudget:
     def test_entropy_rate_matches_trajectory(self):
         # d/dt of the Wehrl entropy along a relaxing state equals Pi - Phi
         p = kerr_params(0.9, 3)
-        from wehrlflux.kerr_model import recommended_cutoff
+        from wehrlflux.kerr_state import recommended_cutoff
 
         n = recommended_cutoff(p)
         L = build_kerr_liouvillian(p, n)
