@@ -223,6 +223,14 @@ class TestDriftDiffusion:
         A, _ = dicke_drift(DickeParams(0.005, 0.01, 1.0, 1e-12, 1e-3))
         assert abs(A[1, 2]) < 1e-11 and abs(A[3, 0]) < 1e-11
 
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_symplectic_form_is_shared_and_read_only(self, m):
+        omega = symplectic_form(m)
+        assert symplectic_form(m) is omega
+        with pytest.raises(ValueError):
+            omega[0, 1] = 2.0
+        assert omega[0, 1] == 1.0
+
     def test_stable_below_threshold(self):
         A, _ = dicke_drift(fig3_params(0.9 * LAMBDA_C))
         assert np.linalg.eigvals(A).real.max() < 0
@@ -445,6 +453,31 @@ class TestLyapunovRoutes:
         ours = solve_lyapunov(A, D).sigma
         theirs = sla.solve_continuous_lyapunov(A, -D)
         assert np.abs(ours - theirs).max() <= 1e-10 * np.abs(theirs).max()
+
+    @pytest.mark.parametrize(
+        "ratio, gamma, m",
+        [(r, g, 2) for g in (1e-3, 1e-7) for r in (0.5, 1.0, 1.5)]
+        + [(None, None, 1), (None, None, 3)],
+    )
+    def test_kronecker_sum_matches_np_kron(self, ratio, gamma, m):
+        # the broadcast Kronecker sum forms np.kron's products and sums, so
+        # the solve and its symmetrization agree bit for bit; ratio None
+        # draws a seeded random m-mode model whose drift is Hurwitz
+        if ratio is not None:
+            params = dict(FIG3, gamma=gamma)
+            lam_c = critical_coupling(DickeParams(lam=0.0, **params))
+            A, D = dicke_drift(DickeParams(lam=ratio * lam_c, **params))
+        else:
+            rng = np.random.default_rng(m)
+            while True:
+                G = rng.normal(size=(2 * m, 2 * m))
+                A, D = drift_diffusion(G + G.T, rng.uniform(0.05, 2.0, size=m))
+                if np.linalg.eigvals(A).real.max() < -0.05:
+                    break
+        n = len(A)
+        eye = np.eye(n)
+        ref = np.linalg.solve(np.kron(A, eye) + np.kron(eye, A), -D.ravel()).reshape(n, n)
+        assert np.array_equal(solve_lyapunov(A, D).sigma, 0.5 * (ref + ref.T))
 
     @pytest.mark.parametrize("ratio", [0.5, 0.99, 1.01, 1.5, None])
     def test_whitening_matches_triangular_solve(self, ratio):
