@@ -66,7 +66,6 @@ _EXPORTS = {
         "husimi_field",
         "pi_d",
         "pi_u_kerr",
-        "polar_grid",
         "polar_husimi_field",
         "wehrl_entropy",
     ),

@@ -2,8 +2,9 @@
 their common rule for the size N, and the Kerr mode's parameters.
 
 It imports nothing beyond the standard library, so a budget or a
-``KerrParams`` loads neither numpy nor the generator's scipy;
-``phase_space`` re-exports the record, and ``liouvillian`` the parameters.
+``KerrParams`` loads neither numpy nor the generator's scipy.  Every
+module takes the record from here; ``liouvillian`` re-exports the
+parameters, which the benchmark's photon-number reference reads there.
 """
 
 from __future__ import annotations

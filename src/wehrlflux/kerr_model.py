@@ -2,11 +2,12 @@
 
 ``sweep`` computes one steady-state entropy budget per (N, eps) point,
 with the Fock cutoff auto-selected per point, the Husimi integrals on
-``phase_space.polar_grid`` and BLAS on one thread (in the serial path and
-in every pool worker alike).  The finite-size rescaling of the resulting
-curves, ``collapse_transform``, lives in the numpy-only ``collapse``
-module; the tests estimate the transition drive from the gap minima of
-the records (``tests/oracles/critical.py``).
+the polar grid of ``phase_space.polar_husimi_field`` and BLAS on one
+thread (in the serial path and in every pool worker alike).  The
+finite-size rescaling of the resulting curves, ``collapse_transform``,
+lives in the numpy-only ``collapse`` module; the tests estimate the
+transition drive from the gap minima of the records
+(``tests/oracles/critical.py``).
 
 Every sweep point builds one generator (``steady_state_certified``), at
 the larger of ``recommended_cutoff`` and the fewest levels that leave less
@@ -42,7 +43,7 @@ import time
 from dataclasses import dataclass, field, replace
 
 from ._blas import one_blas_thread
-from .budget import KerrParams
+from .budget import EntropyBudget, KerrParams
 from .kerr_state import _tail_cutoff, recommended_cutoff
 # at module top, so scipy's import lands before any point's timer starts
 from .liouvillian import (
@@ -51,7 +52,7 @@ from .liouvillian import (
     liouvillian_gap,
     steady_state,
 )
-from .phase_space import EntropyBudget, entropy_budget
+from .phase_space import entropy_budget
 
 log = logging.getLogger(__name__)
 

@@ -9,10 +9,10 @@ analytically,
 
 never by finite differences.
 
-The pipeline evaluates both on a polar grid about the origin
-(``polar_grid``, ``polar_husimi_field``).  With mu = r e^{i theta} the
-coherent components are c_n(mu) = a_n(r) e^{i n theta}, where
-a_n(r) = e^{-r^2/2} r^n / sqrt(n!), so
+The pipeline evaluates both with ``polar_husimi_field(rho)``, on a polar
+grid about the origin that it builds from rho alone.  With
+mu = r e^{i theta} the coherent components are
+c_n(mu) = a_n(r) e^{i n theta}, where a_n(r) = e^{-r^2/2} r^n / sqrt(n!), so
 
     Q(r, theta) = (1/pi) sum_k e^{i k theta} q_k(r),
     q_k(r) = sum_m rho_{m,m+k} a_m(r) a_{m+k}(r),
@@ -56,8 +56,8 @@ module loads numpy alone (``KerrParams`` comes from ``budget``).
 Quadrature on the polar grid is Gauss-Legendre in r and the trapezoidal
 rule in theta; on the tensor grid it is the trapezoidal rule in both
 axes.  Husimi functions are smooth and exponentially localized, so both
-rules converge geometrically.  The integrals below read only nodes,
-weights, Q and dQ, so they serve either grid.
+rules converge geometrically.  The integrals below read only the field
+(nodes, weights, Q, dQ and its 1/Q floor), so they serve either grid.
 
 Fixed settings are module constants: the polar panels
 (``POLAR_PANELS``, ``POLAR_RADII_PER_PANEL``), the default tensor grid
@@ -65,7 +65,8 @@ size ``POINTS_PER_AXIS``, the extent of both grids
 (``GRID_WIDTH_SIGMAS``, ``SUPPORT_TAIL``), and the tolerances: the
 quadrature-mass bound ``MASS_TOL``, the 1/Q floor ``Q_FLOOR_RATIO`` and
 ``BALANCE_TOL``.  No function takes them as
-parameters; each is read when the check runs.
+parameters; each is read when it is used (``Q_FLOOR_RATIO`` and
+``MASS_TOL`` when a field is built).
 """
 
 from __future__ import annotations
@@ -172,39 +173,15 @@ def _support_radius(rho: DensityMatrix) -> float:
 
 @dataclass(frozen=True)
 class PolarGrid:
-    """Polar grid about the origin: Gauss-Legendre radii, each carrying
-    ``angles`` equally spaced angles.
+    """Polar grid about the origin, built by ``polar_husimi_field``.
 
-    ``nodes`` and ``weights`` are radius-major: flat index a * angles + b
-    holds radii[a] exp(2 pi 1j b / angles), with weight
-    radii[a] w_a 2 pi / angles, w_a the radial Gauss-Legendre weight.
+    ``nodes`` and ``weights`` are radius-major, n angles per radius: flat
+    index a n + b holds r_a exp(2 pi 1j b / n), with weight r_a w_a 2 pi / n,
+    w_a the radial Gauss-Legendre weight.
     """
 
-    radii: np.ndarray = field(repr=False)
-    angles: int
     nodes: np.ndarray = field(repr=False)
     weights: np.ndarray = field(repr=False)
-
-
-def polar_grid(rho: DensityMatrix) -> PolarGrid:
-    """Polar grid for the Husimi function of rho.
-
-    The radii cover [0, r_max] with ``POLAR_PANELS`` equal Gauss-Legendre
-    panels of ``POLAR_RADII_PER_PANEL`` nodes, r_max being ``auto_grid``'s
-    support radius sqrt(n_eff + 1) + 0.75 GRID_WIDTH_SIGMAS.  Q has Fourier
-    modes |k| < dim in theta, so the trapezoidal rule on 2 dim + 2 angles
-    per radius integrates Q, mu Q and |mu|^2 Q exactly in theta.
-    """
-    x, w = np.polynomial.legendre.leggauss(POLAR_RADII_PER_PANEL)
-    edges = np.linspace(0.0, _support_radius(rho), POLAR_PANELS + 1)
-    half = 0.5 * np.diff(edges)[:, None]
-    radii = (0.5 * (edges[:-1] + edges[1:])[:, None] + half * x).ravel()
-    w_r = (half * w).ravel()
-    angles = 2 * rho.dim + 2
-    phases = np.exp(2j * math.pi * np.arange(angles) / angles)
-    nodes = (radii[:, None] * phases).ravel()
-    weights = np.repeat(radii * w_r * (2.0 * math.pi / angles), angles)
-    return PolarGrid(radii, angles, nodes, weights)
 
 
 # ---------------------------------------------------------------------------
@@ -213,12 +190,17 @@ def polar_grid(rho: DensityMatrix) -> PolarGrid:
 
 @dataclass(frozen=True)
 class PhaseSpaceField:
-    """Husimi values and analytic derivatives sampled on a grid."""
+    """Husimi values and analytic derivatives sampled on a grid.
+
+    ``above_floor`` marks the nodes that the 1/Q integrals keep, those with
+    Q > ``Q_FLOOR_RATIO`` max(Q).
+    """
 
     grid: PhaseSpaceGrid | PolarGrid
     Q: np.ndarray = field(repr=False)
     dQ_dmubar: np.ndarray = field(repr=False)
     mass: float
+    above_floor: np.ndarray = field(repr=False)
 
     @property
     def dQ_dmu(self) -> np.ndarray:
@@ -253,9 +235,15 @@ def husimi_field(rho: DensityMatrix, grid: PhaseSpaceGrid) -> PhaseSpaceField:
     return _checked_field(grid, Q, E)
 
 
-def polar_husimi_field(rho: DensityMatrix, grid: PolarGrid) -> PhaseSpaceField:
-    """Q and its analytic first derivatives on a polar grid, with the checks
-    of ``husimi_field``.
+def polar_husimi_field(rho: DensityMatrix) -> PhaseSpaceField:
+    """Q and its analytic first derivatives on a polar grid about the
+    origin, with the checks of ``husimi_field``.
+
+    The radii cover [0, r_max] with ``POLAR_PANELS`` equal Gauss-Legendre
+    panels of ``POLAR_RADII_PER_PANEL`` nodes, r_max being ``auto_grid``'s
+    support radius sqrt(n_eff + 1) + 0.75 GRID_WIDTH_SIGMAS.  Q has Fourier
+    modes |k| < dim in theta, so the trapezoidal rule on 2 dim + 2 angles
+    per radius integrates Q, mu Q and |mu|^2 Q exactly in theta.
 
     For k = 0 .. dim - 1 the diagonal sums q_k(r) of rho, and those of
     a rho for +k and -k, share the radial products a_m(r) a_{m+k}(r); one
@@ -263,17 +251,19 @@ def polar_husimi_field(rho: DensityMatrix, grid: PolarGrid) -> PhaseSpaceField:
     angles (a real one for Q, whose coefficients of -k are the conjugates).
     """
     dim = rho.dim
-    if grid.angles < 2 * dim - 1:
-        raise DimensionError(
-            f"{grid.angles} angles alias the {2 * dim - 1} Fourier modes of Q"
-        )
+    x, w = np.polynomial.legendre.leggauss(POLAR_RADII_PER_PANEL)
+    edges = np.linspace(0.0, _support_radius(rho), POLAR_PANELS + 1)
+    half = 0.5 * np.diff(edges)[:, None]
+    radii = (0.5 * (edges[:-1] + edges[1:])[:, None] + half * x).ravel()
+    w_r = (half * w).ravel()
+    angles = 2 * dim + 2
     # a_m(r) for real r > 0: the phase is exactly 1
-    amp = coherent_components(grid.radii, dim).real.T
+    amp = coherent_components(radii, dim).real.T
     entries = rho.entries.astype(complex, copy=False)
     a_rho = np.zeros_like(entries)
     a_rho[:-1] = np.sqrt(np.arange(1, dim))[:, None] * entries[1:]
-    q = np.empty((grid.radii.size, dim), dtype=complex)
-    e = np.zeros((grid.radii.size, grid.angles), dtype=complex)
+    q = np.empty((radii.size, dim), dtype=complex)
+    e = np.zeros((radii.size, angles), dtype=complex)
     for k in range(dim):
         pair = amp[:, : dim - k] * amp[:, k:]
         diags = np.stack(
@@ -284,8 +274,13 @@ def polar_husimi_field(rho: DensityMatrix, grid: PolarGrid) -> PhaseSpaceField:
         q[:, k], e[:, k], lower = (pair @ diags.view(float)).view(complex).T
         if k:
             e[:, -k] = lower
-    Q = np.fft.irfft(q, n=grid.angles, axis=1, norm="forward").ravel() / math.pi
+    Q = np.fft.irfft(q, n=angles, axis=1, norm="forward").ravel() / math.pi
     E = np.fft.ifft(e, axis=1, norm="forward").ravel() / math.pi
+    phases = np.exp(2j * math.pi * np.arange(angles) / angles)
+    grid = PolarGrid(
+        (radii[:, None] * phases).ravel(),
+        np.repeat(radii * w_r * (2.0 * math.pi / angles), angles),
+    )
     return _checked_field(grid, Q, E)
 
 
@@ -295,6 +290,11 @@ def _checked_field(grid, Q, E) -> PhaseSpaceField:
     Fails when Q dips below -1e-8 (rho not a state) or when its quadrature
     mass strays from 1 by more than ``MASS_TOL`` (grid too small or
     misplaced); otherwise clips Q at 0.
+
+    The 1/Q integrals keep only nodes with Q above ``Q_FLOOR_RATIO`` max(Q).
+    |J|^2/Q decays faster than Q in Gaussian tails, so dropping the rest
+    biases them by less than the quadrature error; the excluded mass is
+    logged at debug level for monitoring.
     """
     qmin = Q.min()
     if qmin < -1e-8:
@@ -307,7 +307,10 @@ def _checked_field(grid, Q, E) -> PhaseSpaceField:
             f"quadrature mass {mass:.8f} deviates from 1 beyond {MASS_TOL}; "
             "enlarge or re-center the grid"
         )
-    return PhaseSpaceField(grid, Q, dQ_dmubar, mass)
+    above_floor = Q > Q_FLOOR_RATIO * Q.max()
+    excluded = float(np.dot(grid.weights[~above_floor], Q[~above_floor]))
+    log.debug("1/Q floor: excluded mass %.3e", excluded)
+    return PhaseSpaceField(grid, Q, dQ_dmubar, mass, above_floor)
 
 
 # ---------------------------------------------------------------------------
@@ -345,32 +348,17 @@ def flux_split(rho: DensityMatrix, kappa: float, N: int) -> tuple[float, float]:
 # Entropy production integrals
 # ---------------------------------------------------------------------------
 
-def _floor_mask(f: PhaseSpaceField):
-    """Nodes kept in 1/Q integrals, plus the excluded mass fraction.
-
-    |J|^2/Q decays faster than Q in Gaussian tails, so dropping nodes with
-    Q below Q_FLOOR_RATIO * max(Q) biases the integral by less than the
-    quadrature error; the excluded mass is reported for monitoring.
-    """
-    floor = Q_FLOOR_RATIO * f.Q.max()
-    mask = f.Q > floor
-    excluded = float(np.dot(f.grid.weights[~mask], f.Q[~mask]))
-    return mask, excluded
-
-
 def pi_d(f: PhaseSpaceField, kappa: float, alpha: complex, N: int) -> float:
     """Dissipative entropy production (2/kappa) int |J^nu|^2 / Q.
 
     The current is evaluated in coordinates displaced by the order
     parameter, nu = mu - alpha sqrt(N); derivatives are unchanged by the
-    displacement.
+    displacement.  Only the field's ``above_floor`` nodes enter.
     """
-    mask, excluded = _floor_mask(f)
+    mask = f.above_floor
     J = f.current(kappa, displacement=complex(alpha) * math.sqrt(N))
     integrand = np.abs(J[mask]) ** 2 / f.Q[mask]
-    val = (2.0 / kappa) * float(np.dot(f.grid.weights[mask], integrand))
-    log.debug("pi_d: excluded mass %.3e", excluded)
-    return val
+    return (2.0 / kappa) * float(np.dot(f.grid.weights[mask], integrand))
 
 
 def pi_u_kerr(f: PhaseSpaceField, u: float, N: int) -> float:
@@ -382,12 +370,12 @@ def pi_u_kerr(f: PhaseSpaceField, u: float, N: int) -> float:
     conjugate of dQ/dmubar, so the two products in the bracket, and their
     squares, are exact floating-point conjugates: the bracket is exactly
     imaginary and the prefactor puts the sum exactly on the real axis.
+    Only the field's ``above_floor`` nodes enter.
     """
-    mask, excluded = _floor_mask(f)
+    mask = f.above_floor
     mu = f.grid.nodes[mask]
     z = (mu * f.dQ_dmu[mask]) ** 2 - (mu.conj() * f.dQ_dmubar[mask]) ** 2
     total = (1j * u / (2.0 * N)) * np.dot(f.grid.weights[mask], z / f.Q[mask])
-    log.debug("pi_u_kerr: excluded mass %.3e", excluded)
     return float(total.real)
 
 
@@ -397,14 +385,14 @@ def pi_u_kerr(f: PhaseSpaceField, u: float, N: int) -> float:
 
 def entropy_budget(rho: DensityMatrix, p: KerrParams) -> EntropyBudget:
     """Assemble the full entropy budget of a Kerr steady state, with Q
-    evaluated on ``polar_grid(rho)``.
+    evaluated by ``polar_husimi_field(rho)``.
 
     The caller must supply a certified steady state; at such a state the
     fluctuation balance |Pi_u + Pi_d - Phi_q| / Phi_q is recorded and a
     violation beyond ``BALANCE_TOL`` is logged (grid refinement hint), not
     raised.
     """
-    field_ = polar_husimi_field(rho, polar_grid(rho))
+    field_ = polar_husimi_field(rho)
     alpha = mean_amplitude(rho) / math.sqrt(p.N)
     phi_ext, phi_q = flux_split(rho, p.kappa, p.N)
     s_wehrl = wehrl_entropy(field_)

@@ -1,3 +1,4 @@
+import logging
 import os
 
 import numpy as np
@@ -30,6 +31,26 @@ def blas_environment_restored():
         os.environ.pop("OPENBLAS_NUM_THREADS", None)
     else:
         os.environ["OPENBLAS_NUM_THREADS"] = saved
+
+
+@pytest.fixture(autouse=True)
+def no_unexpected_log_warning(request):
+    """Fail a test in which a ``wehrlflux`` logger emits WARNING or above,
+    unless it is marked ``logs_warning``.  ``filterwarnings = error`` turns
+    Python warnings into errors, but log records pass it by."""
+    records = []
+    handler = logging.Handler(logging.WARNING)
+    handler.emit = records.append
+    logger = logging.getLogger("wehrlflux")
+    logger.addHandler(handler)
+    yield
+    logger.removeHandler(handler)
+    if records and request.node.get_closest_marker("logs_warning") is None:
+        pytest.fail(
+            "unexpected log warning: "
+            + "; ".join(f"{r.name}: {r.getMessage()}" for r in records),
+            pytrace=False,
+        )
 
 
 @pytest.fixture(scope="session")

@@ -53,6 +53,7 @@ def report_threads(*args, **kwargs):
     raise RuntimeError(f"blas threads {blas_threads()}")
 
 
+@pytest.mark.logs_warning  # each point fails by design and is logged
 @pytest.mark.parametrize("threads", [1, 2])
 def test_sweep_point_runs_on_one_thread(caller_at_two_threads, monkeypatch, threads):
     monkeypatch.setattr(kerr_model, "steady_state", report_threads)

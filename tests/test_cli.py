@@ -1,7 +1,9 @@
 import gc
 import json
 import math
+import os
 import re
+import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
@@ -26,6 +28,7 @@ from wehrlflux import cli, dicke_gaussian, kerr_model
 from wehrlflux.errors import ConfigError, SolverConvergenceError
 
 README = Path(__file__).resolve().parent.parent / "README.md"
+SRC = README.parent / "src"
 
 
 def write_config(path, cfg):
@@ -361,6 +364,22 @@ class TestRun:
         assert float(stamped[0].split("=")[1]) == pytest.approx(LAMBDA_C, rel=1e-12)
         assert all(r["gap"] is None and r["n_max_used"] is None for r in rows)
 
+    def test_weak_coupling_run_keeps_stderr_empty(self, tmp_path):
+        # a process of its own, so that an unhandled log warning reaches
+        # stderr; as the coupling, and Phi_q with it, goes to 0 the Gaussian
+        # balance residual is roundoff, not a warning
+        cfg = dicke_config(tmp_path, 0.0, 1e-5, 3)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+        out = subprocess.run(
+            [sys.executable, "-m", "wehrlflux.cli", "run",
+             write_config(tmp_path / "c.json", cfg)],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert out.returncode == 0
+        assert out.stderr == ""
+        assert len(read_results(cfg["output"])[0]) == 3
+
     def test_mc_validate_failure_exit_code(self, tmp_path, monkeypatch):
         cfg = dicke_config(tmp_path, 0.30, 0.32, 2, mc_validate=True)
         InjectedFaults(monkeypatch, skewed={0.32}, term="Pi_d")
@@ -463,6 +482,7 @@ class TestRun:
         assert "estimator check failed for S (" in capsys.readouterr().err
         assert not Path(cfg["output"]).exists()
 
+    @pytest.mark.logs_warning  # the injected point failures are logged
     @pytest.mark.parametrize("keep_going", [False, True])
     def test_kerr_failures_applied_by_the_command(
         self, tmp_path, capsys, monkeypatch, keep_going

@@ -156,6 +156,7 @@ class TestCutoffRule:
         with pytest.raises(CutoffError, match="n_max = 116 below recommended cutoff 148 "):
             build_kerr_liouvillian(p, 116)
 
+    @pytest.mark.logs_warning  # the rejected point is logged as failed
     def test_cutoff_bounded_before_allocation(self):
         # the rule asks for 349785 levels, a generator of dimension 1.2e11
         p = kerr_params(0.9, 100000)
@@ -278,6 +279,7 @@ class TestSweep:
         result = sweep(p, [2], [30.0], compute_gap=False)
         assert len(result.records) + len(result.failures) == 1
 
+    @pytest.mark.logs_warning  # the rejected point is logged as failed
     def test_explicit_zero_tolerance_is_honoured(self, monkeypatch):
         # MASS_TOL is read when the check runs, so 0 reaches the quadrature
         # check; no finite grid captures the mass exactly
@@ -288,6 +290,7 @@ class TestSweep:
         ((N, eps, msg),) = result.failures
         assert "quadrature mass" in msg and "beyond 0.0" in msg
 
+    @pytest.mark.logs_warning  # the crashed points are logged as failed
     def test_crashed_worker_recorded_as_failure(self, monkeypatch):
         # pool workers are forked (the default on Linux) after the patch, so
         # they run the stand-in and die; two cores let the sweep start them
